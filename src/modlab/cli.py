@@ -1,8 +1,8 @@
 """Command-line front end: config ingestion, dispatch, report emission.
 
 Reports are byte-stable: canonical field order, fixed float formatting
-(shortest round-trip at precision 17), LF line endings, order-preserving
-sweep aggregation regardless of worker count.
+(shortest round-trip at precision 17), LF line endings, sweep rows in
+grid order.
 
 Exit codes: 0 success, 2 invalid config, 3 no periodic orbit,
 4 degenerate orbit or limit failure, 5 tolerance failure.
@@ -73,7 +73,7 @@ def render_json(obj, precision: int = 17) -> str:
                 return "[" + ", ".join(rec(v, indent) for v in seq) + "]"
             items = [f"{pad}  {rec(v, indent + 1)}" for v in seq]
             return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-        if isinstance(o, bool):
+        if isinstance(o, (bool, np.bool_)):
             return "true" if o else "false"
         if o is None:
             return "null"
@@ -313,8 +313,7 @@ def sweep_runner(model, cfg, args):
         raise err.ConfigError("sweep needs --regime harmonic|soliton")
     offsets = parse_grid(args.grid or cfg.get("sweep", {}).get("grid", ""))
     quad = cfg["numeric"]["quad_order"]
-    table, fit = asymptotic_sweep(model, anchor, offsets, quad,
-                                  workers=args.workers)
+    table, fit = asymptotic_sweep(model, anchor, offsets, quad)
     split = eigen_splitting_fit(model, anchor, table=table)
     n = model.N
     header = (["regime", "grid_param", "mu", "k", "alpha"]
@@ -366,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=None)
     ap.add_argument("--quad-order", type=int, default=None)
     ap.add_argument("--precision", type=int, default=None)
-    ap.add_argument("--workers", type=int, default=None)
     ap.add_argument("--eps", type=float, default=0.01)
     ap.add_argument("--v", type=float, default=0.0)
     ap.add_argument("--a-tilde", dest="a_tilde", type=float, default=1.0)

@@ -1,209 +1,18 @@
 """Dense eigensolver for the (N+2) <= 4 modulation matrices.
 
-Characteristic polynomial by Faddeev-LeVerrier, roots in closed form
-(degree <= 3) or via the resolvent cubic (degree 4), each root polished
-by Newton steps on the characteristic polynomial, eigenvectors from the
-null space of the shifted matrix with column-pivoted elimination.
-Everything is deterministic: fixed tie-breaking, fixed normalization
-(unit norm, first significant component positive real).
+LAPACK (``numpy.linalg.eig``, the Hessenberg QR route of ``dgeev``)
+computes the eigenpairs; this module fixes their presentation so that
+reports are deterministic: values sorted by (Re, Im), imaginary
+residues on real eigenvalues flattened to exactly zero, vectors of unit
+norm whose first significant component is positive real, and a residual
+per pair checked against the matrix norm.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-
 import numpy as np
 
 from .errors import EigenFailure
-
-
-def char_poly(A: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial, descending coefficients."""
-    n = A.shape[0]
-    coeffs = np.empty(n + 1)
-    coeffs[0] = 1.0
-    M = np.array(A, dtype=float)
-    for k in range(1, n + 1):
-        c = -np.trace(M) / k
-        coeffs[k] = c
-        if k < n:
-            M = A @ (M + c * np.eye(n))
-    return coeffs
-
-
-def _roots_quadratic(b: float, c: float) -> list:
-    disc = b * b - 4.0 * c
-    sq = cmath.sqrt(disc)
-    # Citardauq pairing avoids cancellation for |b| >> |c|
-    if b >= 0:
-        r1 = (-b - sq) / 2.0
-    else:
-        r1 = (-b + sq) / 2.0
-    r2 = c / r1 if r1 != 0 else -b - r1
-    return [r1, r2]
-
-
-def _roots_cubic(a: float, b: float, c: float) -> list:
-    # depressed form t^3 + p t + q with x = t - a/3
-    p = b - a * a / 3.0
-    q = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c
-    shift = -a / 3.0
-    disc = -4.0 * p ** 3 - 27.0 * q * q
-    if disc >= 0.0 and p < 0.0:
-        # three real roots: trigonometric form
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        phi = math.acos(arg) / 3.0
-        return [complex(m * math.cos(phi - 2.0 * math.pi * j / 3.0) + shift)
-                for j in range(3)]
-    # one real root via Cardano with stable cube-root pairing
-    half_q = q / 2.0
-    inner = cmath.sqrt(half_q * half_q + (p / 3.0) ** 3)
-    u3 = -half_q + inner
-    if abs(u3) < abs(-half_q - inner):
-        u3 = -half_q - inner
-    u = u3 ** (1.0 / 3.0)
-    v = -p / (3.0 * u) if u != 0 else 0.0
-    w = complex(-0.5, math.sqrt(3.0) / 2.0)
-    return [u + v + shift, u * w + v / w + shift, u / w + v * w + shift]
-
-
-def _roots_quartic(a: float, b: float, c: float, d: float) -> list:
-    # depressed form y^4 + p y^2 + q y + r with x = y - a/4
-    p = b - 3.0 * a * a / 8.0
-    q = c - a * b / 2.0 + a ** 3 / 8.0
-    r = d - a * c / 4.0 + a * a * b / 16.0 - 3.0 * a ** 4 / 256.0
-    shift = -a / 4.0
-    scale = max(abs(p), abs(q) ** (2.0 / 3.0), abs(r) ** 0.5, 1e-300)
-    if abs(q) <= 1e-14 * scale ** 1.5:
-        # biquadratic
-        zs = _roots_quadratic(p, r)
-        out = []
-        for z in zs:
-            s = cmath.sqrt(z)
-            out.extend([s + shift, -s + shift])
-        return out
-    # resolvent cubic: z^3 + 2p z^2 + (p^2 - 4r) z - q^2 = 0
-    res = _roots_cubic(2.0 * p, p * p - 4.0 * r, -q * q)
-    z0 = max((z for z in res if abs(z.imag) < 1e-8 * (1.0 + abs(z))),
-             key=lambda z: z.real, default=res[0])
-    z0 = z0.real if abs(z0.imag) < 1e-8 * (1.0 + abs(z0)) else z0
-    s = cmath.sqrt(z0)
-    if s == 0:
-        s = cmath.sqrt(complex(z0) + 1e-300)
-    t1 = (p + z0) / 2.0 - q / (2.0 * s)
-    t2 = (p + z0) / 2.0 + q / (2.0 * s)
-    out = []
-    for bb, cc in ((s, t1), (-s, t2)):
-        disc = bb * bb - 4.0 * cc
-        sq = cmath.sqrt(disc)
-        out.extend([(-bb + sq) / 2.0 + shift, (-bb - sq) / 2.0 + shift])
-    return out
-
-
-def poly_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of a monic real polynomial of degree 1..4 (descending)."""
-    deg = len(coeffs) - 1
-    c = coeffs / coeffs[0]
-    if deg == 1:
-        roots = [complex(-c[1])]
-    elif deg == 2:
-        roots = _roots_quadratic(c[1], c[2])
-    elif deg == 3:
-        roots = _roots_cubic(c[1], c[2], c[3])
-    elif deg == 4:
-        roots = _roots_quartic(c[1], c[2], c[3], c[4])
-    else:
-        raise EigenFailure(f"unsupported polynomial degree {deg}")
-    # Newton polish on the characteristic polynomial, skipped near
-    # multiple roots where the derivative degenerates
-    dc = np.polyder(c)
-    scale = max(np.max(np.abs(c)), 1.0)
-    polished = []
-    for z in roots:
-        for _ in range(3):
-            pv = np.polyval(c, z)
-            dv = np.polyval(dc, z)
-            if abs(dv) < 1e-7 * scale:
-                break
-            step = pv / dv
-            if abs(step) > 0.1 * (1.0 + abs(z)):
-                break
-            z = z - step
-        polished.append(z)
-    return _canonicalize(np.array(polished))
-
-
-def _canonicalize(roots: np.ndarray) -> np.ndarray:
-    """Exact conjugate symmetry for real polynomials.
-
-    Rounding makes conjugate pairs slightly asymmetric, which breaks
-    deterministic (Re, Im) ordering; tiny imaginary residues on real
-    roots are flattened and pairs are symmetrized.
-    """
-    out = []
-    pool = list(roots)
-    pool.sort(key=lambda z: (z.real, abs(z.imag)))
-    while pool:
-        z = pool.pop(0)
-        if abs(z.imag) <= 1e-11 * (1.0 + abs(z)):
-            out.append(complex(z.real, 0.0))
-            continue
-        mate = None
-        for j, w in enumerate(pool):
-            if abs(w.real - z.real) <= 1e-7 * (1.0 + abs(z)) \
-                    and abs(w.imag + z.imag) <= 1e-7 * (1.0 + abs(z)):
-                mate = pool.pop(j)
-                break
-        if mate is None:
-            out.append(z)
-            continue
-        re = 0.5 * (z.real + mate.real)
-        im = 0.5 * (abs(z.imag) + abs(mate.imag))
-        out.extend([complex(re, -im), complex(re, im)])
-    return np.array(out)
-
-
-def _null_basis(M: np.ndarray, want: int) -> list:
-    """Null vectors by rank-revealing column-pivoted Gaussian elimination.
-
-    Returns at least one vector and at most ``want``; a geometric
-    multiplicity below ``want`` (defective eigenvalue) yields fewer
-    independent directions, padded by repetition so callers see the
-    defect through conditioning.
-    """
-    n = M.shape[0]
-    A = M.astype(complex).copy()
-    perm = list(range(n))
-    scale = max(float(np.max(np.abs(A))), 1e-300)
-    rank = 0
-    for k in range(n):
-        sub = np.abs(A[k:, k:])
-        i, j = divmod(int(np.argmax(sub)), n - k)
-        if sub[i, j] <= 1e-10 * scale:
-            break
-        A[[k, k + i]] = A[[k + i, k]]
-        A[:, [k, k + j]] = A[:, [k + j, k]]
-        perm[k], perm[k + j] = perm[k + j], perm[k]
-        if k + 1 < n:
-            A[k + 1:, k:] -= np.outer(A[k + 1:, k] / A[k, k], A[k, k:])
-        rank += 1
-    nullity = max(n - rank, 1)
-    rank = n - nullity
-    vecs = []
-    for free in range(rank, min(n, rank + max(want, 1))):
-        x = np.zeros(n, dtype=complex)
-        x[free] = 1.0
-        for k in range(rank - 1, -1, -1):
-            x[k] = -(A[k, k + 1:] @ x[k + 1:]) / A[k, k]
-        out = np.zeros(n, dtype=complex)
-        out[perm] = x
-        vecs.append(out)
-    while len(vecs) < want:
-        vecs.append(vecs[-1].copy())
-    return vecs[:max(want, 1)]
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
@@ -219,50 +28,25 @@ def eig_small(A: np.ndarray, tol: float = 1e-9):
     Returns (values, vectors, residuals) with values sorted by (Re, Im),
     vectors as columns, residuals = ||A v - z v|| per pair.
 
-    Raises EigenFailure when any residual exceeds tol * ||A||.
+    Raises EigenFailure when any residual exceeds 50 tol ||A||.
     """
     n = A.shape[0]
     if n > 4:
         raise EigenFailure("eig_small supports sizes up to 4")
     norm = max(float(np.max(np.abs(A))), 1e-300)
-    zs = poly_roots(char_poly(A))
+    try:
+        zs, V = np.linalg.eig(A)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"eigensolver failed: {exc}") from None
+    zs = zs.astype(complex)
+    real = np.abs(zs.imag) <= 1e-11 * (1.0 + np.abs(zs))
+    zs[real] = zs[real].real
     order = np.lexsort((zs.imag, zs.real))
     zs = zs[order]
-    # group numerically equal roots so repeated eigenvalues receive a
-    # full null basis (or expose their defect through repetition)
-    groups = []
-    for i, z in enumerate(zs):
-        if groups and abs(z - zs[groups[-1][0]]) <= 1e-7 * (norm + abs(z)):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    vecs = np.zeros((n, n), dtype=complex)
-    resid = np.zeros(n)
-    for grp in groups:
-        zbar = complex(np.mean(zs[grp]))
-        basis = _null_basis(A - zbar * np.eye(n), len(grp))
-        # deterministic orthonormalization inside the group
-        ortho = []
-        for v in basis:
-            for u in ortho:
-                v = v - (np.conj(u) @ v) * u
-            nv = np.linalg.norm(v)
-            if nv > 1e-8:
-                v = v / nv
-            ortho.append(v if nv > 1e-8 else basis[0] / np.linalg.norm(basis[0]))
-        for i, v in zip(grp, ortho):
-            z = zs[i]
-            if len(grp) == 1:
-                # one inverse-power polish step against the shifted matrix
-                try:
-                    w = np.linalg.solve(
-                        A - (z + 1e-13 * norm * (1 + 1j)) * np.eye(n), v)
-                    v = w / np.linalg.norm(w)
-                except np.linalg.LinAlgError:
-                    pass
-            v = _normalize(v)
-            vecs[:, i] = v
-            resid[i] = float(np.linalg.norm(A @ v - z * v))
+    vecs = np.empty((n, n), dtype=complex)
+    for i, j in enumerate(order):
+        vecs[:, i] = _normalize(V[:, j])
+    resid = np.linalg.norm(A @ vecs - vecs * zs, axis=0)
     if np.any(resid > tol * norm * 50):
         raise EigenFailure(
             f"eigen residual {resid.max():.2e} above tolerance for ||A|| = {norm:.2e}")

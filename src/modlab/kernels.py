@@ -1,27 +1,18 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy fallback.
+"""The hot numeric kernel: batched Horner evaluation.
 
 The orbit quadrature spends essentially all of its time evaluating a
 small stack of polynomials at the quadrature nodes.  ``horner_batch``
-is that kernel.  Backend selection:
-
-* ``MODLAB_NUMBA=1`` force the @njit kernel (ImportError if numba missing),
-* ``MODLAB_NUMBA=0`` force the numpy fallback,
-* unset: numba when importable, numpy otherwise.
-
-Both backends perform the identical IEEE operation sequence per element
-(same Horner recurrence, no fastmath), so their outputs are bit-identical
-and reports do not depend on the backend.  Transcendentals are kept out
-of the kernel for the same reason.
+is that kernel; it runs the Horner recurrence on all rows at once, so
+each node of each row sees the same IEEE operation sequence as a scalar
+Horner loop.  Transcendentals are kept out of the kernel.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def horner_batch_numpy(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
+def horner_batch(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Evaluate a batch of polynomials at the nodes ``v``.
 
     Parameters
@@ -35,56 +26,10 @@ def horner_batch_numpy(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
     -------
     (k, n) float64
     """
-    k, d = coeffs.shape
-    out = np.empty((k, v.shape[0]))
-    for i in range(k):
-        acc = np.full_like(v, coeffs[i, 0])
-        for j in range(1, d):
-            acc = acc * v + coeffs[i, j]
-        out[i] = acc
-    return out
-
-
-try:  # pragma: no cover - exercised via backend parity test
-    from numba import njit
-
-    @njit(cache=True)
-    def _horner_batch_jit(coeffs, v):
-        k, d = coeffs.shape
-        n = v.shape[0]
-        out = np.empty((k, n))
-        for i in range(k):
-            for m in range(n):
-                acc = coeffs[i, 0]
-                for j in range(1, d):
-                    acc = acc * v[m] + coeffs[i, j]
-                out[i, m] = acc
-        return out
-
-    def horner_batch_numba(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return _horner_batch_jit(np.ascontiguousarray(coeffs),
-                                 np.ascontiguousarray(v))
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    horner_batch_numba = None
-    HAVE_NUMBA = False
-
-
-def _select_backend():
-    flag = os.environ.get("MODLAB_NUMBA", "").strip()
-    if flag == "0":
-        return horner_batch_numpy, "numpy"
-    if flag == "1":
-        if not HAVE_NUMBA:
-            raise ImportError("MODLAB_NUMBA=1 but numba is not importable")
-        return horner_batch_numba, "numba"
-    if HAVE_NUMBA:
-        return horner_batch_numba, "numba"
-    return horner_batch_numpy, "numpy"
-
-
-horner_batch, BACKEND = _select_backend()
+    acc = np.repeat(coeffs[:, :1], v.shape[0], axis=1)
+    for j in range(1, coeffs.shape[1]):
+        acc = acc * v + coeffs[:, j:j + 1]
+    return acc
 
 
 def pack_rows(rows) -> np.ndarray:

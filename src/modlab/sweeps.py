@@ -1,18 +1,16 @@
 """Asymptotic sweeps toward the distinguished limits, with rate fits.
 
 A sweep walks a mu-grid toward a harmonic or soliton anchor, computes
-the full modulation data at every point (in parallel when asked), and
-fits the predicted asymptotic laws: quadratic-in-amplitude approach of
-(k, alpha, M) on the harmonic side, logarithmic period growth and the
-Hessian blow-up on the soliton side, and the splitting of the double
-characteristic on both sides.
+the full modulation data at every point, and fits the predicted
+asymptotic laws: quadratic-in-amplitude approach of (k, alpha, M) on the
+harmonic side, logarithmic period growth and the Hessian blow-up on the
+soliton side, and the splitting of the double characteristic on both
+sides.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,15 +25,6 @@ from .eigen import eig_small
 from .profiles import DEFAULT_QUAD_ORDER, bracket_near_limit, orbit_integrals
 
 R2_GATE = 0.999
-
-
-def pool_workers(requested: int | None = None) -> int:
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("MODLAB_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -158,22 +147,14 @@ def _sweep_point(model: ModelSpec, anchor, eps: float,
 
 
 def sweep_table(model: ModelSpec, anchor, offsets,
-                quad_order: int = DEFAULT_QUAD_ORDER,
-                workers: int | None = None) -> SweepTable:
-    """Evaluate the sweep grid (order-preserving, optionally threaded)."""
+                quad_order: int = DEFAULT_QUAD_ORDER) -> SweepTable:
+    """Evaluate the sweep grid in grid order."""
     offsets = np.asarray(list(offsets), dtype=float)
     if offsets.size < 3 or np.any(offsets <= 0.0) \
             or np.any(np.diff(offsets) >= 0.0):
         raise GridDegenerate(
             "offsets must be a strictly decreasing positive grid (>= 3 points)")
-    nw = pool_workers(workers)
-    if nw == 1:
-        rows = [_sweep_point(model, anchor, e, quad_order) for e in offsets]
-    else:
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            futs = [pool.submit(_sweep_point, model, anchor, e, quad_order)
-                    for e in offsets]
-            rows = [f.result() for f in futs]
+    rows = [_sweep_point(model, anchor, e, quad_order) for e in offsets]
     regime = "harmonic" if isinstance(anchor, HarmonicPoint) else "soliton"
     return SweepTable(regime=regime, rows=tuple(rows), anchor=anchor)
 
@@ -256,8 +237,7 @@ def _fit_soliton(model: ModelSpec, table: SweepTable) -> FitReport:
 
 
 def asymptotic_sweep(model: ModelSpec, anchor, offsets,
-                     quad_order: int = DEFAULT_QUAD_ORDER,
-                     workers: int | None = None):
+                     quad_order: int = DEFAULT_QUAD_ORDER):
     """Sweep toward a limit and fit its asymptotic laws.
 
     Returns (SweepTable, FitReport).  Harmonic fits recover the quadratic
@@ -265,7 +245,7 @@ def asymptotic_sweep(model: ModelSpec, anchor, offsets,
     impulse limit, the Hessian blow-up constant and both Boussinesq
     projections.
     """
-    table = sweep_table(model, anchor, offsets, quad_order, workers)
+    table = sweep_table(model, anchor, offsets, quad_order)
     if table.regime == "harmonic":
         return table, _fit_harmonic(model, table)
     return table, _fit_soliton(model, table)
@@ -292,8 +272,7 @@ def _pair_near(zs: np.ndarray, target: float):
 
 def eigen_splitting_fit(model: ModelSpec, anchor, offsets=None,
                         table: SweepTable | None = None,
-                        quad_order: int = DEFAULT_QUAD_ORDER,
-                        workers: int | None = None) -> SplitReport:
+                        quad_order: int = DEFAULT_QUAD_ORDER) -> SplitReport:
     """Track the eigenvalue pair emerging from the double characteristic.
 
     Harmonic side: fits splitting^2 / alpha (the instability index) and
@@ -302,7 +281,7 @@ def eigen_splitting_fit(model: ModelSpec, anchor, offsets=None,
     convergence rate in rho, and the 1/|log rho| eigenvector drift.
     """
     if table is None:
-        table = sweep_table(model, anchor, offsets, quad_order, workers)
+        table = sweep_table(model, anchor, offsets, quad_order)
     idx = _tail(table, frac=0.5)
     if table.regime == "harmonic":
         hp: HarmonicPoint = table.anchor

@@ -1,9 +1,3 @@
-import os
-
-# pin the backend before modlab imports so every test run is reproducible;
-# the numba/numpy parity test calls both implementations explicitly
-os.environ.setdefault("MODLAB_NUMBA", "0")
-
 import numpy as np
 import pytest
 

@@ -16,7 +16,6 @@ GKDV = str(CONFIGS / "gkdv.json")
 
 def run_cli(args, env_extra=None):
     env = dict(os.environ)
-    env.setdefault("MODLAB_NUMBA", "0")
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run([sys.executable, "-m", "modlab.cli"] + args,
@@ -122,6 +121,16 @@ class TestCommands:
         assert rep["dcM"] == pytest.approx(12.0, rel=1e-9)
 
 
+    def test_numpy_booleans_render_as_json_booleans(self):
+        code, out, err = run_cli([
+            "limit_harmonic", "--config", str(CONFIGS / "nls_hydro.json"),
+            "--lambda=-1.4,0.5"])
+        assert code == 0, err
+        assert b'"dispersionless_hyperbolic": true' in out
+        assert json.loads(out)["dispersionless_hyperbolic"] is True
+        assert render_json({"a": np.bool_(False)}) == '{\n  "a": false\n}\n'
+
+
 class TestDeterminism:
     def test_report_bytes_stable_across_runs(self):
         _, out1, _ = run_cli(["wave", "--config", GKDV,
@@ -140,20 +149,18 @@ class TestDeterminism:
         assert keys_hi == keys_lo
         assert hi != lo
 
-    def test_sweep_csv_deterministic_across_workers(self, tmp_path):
+    def test_sweep_csv_deterministic_across_runs(self, tmp_path):
         outs = []
-        for workers in ("1", "4"):
-            dst = tmp_path / f"sweep_{workers}.csv"
+        for run in ("a", "b"):
+            dst = tmp_path / f"sweep_{run}.csv"
             code, _, err = run_cli([
                 "sweep", "--config", GKDV, "--regime", "soliton",
-                "--c", "1", "--grid", "1e-4:1e-8:6",
-                "--out", str(dst), "--workers", workers])
+                "--c", "1", "--grid", "1e-4:1e-8:6", "--out", str(dst)])
             assert code == 0, err
-            outs.append(dst.read_bytes())
-            fit = json.loads((tmp_path / f"sweep_{workers}.fit.json")
-                             .read_text())
-            assert fit["fits"]["alpha_limit"] == pytest.approx(12.0,
-                                                               rel=1e-3)
+            fit = tmp_path / f"sweep_{run}.fit.json"
+            outs.append((dst.read_bytes(), fit.read_bytes()))
+            assert json.loads(fit.read_text())["fits"]["alpha_limit"] \
+                == pytest.approx(12.0, rel=1e-3)
         assert outs[0] == outs[1]
 
     def test_sweep_requires_out(self):

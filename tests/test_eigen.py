@@ -1,38 +1,10 @@
 import numpy as np
 import pytest
 
-from modlab.eigen import char_poly, eig_small, poly_roots
-
-
-def test_char_poly_matches_numpy():
-    rng = np.random.default_rng(1)
-    for n in (2, 3, 4):
-        for _ in range(25):
-            A = rng.standard_normal((n, n))
-            mine = char_poly(A)
-            ref = np.poly(A)
-            assert np.allclose(mine, ref, rtol=1e-10, atol=1e-10)
-
-
-def test_poly_roots_cubic_and_quartic():
-    rng = np.random.default_rng(2)
-    for deg in (2, 3, 4):
-        for _ in range(50):
-            roots = rng.standard_normal(deg) \
-                + 1j * rng.standard_normal(deg) * rng.choice([0.0, 1.0])
-            # keep the polynomial real: conjugate-close the complex roots
-            reals = [z.real for z in roots if z.imag == 0.0]
-            cplx = [z for z in roots if z.imag != 0.0]
-            use = list(reals)
-            for z in cplx:
-                use.extend([z, z.conjugate()])
-            use = use[:deg]
-            while len(use) < deg:
-                use.append(float(rng.standard_normal()))
-            coeffs = np.real(np.poly(np.array(use)))
-            got = np.sort_complex(poly_roots(coeffs))
-            ref = np.sort_complex(np.roots(coeffs))
-            assert np.allclose(got, ref, rtol=1e-7, atol=1e-7)
+from modlab.eigen import eig_small
+from modlab.limits import harmonic_point, soliton_point
+from modlab.models import WaveParams
+from modlab.sweeps import sweep_table
 
 
 def test_known_spectra():
@@ -70,3 +42,39 @@ def test_normalization_deterministic():
     for j in range(3):
         nz = v1[np.abs(v1[:, j]) > 1e-12, j][0]
         assert nz.real > 0 and abs(nz.imag) < 1e-14
+
+
+def _oracle_error(mp, W: np.ndarray) -> float:
+    """Distance between eig_small's spectrum and the 50-digit spectrum of
+    the same float matrix, both ways round."""
+    with mp.workdps(50):
+        ref = np.array([complex(z) for z in
+                        mp.eig(mp.matrix(W.tolist()), left=False,
+                               right=False)])
+    zs = eig_small(W)[0]
+    return max(max(np.min(np.abs(z - ref)) for z in zs),
+               max(np.min(np.abs(z - zs)) for z in ref))
+
+
+def test_sweep_spectra_against_mpmath_oracle(gkdv):
+    """The gkdv c = 1 Whitham matrices near both distinguished limits,
+    where two characteristics nearly coincide: soliton rho 1e-2 -> 1e-6
+    and harmonic delta 2e-2 -> 1e-4.  LAPACK stays below 7.4e-15 max|W|
+    on them; roots of the Faddeev-LeVerrier characteristic polynomial
+    lose up to 6e-14 max|W|."""
+    mp = pytest.importorskip("mpmath")
+    sp = soliton_point(gkdv, 1.0, [0.0], (-3.0, 5.0))
+    hp = harmonic_point(gkdv, 1.0, [0.0], (0.5, 5.0))
+    w2 = gkdv.potential_jet(hp.v0, WaveParams(hp.mu0, 1.0, [0.0]), 2)[2]
+    # mu_s - mu = (9/8) rho^2 and mu - mu0 = W''(v0) delta^2 / 2 to
+    # leading order
+    grids = ((sp, 1.125 * np.geomspace(1e-2, 1e-6, 9) ** 2, 1e-2, 1e-6),
+             (hp, 0.5 * w2 * np.geomspace(2e-2, 1e-4, 7) ** 2, 2e-2, 1e-4))
+    for anchor, offsets, first, last in grids:
+        rows = sweep_table(gkdv, anchor, offsets).rows
+        assert rows[0].grid_param == pytest.approx(first, rel=0.02)
+        assert rows[-1].grid_param == pytest.approx(last, rel=0.02)
+        for r in rows:
+            W = r.whitham
+            assert _oracle_error(mp, W) <= 2e-14 * np.max(np.abs(W)), \
+                (r.regime, r.grid_param)

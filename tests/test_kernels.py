@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from modlab import kernels
 from modlab.polys import peval
@@ -10,23 +9,26 @@ def test_pack_rows_and_horner_match_reference():
     rows = [rng.standard_normal(d) for d in (1, 4, 7, 11)]
     v = rng.uniform(-2.0, 2.0, size=64)
     packed = kernels.pack_rows(rows)
-    out = kernels.horner_batch_numpy(packed, v)
+    out = kernels.horner_batch(packed, v)
     for i, r in enumerate(rows):
         assert np.allclose(out[i], peval(r, v), rtol=1e-14, atol=1e-14)
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not importable")
-def test_backends_bit_identical():
+def test_horner_batch_bit_identical_to_row_loop():
+    # the scalar Horner recurrence, one row at a time
+    def row_loop(coeffs, v):
+        out = np.empty((coeffs.shape[0], v.shape[0]))
+        for i in range(coeffs.shape[0]):
+            acc = np.full_like(v, coeffs[i, 0])
+            for j in range(1, coeffs.shape[1]):
+                acc = acc * v + coeffs[i, j]
+            out[i] = acc
+        return out
+
     rng = np.random.default_rng(11)
-    rows = [rng.standard_normal(d) for d in (11, 9, 5, 3, 2)]
-    packed = kernels.pack_rows(rows)
-    v = rng.uniform(0.1, 3.0, size=257)
-    a = kernels.horner_batch_numpy(packed, v)
-    b = kernels.horner_batch_numba(packed, v)
-    assert np.array_equal(a, b)
-
-
-def test_backend_selection_flag(monkeypatch):
-    monkeypatch.setenv("MODLAB_NUMBA", "0")
-    fn, name = kernels._select_backend()
-    assert name == "numpy" and fn is kernels.horner_batch_numpy
+    for degs in ((11, 9, 5, 3, 2), (1,), (1, 2)):
+        packed = kernels.pack_rows([rng.standard_normal(d) for d in degs])
+        for n in (1, 96, 257):
+            v = rng.uniform(-3.0, 3.0, size=n)
+            assert np.array_equal(kernels.horner_batch(packed, v),
+                                  row_loop(packed, v))
