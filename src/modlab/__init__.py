@@ -6,8 +6,8 @@ and closed-form modulational-instability indices."""
 from .action import ActionJet, FDConfig, action_gradient, action_hessian, \
     action_value
 from .limits import HarmonicPoint, LimitFrame, SolitonPoint, frame_vectors, \
-    harmonic_point, limit_frame, limiting_whitham_harmonic, \
-    limiting_whitham_soliton, soliton_point, toy_double_root
+    harmonic_point, limiting_whitham_harmonic, limiting_whitham_soliton, \
+    soliton_point, toy_double_root
 from .miindex import MIReport, conjugation_check, critical_wavenumber, \
     delta_mi, naive_index, predicted_alpha_sign
 from .models import ModelSpec, StructuralMatrices, WaveParams, gkdv_model, \

@@ -27,13 +27,16 @@ from .profiles import (DEFAULT_QUAD_ORDER, OrbitBracket, _newton_refine,
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Finite-difference policy for the action Hessian."""
+    """Finite-difference policy for the action Hessian.
+
+    Near a distinguished limit, ``limit_mu`` is its level (mu0 or mu_s),
+    ``limit_center`` its state (v0 or vs) and ``limit_side`` which limit
+    it is ("harmonic" or "soliton").
+    """
 
     rel_step: float = 1e-5
-    scales: np.ndarray | None = None
     richardson: bool = False
-    mu_harmonic: float | None = None
-    mu_soliton: float | None = None
+    limit_mu: float | None = None
     limit_center: float | None = None
     limit_side: str | None = None
     quad_order: int = DEFAULT_QUAD_ORDER
@@ -104,17 +107,8 @@ def _bracket_at(model: ModelSpec, params: WaveParams, base: OrbitBracket,
     return rebracket(model, params, base)
 
 
-def default_scales(params: WaveParams, cfg: FDConfig) -> np.ndarray:
-    n = 2 + len(params.lam)
-    scales = np.ones(n)
-    if cfg.mu_harmonic is not None and cfg.mu_soliton is not None:
-        scales[0] = abs(cfg.mu_soliton - cfg.mu_harmonic)
-    else:
-        scales[0] = max(1.0, abs(params.mu))
-    scales[1] = max(1.0, abs(params.c))
-    for j, lj in enumerate(params.lam):
-        scales[2 + j] = max(1.0, abs(lj))
-    return scales
+def default_scales(params: WaveParams) -> np.ndarray:
+    return np.maximum(1.0, np.abs(params.as_vector()))
 
 
 def action_hessian(model: ModelSpec, params: WaveParams,
@@ -130,17 +124,15 @@ def action_hessian(model: ModelSpec, params: WaveParams,
     cfg = fd_config or FDConfig()
     base = orbit_integrals(model, params, bracket, cfg.quad_order)
     n = 2 + len(params.lam)
-    scales = cfg.scales if cfg.scales is not None else default_scales(params, cfg)
     rel = max(cfg.rel_step, base.quad_error ** (1.0 / 3.0))
-    steps = rel * scales
+    steps = rel * default_scales(params)
     warnings = []
-    limit_mu = cfg.mu_soliton if cfg.mu_soliton is not None else cfg.mu_harmonic
-    if limit_mu is not None:
+    if cfg.limit_mu is not None:
         # the limit level mu*(c, lambda) moves under (c, lambda) steps;
         # the envelope identities give its exact parameter gradient at
         # the distinguished state, which caps every stencil direction
         frac = 0.2 if cfg.richardson else 0.05
-        gap = abs(limit_mu - params.mu)
+        gap = abs(cfg.limit_mu - params.mu)
         sens = np.ones(n)
         if cfg.limit_center is not None:
             vstar = cfg.limit_center
@@ -152,7 +144,7 @@ def action_hessian(model: ModelSpec, params: WaveParams,
                                                  params.lam2)[0]) + 1e-3
         steps = np.minimum(steps, frac * gap / sens)
         rho = bracket.rho
-        if cfg.mu_soliton is not None and rho is not None and rho < 1e-3:
+        if cfg.limit_side == "soliton" and rho is not None and rho < 1e-3:
             warnings.append(
                 f"soliton-side conditioning: rho = {rho:.2e}, "
                 f"Hessian entries grow like rho**-2")

@@ -4,7 +4,8 @@ Reports are byte-stable: canonical field order, fixed float formatting
 (shortest round-trip at precision 17), LF line endings, sweep rows in
 grid order.
 
-Exit codes: 0 success, 2 invalid config, 3 no periodic orbit,
+Exit codes: 0 success, and for a failure the exit code of its error
+group (see modlab.errors): 2 invalid input, 3 no periodic orbit,
 4 degenerate orbit or limit failure, 5 tolerance failure.
 """
 
@@ -19,8 +20,9 @@ import numpy as np
 
 from . import errors as err
 from .action import FDConfig, action_hessian
-from .limits import harmonic_point, limiting_whitham_harmonic, \
-    limiting_whitham_soliton, soliton_point, toy_double_root
+from .limits import _soliton_point_at_lambda, harmonic_point, \
+    limiting_whitham_harmonic, limiting_whitham_soliton, soliton_point, \
+    toy_double_root
 from .miindex import conjugation_check, delta_mi
 from .models import WaveParams, model_from_dict
 from .modulation import params_to_modvars, whitham_report
@@ -31,10 +33,6 @@ COMMANDS = ("validate", "wave", "whitham", "limit_harmonic", "limit_soliton",
             "sweep", "mi", "toy", "conjugation")
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NO_ORBIT = 3
-EXIT_DEGENERATE = 4
-EXIT_TOLERANCE = 5
 
 
 # ----------------------------------------------------------------------------
@@ -87,13 +85,12 @@ def render_json(obj, precision: int = 17) -> str:
 
 
 def emit_report(report, sink, fmt: str = "json", precision: int = 17) -> bytes:
-    """Serialize a report deterministically and write it to the sink."""
-    if fmt == "json":
-        text = render_json(report, precision)
-    elif fmt == "csv":
-        text = report if isinstance(report, str) else render_csv(report, precision)
-    else:
-        raise err.ConfigError(f"unknown output format {fmt!r}")
+    """Serialize a report deterministically and write it to the sink.
+
+    ``fmt`` is "json" for a report dict or "csv" for a sweep table.
+    """
+    render = render_csv if fmt == "csv" else render_json
+    text = render(report, precision)
     data = text.encode("utf-8")
     try:
         if sink in (None, "-"):
@@ -123,9 +120,7 @@ def render_csv(rows, precision: int = 17) -> str:
 
 DEFAULT_NUMERIC = {
     "quad_order": 96,
-    "tol_root": 1e-12,
     "fd_rel_step": 1e-5,
-    "eig_tol": 1e-9,
     "precision": 17,
 }
 
@@ -164,9 +159,13 @@ def parse_grid(spec: str) -> np.ndarray:
 def _lambda_arg(text: str | None, N: int) -> np.ndarray:
     if text is None:
         return np.zeros(N)
-    vals = [float(t) for t in text.split(",")]
+    try:
+        vals = [float(t) for t in text.split(",")]
+    except ValueError:
+        vals = []
     if len(vals) != N:
-        raise err.ConfigError(f"lambda needs {N} component(s)")
+        raise err.ConfigError(
+            f"expected {N} comma-separated number(s), got {text!r}")
     return np.asarray(vals)
 
 
@@ -246,10 +245,18 @@ def cmd_limit_harmonic(model, cfg, args) -> dict:
             "W_limit": [list(r) for r in lw["W_limit"]]}
 
 
+def _soliton_anchor(model, args):
+    """Soliton anchor of --lambda's family, or at --endstate (default 0)."""
+    if args.lam is not None and args.endstate is not None:
+        raise err.ConfigError("give --lambda or --endstate, not both")
+    if args.lam is not None:
+        return _soliton_point_at_lambda(model, args.c,
+                                        _lambda_arg(args.lam, model.N))
+    return soliton_point(model, args.c, _lambda_arg(args.endstate, model.N))
+
+
 def cmd_limit_soliton(model, cfg, args) -> dict:
-    endstate = _lambda_arg(args.endstate, model.N) if args.endstate \
-        else _lambda_arg(args.lam, model.N)
-    sp = soliton_point(model, args.c, endstate)
+    sp = _soliton_anchor(model, args)
     lw = limiting_whitham_soliton(model, sp)
     return {"schema": "modlab/1", "command": "limit_soliton",
             "c": sp.cs, "lambda": list(sp.lambdas),
@@ -302,13 +309,12 @@ def cmd_conjugation(model, cfg, args) -> dict:
 
 
 def sweep_runner(model, cfg, args):
-    """Drive a limit sweep; returns (csv_text, fit_report_dict)."""
-    lam = _lambda_arg(args.lam, model.N)
+    """Drive a limit sweep; returns ((header, rows), fit_report_dict)."""
     if args.regime == "harmonic":
-        anchor = harmonic_point(model, args.c, lam, branch=args.branch)
+        anchor = harmonic_point(model, args.c, _lambda_arg(args.lam, model.N),
+                                branch=args.branch)
     elif args.regime == "soliton":
-        endstate = _lambda_arg(args.endstate, model.N) if args.endstate else lam
-        anchor = soliton_point(model, args.c, endstate)
+        anchor = _soliton_anchor(model, args)
     else:
         raise err.ConfigError("sweep needs --regime harmonic|soliton")
     offsets = parse_grid(args.grid or cfg.get("sweep", {}).get("grid", ""))
@@ -360,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--grid", default=None, help="offset grid a:b:n")
     ap.add_argument("--regime", choices=("harmonic", "soliton"), default=None)
     ap.add_argument("--branch", choices=("plus", "minus"), default="plus")
-    ap.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                    default="json")
     ap.add_argument("--out", default=None)
     ap.add_argument("--quad-order", type=int, default=None)
     ap.add_argument("--precision", type=int, default=None)
@@ -399,9 +403,9 @@ def main(argv=None) -> int:
         model = model_from_dict(cfg["model"])
         precision = cfg["numeric"]["precision"]
         if args.command == "sweep":
-            table, fitrep = sweep_runner(model, cfg, args)
             if args.out is None:
                 raise err.ConfigError("sweep requires --out for its CSV")
+            table, fitrep = sweep_runner(model, cfg, args)
             emit_report(table, args.out, "csv", precision)
             emit_report(fitrep, _fit_path(args.out), "json", precision)
             return EXIT_OK
@@ -409,29 +413,11 @@ def main(argv=None) -> int:
                 and args.mu is None:
             raise err.ConfigError(f"{args.command} requires --mu")
         report = HANDLERS[args.command](model, cfg, args)
-        emit_report(report, args.out, args.fmt, precision)
+        emit_report(report, args.out, "json", precision)
         return EXIT_OK
-    except err.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (err.NoPeriodicOrbit, err.MultipleWells) as exc:
-        print(f"no periodic orbit: {exc}", file=sys.stderr)
-        return EXIT_NO_ORBIT
-    except (err.DegenerateOrbit, err.NoWellMinimum, err.DegenerateWell,
-            err.NoSaddle, err.GroupVelocityResonance, err.SpeedResonance,
-            err.StencilLeftBranch, err.LeftBranch,
-            err.InadmissibleWavenumber, err.UncoveredClass,
-            err.UnsupportedConjugateFamily) as exc:
-        print(f"limit failure: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (err.QuadratureNotConverged, err.FitRejected, err.NoConvergence,
-            err.GridDegenerate, err.EigenFailure,
-            err.SingularThetaHessian, err.SingularJacobian) as exc:
-        print(f"tolerance failure: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    except err.IOFailure as exc:
-        print(f"io failure: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except err.ModlabError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def _fit_path(out: str) -> str:

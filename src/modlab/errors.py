@@ -1,109 +1,135 @@
 """Exception taxonomy for modlab.
 
 Every failure mode that callers are expected to branch on gets its own
-class; the CLI maps them onto exit codes (see cli.EXIT_CODES).
+class.  Each class belongs to one of four groups, and the group carries
+the CLI exit code and the stderr label:
+
+    InvalidInput      2  invalid config, argument or output sink
+    OrbitNotFound     3  no periodic orbit
+    LimitFailure      4  degenerate orbit or limit failure
+    ToleranceFailure  5  tolerance, fit or integrator failure
 """
 
 
 class ModlabError(Exception):
-    """Base class for all modlab errors."""
+    """Base class for all modlab errors; each class sits in one group."""
 
 
-class ConfigError(ModlabError):
+class InvalidInput(ModlabError):
+    exit_code = 2
+    label = "invalid input"
+
+
+class OrbitNotFound(ModlabError):
+    exit_code = 3
+    label = "no periodic orbit"
+
+
+class LimitFailure(ModlabError):
+    exit_code = 4
+    label = "limit failure"
+
+
+class ToleranceFailure(ModlabError):
+    exit_code = 5
+    label = "tolerance failure"
+
+
+class ConfigError(InvalidInput):
     """Invalid or unparsable run configuration."""
 
+    label = "config error"
 
-class DomainViolation(ModlabError):
+
+class DomainViolation(InvalidInput):
     """Evaluation point outside the model's admissible interval."""
 
 
-class NoPeriodicOrbit(ModlabError):
+class IOFailure(InvalidInput):
+    """Report could not be written to its sink."""
+
+    label = "io failure"
+
+
+class NoPeriodicOrbit(OrbitNotFound):
     """The energy level cuts no bounded well in the search window."""
 
 
-class DegenerateOrbit(ModlabError):
-    """Two turning points have collapsed (harmonic or soliton edge)."""
-
-
-class MultipleWells(ModlabError):
+class MultipleWells(OrbitNotFound):
     """More than one candidate well in the window; caller must narrow it."""
 
 
-class QuadratureNotConverged(ModlabError):
-    """Order-doubling error estimate above the requested tolerance."""
+class DegenerateOrbit(LimitFailure):
+    """Two turning points have collapsed (harmonic or soliton edge)."""
 
 
-class IntegratorFailure(ModlabError):
-    """Shooting integration failed or the return event never fired."""
-
-
-class StencilLeftBranch(ModlabError):
+class StencilLeftBranch(LimitFailure):
     """A finite-difference stencil point crossed a distinguished limit."""
 
 
-class SingularThetaHessian(ModlabError):
-    """Action Hessian numerically singular where an inverse is needed."""
-
-
-class SingularJacobian(ModlabError):
-    """Newton Jacobian singular in the coordinate-change solve."""
-
-
-class NoConvergence(ModlabError):
-    """Iteration exhausted without meeting tolerance."""
-
-
-class LeftBranch(ModlabError):
+class LeftBranch(LimitFailure):
     """Parameter update left the wave branch during a solve."""
 
 
-class EigenFailure(ModlabError):
-    """Small dense eigensolver could not meet its residual tolerance."""
-
-
-class NoWellMinimum(ModlabError):
+class NoWellMinimum(LimitFailure):
     """No nondegenerate potential minimum in the window."""
 
 
-class DegenerateWell(ModlabError):
+class DegenerateWell(LimitFailure):
     """Potential minimum with vanishing curvature."""
 
 
-class NoSaddle(ModlabError):
+class NoSaddle(LimitFailure):
     """No nondegenerate potential maximum with an adjacent well."""
 
 
-class TailDivergence(ModlabError):
-    """Homoclinic integral failed to converge at the saddle end."""
-
-
-class GroupVelocityResonance(ModlabError):
+class GroupVelocityResonance(LimitFailure):
     """Group velocity collides with a dispersionless characteristic."""
 
 
-class SpeedResonance(ModlabError):
+class SpeedResonance(LimitFailure):
     """Solitary-wave speed collides with a dispersionless characteristic."""
 
 
-class InadmissibleWavenumber(ModlabError):
+class InadmissibleWavenumber(LimitFailure):
     """Harmonic wavenumber below the admissibility threshold."""
 
 
-class UncoveredClass(ModlabError):
+class UncoveredClass(LimitFailure):
     """Model outside the classes with a sign prediction."""
 
 
-class UnsupportedConjugateFamily(ModlabError):
+class UnsupportedConjugateFamily(LimitFailure):
     """Conjugate model falls outside the supported function families."""
 
 
-class FitRejected(ModlabError):
+class QuadratureNotConverged(ToleranceFailure):
+    """Order-doubling error estimate above the requested tolerance."""
+
+
+class IntegratorFailure(ToleranceFailure):
+    """Shooting integration failed or the return event never fired."""
+
+
+class SingularThetaHessian(ToleranceFailure):
+    """Action Hessian numerically singular where an inverse is needed."""
+
+
+class SingularJacobian(ToleranceFailure):
+    """Newton Jacobian singular in the coordinate-change solve."""
+
+
+class NoConvergence(ToleranceFailure):
+    """Iteration exhausted without meeting tolerance."""
+
+
+class EigenFailure(ToleranceFailure):
+    """Small dense eigensolver could not meet its residual tolerance."""
+
+
+class FitRejected(ToleranceFailure):
     """Asymptotic fit failed its R² or residual gate."""
 
 
-class GridDegenerate(ModlabError):
+class GridDegenerate(ToleranceFailure):
     """Sweep grid empty, non-monotone, or collapsed."""
-
-
-class IOFailure(ModlabError):
-    """Report could not be written to its sink."""

@@ -157,6 +157,26 @@ def _critical_points(model: ModelSpec, params: WaveParams, window):
     return out
 
 
+def _response_coefficients(K1: float, K2: float, w2: float, w3: float,
+                           w4: float):
+    """Quadratic-response constants (a0, b0) of the harmonic edge.
+
+    (Xi / Xi0 - 1) / (mu - mu0) -> a0 and (M - v0) / (mu - mu0) -> b0,
+    from kappa'/kappa = K1, kappa''/kappa = K2 and the potential
+    derivatives W'' = w2, W''' = w3, W'''' = w4 at the well bottom.
+    """
+    r3 = w3 / w2
+    a0 = (0.25 * (K2 - 0.5 * K1 * K1) - 0.25 * K1 * r3
+          - 0.125 * w4 / w2 + (5.0 / 24.0) * r3 * r3) / w2
+    b0 = 0.5 * (K1 - r3) / w2
+    return a0, b0
+
+
+def _window(model: ModelSpec, window):
+    lo, hi = window if window is not None else model.domain
+    return (lo if math.isfinite(lo) else -1e6, hi if math.isfinite(hi) else 1e6)
+
+
 def harmonic_point(model: ModelSpec, c: float, lam, window=None,
                    branch: str = "plus") -> HarmonicPoint:
     """Locate the well minimum of the family (c, lambda) and its limit data.
@@ -167,9 +187,7 @@ def harmonic_point(model: ModelSpec, c: float, lam, window=None,
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     params = WaveParams(0.0, c, lam)
-    lo, hi = window if window is not None else model.domain
-    lo = lo if math.isfinite(lo) else -1e6
-    hi = hi if math.isfinite(hi) else 1e6
+    lo, hi = _window(model, window)
     minima = [(x, w2) for x, w2 in _critical_points(model, params, (lo, hi))
               if w2 > 0.0]
     if not minima:
@@ -187,11 +205,7 @@ def harmonic_point(model: ModelSpec, c: float, lam, window=None,
     Xi0 = 1.0 / k0
     b = model.b
     K1 = kj[1] / kj[0]
-    K2 = kj[2] / kj[0]
-    r3 = wj[3] / w2
-    a0 = (0.25 * (K2 - 0.5 * K1 * K1) - 0.25 * K1 * r3
-          - 0.125 * wj[4] / w2 + (5.0 / 24.0) * r3 * r3) / w2
-    b0 = 0.5 * (K1 - r3) / w2
+    a0, b0 = _response_coefficients(K1, kj[2] / kj[0], w2, wj[3], wj[4])
     if model.kind == "scalar":
         U0 = np.array([v0])
         c0 = -b * (model.f_jet(v0, 2)[2] + w2)
@@ -284,89 +298,80 @@ def _homoclinic_integrals(model: ModelSpec, params: WaveParams, vs: float,
     return c2[0], c2[1], err
 
 
-def soliton_point(model: ModelSpec, c: float, endstate_or_lambda,
-                  window=None) -> SolitonPoint:
-    """Saddle point of W with its homoclinic orbit data.
+def _homoclinic_orbit(model: ModelSpec, c: float, lam: np.ndarray, window,
+                      near: float | None = None):
+    """Saddle vs of W, outer root vS of mu_s - W and the homoclinic integrals.
 
-    ``endstate_or_lambda`` is either the endstate U_s (length-N array,
-    from which lambda is reconstructed) or the family's lambda vector.
-    The adjacent well is expected on the right of the saddle.
+    Returns (params at mu_s, vs, W''(vs), vS, (M, dcM, quad_error)) for the
+    family (c, lambda).  The saddle must be unique in the window unless
+    ``near`` is given, in which case the saddle closest to it is taken.
     """
-    arr = np.atleast_1d(np.asarray(endstate_or_lambda, dtype=float))
-    if arr.shape[0] != model.N:
-        raise ValueError("endstate_or_lambda must have length N")
-    lo, hi = window if window is not None else model.domain
-    lo = lo if math.isfinite(lo) else -1e6
-    hi = hi if math.isfinite(hi) else 1e6
-
-    def locate(lam_try):
-        params = WaveParams(0.0, c, lam_try)
-        sad = [(x, w2) for x, w2 in _critical_points(model, params, (lo, hi))
+    lo, hi = window
+    params = WaveParams(0.0, c, lam)
+    saddles = [(x, w2) for x, w2 in _critical_points(model, params, (lo, hi))
                if w2 < 0.0]
-        return params, sad
-
-    # endstate interpretation first (lambda reconstructed from it), falling
-    # back to reading the input as lambda when no saddle appears
-    lam = _lambda_at_endstate(model, c, arr)
-    params, saddles = locate(lam)
     if not saddles:
-        params, saddles = locate(arr)
-        lam = arr
-        if not saddles:
-            raise NoSaddle(f"no saddle of W in ({lo}, {hi})")
-    if len(saddles) > 1:
+        raise NoSaddle(f"no saddle of W in ({lo}, {hi})")
+    if near is not None:
+        vs, w2 = min(saddles, key=lambda t: abs(t[0] - near))
+    elif len(saddles) > 1:
         raise NoSaddle(f"{len(saddles)} saddles in ({lo}, {hi}); narrow the window")
-    vs, w2 = saddles[0]
+    else:
+        vs, w2 = saddles[0]
     params = WaveParams(model.potential_jet(vs, params, 0)[0], c, lam)
-    wj = model.potential_jet(vs, params, 2)
-    mus = wj[0]
     # outer root of mu_s - W beyond the right well
     num, den = model.potential_rational(params)
-    T = _shift_scale_combine(mus, den, num)
+    T = _shift_scale_combine(params.mu, den, num)
     q, _ = pdeflate(T, vs)
     q, _ = pdeflate(q, vs)
-    cands = []
-    qt = trim(q)
-    if len(qt) >= 2:
-        for z in np.roots(qt[::-1]):
-            if abs(z.imag) < 1e-8 * max(1.0, abs(z.real)) and z.real > vs:
-                x = _newton_refine(T, pder(T), float(z.real), vs, hi, 1e-15)
-                cands.append(x)
+    cands = [_newton_refine(T, pder(T), float(z.real), vs, hi, 1e-15)
+             for z in np.roots(trim(q)[::-1])
+             if abs(z.imag) < 1e-8 * max(1.0, abs(z.real)) and z.real > vs]
+    cands = [x for x in cands if x > vs + 1e-12 * max(1.0, abs(vs))]
     if not cands:
         raise NoSaddle("no outer turning level right of the saddle")
-    vS = min(c_ for c_ in cands if c_ > vs + 1e-12 * max(1.0, abs(vs)))
+    vS = min(cands)
+    return params, vs, w2, vS, _homoclinic_integrals(model, params, vs, vS)
+
+
+def soliton_point(model: ModelSpec, c: float, endstate,
+                  window=None) -> SolitonPoint:
+    """Saddle point of W with its homoclinic orbit data at a fixed endstate.
+
+    ``endstate`` is the solitary wave's endstate U_s (length N); the
+    family's lambda is reconstructed from it.  The adjacent well is
+    expected on the right of the saddle.
+    """
+    Us = np.atleast_1d(np.asarray(endstate, dtype=float))
+    if Us.shape[0] != model.N:
+        raise ValueError("endstate must have length N")
+    return _soliton_point_at_lambda(model, c, _lambda_at_endstate(model, c, Us),
+                                    window)
+
+
+def _soliton_point_at_lambda(model: ModelSpec, c: float, lam,
+                             window=None) -> SolitonPoint:
+    """Soliton anchor of the family (c, lambda).
+
+    The c- and endstate-derivatives of the moment are taken at the fixed
+    endstate U_s of this anchor.
+    """
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    win = _window(model, window)
+    params, vs, w2, vS, (Mval, dcM, qerr) = _homoclinic_orbit(model, c, lam, win)
     if model.kind == "scalar":
         Us = np.array([vs])
     else:
         Us = np.array([vs, model.velocity_jet(vs, c, float(lam[1]))[0]])
-    lam_check = _lambda_at_endstate(model, c, Us)
-    lam_res = float(np.max(np.abs(lam_check - lam)))
-    XiS = 2.0 * math.pi * math.sqrt(model.kappa_jet(vs, 0)[0] / (-wj[2]))
-    Mval, dcM, qerr = _homoclinic_integrals(model, params, vs, vS)
+    lam_res = float(np.max(np.abs(_lambda_at_endstate(model, c, Us) - lam)))
+    XiS = 2.0 * math.pi * math.sqrt(model.kappa_jet(vs, 0)[0] / (-w2))
 
     def M_of(c_, Us_):
         lam_ = _lambda_at_endstate(model, c_, Us_)
-        p_ = WaveParams(0.0, c_, lam_)
-        sad = [(x, w2_) for x, w2_ in _critical_points(model, p_, (lo, hi))
-               if w2_ < 0.0]
-        vs_ = min(sad, key=lambda t: abs(t[0] - vs))[0]
-        mus_ = model.potential_jet(vs_, p_, 0)[0]
-        p_ = WaveParams(mus_, c_, lam_)
-        num_, den_ = model.potential_rational(p_)
-        T_ = _shift_scale_combine(mus_, den_, num_)
-        qq, _ = pdeflate(T_, vs_)
-        qq, _ = pdeflate(qq, vs_)
-        vS_ = None
-        for z in np.roots(trim(qq)[::-1]):
-            if abs(z.imag) < 1e-8 * max(1.0, abs(z.real)) and z.real > vs_:
-                x = _newton_refine(T_, pder(T_), float(z.real), vs_, hi, 1e-15)
-                vS_ = x if vS_ is None else min(vS_, x)
-        return _homoclinic_integrals(model, p_, vs_, vS_)
+        return _homoclinic_orbit(model, c_, lam_, win, near=vs)[-1]
 
     hc = 1e-5 * max(1.0, abs(c))
-    dcp = M_of(c + hc, Us)[1]
-    dcm = M_of(c - hc, Us)[1]
-    dc2M = (dcp - dcm) / (2.0 * hc)
+    dc2M = (M_of(c + hc, Us)[1] - M_of(c - hc, Us)[1]) / (2.0 * hc)
     gradUM = np.zeros(model.N)
     for j in range(model.N):
         hU = 1e-5 * max(1.0, abs(Us[j]))
@@ -374,17 +379,10 @@ def soliton_point(model: ModelSpec, c: float, endstate_or_lambda,
         e[j] = hU
         gradUM[j] = (M_of(c, Us + e)[0] - M_of(c, Us - e)[0]) / (2.0 * hU)
     frame = frame_vectors(model, vs, c, float(lam[-1]))
-    return SolitonPoint(vs=vs, vS=vS, mus=mus, cs=c, Us=Us, lambdas=lam,
+    return SolitonPoint(vs=vs, vS=vS, mus=params.mu, cs=c, Us=Us, lambdas=lam,
                         XiS=XiS, boussinesq=Mval, dcM=dcM, dc2M=dc2M,
                         gradUM=gradUM, frame=frame, lambda_residual=lam_res,
                         quad_error=qerr)
-
-
-def limit_frame(model: ModelSpec, point) -> LimitFrame:
-    """Frame vectors at a computed limit point."""
-    if isinstance(point, HarmonicPoint):
-        return frame_vectors(model, point.v0, point.c, float(point.lam[-1]))
-    return frame_vectors(model, point.vs, point.cs, float(point.lambdas[-1]))
 
 
 # ----------------------------------------------------------------------------

@@ -16,8 +16,8 @@ import numpy as np
 
 from .action import ActionJet, FDConfig, action_hessian, rebracket
 from .eigen import eig_small
-from .errors import (LeftBranch, NoConvergence, SingularJacobian,
-                     SingularThetaHessian)
+from .errors import (DegenerateOrbit, LeftBranch, NoConvergence,
+                     SingularJacobian, SingularThetaHessian)
 from .models import ModelSpec, WaveParams, structural_matrices
 from .profiles import (DEFAULT_QUAD_ORDER, OrbitBracket, find_turning_points,
                        orbit_integrals)
@@ -112,8 +112,7 @@ def whitham_matrix(model: ModelSpec, hessH_mat: np.ndarray, jet: ActionJet,
 
 
 def spectrum_and_classification(W: np.ndarray, tol_im: float = TOL_IM,
-                                cond_cap: float = EIGVEC_COND_CAP,
-                                eig_tol: float = 1e-9):
+                                cond_cap: float = EIGVEC_COND_CAP):
     """Eigenpairs plus a hyperbolicity verdict with declared margins.
 
     elliptic: a complex pair clearly above the imaginary tolerance;
@@ -121,7 +120,7 @@ def spectrum_and_classification(W: np.ndarray, tol_im: float = TOL_IM,
     weakly_hyperbolic: real but defective or ill-conditioned;
     marginal: within one decade of either threshold.
     """
-    zs, vecs, resid = eig_small(W, tol=eig_tol)
+    zs, vecs, resid = eig_small(W)
     scale = max(float(np.max(np.abs(W))), 1e-300)
     im = float(np.max(np.abs(zs.imag))) / scale
     try:
@@ -192,10 +191,9 @@ def modvars_to_params(model: ModelSpec, target: ModVars,
     scale = np.maximum(np.abs(tvec), 1.0)
     cond = math.inf
     for _ in range(max_iter):
-        o = orbit_integrals(model, p, br, cfg.quad_order)
-        mv = params_to_modvars(model, o.grad_theta)
-        res = tvec - mv.as_vector()
         jet = action_hessian(model, p, br, cfg)
+        mv = params_to_modvars(model, jet.grad)
+        res = tvec - mv.as_vector()
         A = coupling_matrix_A(model, mv.k, mv.M)
         try:
             J = np.linalg.solve(jet.hess, A) / mv.k
@@ -214,7 +212,7 @@ def modvars_to_params(model: ModelSpec, target: ModVars,
                 pn = WaveParams.from_vector(p.as_vector() + lam * step)
                 brn = rebracket(model, pn, br)
                 break
-            except Exception:
+            except DegenerateOrbit:
                 lam *= 0.5
         else:
             raise LeftBranch("could not track the wave branch during Newton")

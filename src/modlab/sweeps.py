@@ -22,7 +22,7 @@ from .limits import (HarmonicPoint, SolitonPoint, limiting_whitham_harmonic,
 from .models import ModelSpec, WaveParams, structural_matrices
 from .modulation import hessianH, params_to_modvars, whitham_matrix
 from .eigen import eig_small
-from .profiles import DEFAULT_QUAD_ORDER, bracket_near_limit, orbit_integrals
+from .profiles import DEFAULT_QUAD_ORDER, bracket_near_limit
 
 R2_GATE = 0.999
 
@@ -109,27 +109,22 @@ def _tail(table: SweepTable, frac: float = 0.5):
 def _sweep_point(model: ModelSpec, anchor, eps: float,
                  quad_order: int) -> SweepRow:
     if isinstance(anchor, HarmonicPoint):
-        regime, center, side = "harmonic", anchor.v0, "harmonic"
+        regime, center, mu_limit = "harmonic", anchor.v0, anchor.mu0
         mu = anchor.mu0 + eps
         c, lam = anchor.c, anchor.lam
-        cfg = FDConfig(mu_harmonic=anchor.mu0, limit_center=center,
-                       limit_side=side, quad_order=quad_order,
-                       richardson=True)
     else:
-        regime, center, side = "soliton", anchor.vs, "soliton"
+        regime, center, mu_limit = "soliton", anchor.vs, anchor.mus
         mu = anchor.mus - eps
         c, lam = anchor.cs, anchor.lambdas
-        # steps shrink with the gap, so the leading h^2 truncation of the
-        # blowing-up entries is a constant relative bias; Richardson
-        # removes it
-        cfg = FDConfig(mu_soliton=anchor.mus, limit_center=center,
-                       limit_side=side, quad_order=quad_order,
-                       richardson=True)
+    # steps shrink with the gap, so the leading h^2 truncation of the
+    # blowing-up soliton-side entries is a constant relative bias;
+    # Richardson removes it
+    cfg = FDConfig(limit_mu=mu_limit, limit_center=center, limit_side=regime,
+                   quad_order=quad_order, richardson=True)
     params = WaveParams(mu, c, lam)
-    bracket = bracket_near_limit(model, params, center, side)
+    bracket = bracket_near_limit(model, params, center, regime)
     jet = action_hessian(model, params, bracket, cfg)
-    o = orbit_integrals(model, params, bracket, quad_order)
-    mv = params_to_modvars(model, o.grad_theta)
+    mv = params_to_modvars(model, jet.grad)
     H = hessianH(model, jet, mv, c)
     W, _ = whitham_matrix(model, H, jet, mv.k, c)
     zs, vecs, resid = eig_small(W)[:3]
@@ -139,11 +134,11 @@ def _sweep_point(model: ModelSpec, anchor, eps: float,
     proj = float(sv @ jet.hess @ sv)
     grid_param = bracket.delta if regime == "harmonic" else bracket.rho
     return SweepRow(regime=regime, grid_param=float(grid_param), mu=mu,
-                    k=mv.k, alpha=mv.alpha, M=mv.M, Xi=o.Xi, theta=o.theta,
+                    k=mv.k, alpha=mv.alpha, M=mv.M, Xi=float(jet.grad[0]),
+                    theta=jet.theta,
                     eigenvalues=zs, eig_residuals=resid, eigenvectors=vecs,
                     whitham=W, d2mu_theta=float(jet.hess[0, 0]),
-                    limit_proj=proj, quad_error=max(o.quad_error,
-                                                    jet.quad_error))
+                    limit_proj=proj, quad_error=jet.quad_error)
 
 
 def sweep_table(model: ModelSpec, anchor, offsets,

@@ -69,7 +69,7 @@ class TestHessian:
         p = WaveParams(-2.0 / 3.0 + 1e-4, 1.0, [0.0])
         br = bracket_near_limit(gkdv, p, 2.0, "harmonic")
         jet = action_hessian(model=gkdv, params=p, bracket=br,
-                             fd_config=FDConfig(mu_harmonic=-2.0 / 3.0,
+                             fd_config=FDConfig(limit_mu=-2.0 / 3.0,
                                                 limit_center=2.0,
                                                 limit_side="harmonic"))
         assert jet.negative_signature == 1
@@ -97,7 +97,7 @@ class TestHessian:
         p = WaveParams(-1e-9, 1.0, [0.0])
         br = bracket_near_limit(gkdv, p, 0.0, "soliton")
         jet = action_hessian(gkdv, p, br,
-                             FDConfig(mu_soliton=0.0, limit_center=0.0,
+                             FDConfig(limit_mu=0.0, limit_center=0.0,
                                       limit_side="soliton"))
         assert jet.warnings and "rho" in jet.warnings[0]
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from modlab import cli, errors
 from modlab.cli import format_float, main, parse_grid, render_csv, render_json
 from modlab.errors import ConfigError
 
-CONFIGS = Path(__file__).resolve().parents[1] / "src" / "modlab" / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "src" / "modlab" / "configs"
 GKDV = str(CONFIGS / "gkdv.json")
 
 
@@ -168,3 +171,103 @@ class TestDeterminism:
                               "soliton", "--c", "1", "--grid",
                               "1e-4:1e-8:6"])
         assert code == 2
+
+
+def readme_cli_commands():
+    """argv of every ``modlab`` line in the README's CLI block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    block = block.replace("\\\n", " ")
+    return [shlex.split(ln)[1:] for ln in block.splitlines()
+            if ln.startswith("modlab ")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv", readme_cli_commands(),
+                             ids=lambda a: a[0])
+    def test_cli_example_runs_as_written(self, argv, tmp_path, monkeypatch,
+                                         capsys):
+        monkeypatch.chdir(ROOT)
+        argv = list(argv)
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert main(argv) == 0, capsys.readouterr().err
+
+
+# documented exit code of every error class (README exit-code table)
+EXIT_CODES = {
+    "ConfigError": 2, "DomainViolation": 2, "IOFailure": 2,
+    "NoPeriodicOrbit": 3, "MultipleWells": 3,
+    "DegenerateOrbit": 4, "StencilLeftBranch": 4, "LeftBranch": 4,
+    "NoWellMinimum": 4, "DegenerateWell": 4, "NoSaddle": 4,
+    "GroupVelocityResonance": 4, "SpeedResonance": 4,
+    "InadmissibleWavenumber": 4, "UncoveredClass": 4,
+    "UnsupportedConjugateFamily": 4,
+    "QuadratureNotConverged": 5, "IntegratorFailure": 5,
+    "SingularThetaHessian": 5, "SingularJacobian": 5, "NoConvergence": 5,
+    "EigenFailure": 5, "FitRejected": 5, "GridDegenerate": 5,
+}
+
+
+class TestFailurePaths:
+    def test_every_error_class_has_a_documented_code(self):
+        groups = (errors.InvalidInput, errors.OrbitNotFound,
+                  errors.LimitFailure, errors.ToleranceFailure)
+        leaves = {name for name, cls in vars(errors).items()
+                  if isinstance(cls, type) and issubclass(cls, groups)
+                  and cls not in groups}
+        assert leaves == set(EXIT_CODES)
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_error_maps_to_its_exit_code(self, name, monkeypatch, capsys):
+        cls = getattr(errors, name)
+
+        def fail(model, cfg, args):
+            raise cls("injected")
+
+        monkeypatch.setitem(cli.HANDLERS, "validate", fail)
+        assert main(["validate", "--config", GKDV]) == EXIT_CODES[name]
+        assert capsys.readouterr().err.endswith(": injected\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["limit_soliton", "--config", GKDV, "--c", "1", "--lambda=x"], 2),
+        (["limit_soliton", "--config", GKDV, "--c", "1", "--lambda=0.1",
+          "--endstate=0"], 2),
+        (["mi", "--config", str(CONFIGS / "nls_hydro.json"), "--v0", "-2",
+          "--k0", "0.2"], 2),
+        (["wave", "--config", GKDV, "--mu", "0.5", "--c", "1"], 3),
+    ], ids=["lambda-not-a-number", "lambda-and-endstate",
+            "mi-v0-outside-domain", "wave-no-orbit"])
+    def test_failure_exits_without_traceback(self, argv, code):
+        got, out, err = run_cli(argv)
+        assert got == code, err
+        assert not out and err and b"Traceback" not in err
+
+    def test_sweep_checks_out_before_computing(self, monkeypatch, capsys):
+        def compute(*args):
+            raise AssertionError("sweep computed without --out")
+
+        monkeypatch.setattr(cli, "sweep_runner", compute)
+        assert main(["sweep", "--config", GKDV, "--regime", "soliton",
+                     "--c", "1", "--grid", "1e-4:1e-8:6"]) == 2
+        assert "--out" in capsys.readouterr().err
+
+
+class TestSolitonAnchorArguments:
+    def test_lambda_names_the_family(self):
+        code, out, err = run_cli(["limit_soliton", "--config", GKDV,
+                                  "--c", "1", "--lambda=0.1"])
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["lambda"] == [0.1]
+        assert rep["vs"] == pytest.approx(-0.0954451150103322, rel=1e-12)
+        assert rep["lambda_residual"] < 1e-15
+
+    def test_endstate_fixes_the_endstate(self):
+        code, out, err = run_cli([
+            "limit_soliton", "--config", str(CONFIGS / "ek_lagrangian.json"),
+            "--c", "0.8", "--endstate=-1.2,0.3"])
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["Us"] == pytest.approx([-1.2, 0.3], abs=1e-12)

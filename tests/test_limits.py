@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from modlab.errors import NoSaddle, NoWellMinimum
-from modlab.limits import (HarmonicPoint, frame_vectors, harmonic_point,
-                           limit_frame, limiting_whitham_harmonic,
-                           limiting_whitham_soliton, soliton_point,
-                           toy_double_root)
+from modlab.limits import (HarmonicPoint, _soliton_point_at_lambda,
+                           frame_vectors, harmonic_point,
+                           limiting_whitham_harmonic, limiting_whitham_soliton,
+                           soliton_point, toy_double_root)
 from modlab.models import ModelSpec, WaveParams, structural_matrices
 from modlab.polys import Laurent
 
@@ -182,11 +182,6 @@ class TestFrames:
             assert np.max(np.abs(got - want)) < 1e-11 * max(
                 1.0, np.max(np.abs(got)))
 
-    def test_limit_frame_dispatch(self, gkdv):
-        hp = harmonic_point(gkdv, 1.0, [0.0], (0.5, 5.0))
-        fr = limit_frame(gkdv, hp)
-        assert np.allclose(fr.V, hp.frame.V)
-
 
 class TestSolitonPoint:
     def test_kdv_sech2_facts(self, gkdv):
@@ -217,6 +212,19 @@ class TestSolitonPoint:
         up = soliton_point(gkdv, 1.0 + h, [0.0], (-3.0, 5.0)).boussinesq
         dn = soliton_point(gkdv, 1.0 - h, [0.0], (-3.0, 5.0)).boussinesq
         assert (up - dn) / (2 * h) == pytest.approx(sp.dcM, rel=1e-5)
+
+    def test_lambda_family_anchor(self, gkdv):
+        # c = 1, lambda = 0.1: W' = v^2/2 - v - 0.1 vanishes at 1 -+ sqrt(1.2)
+        sp = _soliton_point_at_lambda(gkdv, 1.0, [0.1])
+        assert sp.lambdas.tolist() == [0.1]
+        assert sp.vs == pytest.approx(1.0 - math.sqrt(1.2), rel=1e-12)
+        assert sp.lambda_residual < 1e-15
+        # the same anchor from its endstate, through the same builder
+        again = soliton_point(gkdv, 1.0, sp.Us)
+        assert again.lambdas[0] == pytest.approx(0.1, rel=1e-14)
+        assert again.vs == pytest.approx(sp.vs, rel=1e-13)
+        assert again.dc2M == pytest.approx(sp.dc2M, rel=1e-8)
+        assert np.allclose(again.gradUM, sp.gradUM, rtol=1e-8)
 
     def test_no_saddle_error(self, gkdv):
         with pytest.raises(NoSaddle):

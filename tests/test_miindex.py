@@ -8,9 +8,10 @@ from modlab.errors import (InadmissibleWavenumber, UncoveredClass,
 from modlab.limits import harmonic_point, limiting_whitham_harmonic
 from modlab.miindex import (conjugate_model, conjugate_wave_params,
                             conjugation_check, critical_wavenumber, delta_mi,
-                            gkdv_delta_mi, naive_index, predicted_alpha_sign,
-                            scalar_index_bracket, system_mi_polynomial)
+                            naive_index, predicted_alpha_sign,
+                            system_mi_polynomial)
 from modlab.models import ModelSpec, WaveParams, gkdv_model
+from modlab.sweeps import sweep_table
 from modlab.polys import Laurent
 
 TWO_PI = 2.0 * math.pi
@@ -69,11 +70,47 @@ class TestScalarIndex:
                                    rel=1e-13)
 
     def test_bracket_equals_shortcut_on_gkdv_family(self, gkdv, quartic):
-        for m, v0 in ((gkdv, 2.0), (quartic, 1.3)):
-            for k0 in (0.05, 0.4, 1.7):
-                general = scalar_index_bracket(m, v0, k0)[0]
-                fast = gkdv_delta_mi(m, v0, k0)
-                assert general == pytest.approx(fast, rel=1e-13)
+        # constant kappa, b = 1: k0 (f'''^2 + 3 (2 pi)^2 kappa f'''' k0^2)
+        kappa2 = gkdv_model(f_coeffs=(0.0, 0.0, 0.0, -1.0 / 6.0, -1.0 / 24.0),
+                            kappa=(2.0,), label="kappa2")
+        for m, v0 in ((gkdv, 2.0), (quartic, 1.3), (kappa2, 2.0)):
+            kappa = m.kappa_jet(v0, 0)[0]
+            fj = m.f_jet(v0, 4)
+            for k0 in (0.05, 0.22, 0.4, 1.7):
+                want = k0 * (fj[3] ** 2
+                             + 3.0 * TWO_PI ** 2 * kappa * fj[4] * k0 * k0)
+                assert delta_mi(m, [v0], k0).delta_mi == pytest.approx(
+                    want, rel=1e-13)
+
+    @pytest.mark.parametrize("k0", [0.22, 0.25])
+    def test_kappa_two_unstable_with_measured_complex_pair(self, k0):
+        """Constant kappa = 2, f = -v^3/6 - v^4/24 at v0 = 2.
+
+        The index keeps kappa: Delta_MI < 0 (unstable).  Whitham spectra
+        measured on a sweep toward the harmonic anchor with this (v0, k0)
+        have a complex edge pair, and its squared half-gap over alpha
+        tends to Delta_MI.
+        """
+        m = gkdv_model(f_coeffs=(0.0, 0.0, 0.0, -1.0 / 6.0, -1.0 / 24.0),
+                       kappa=(2.0,), label="kappa2")
+        v0 = 2.0
+        rep = delta_mi(m, [v0], k0)
+        assert rep.delta_mi < 0.0
+        assert rep.stability_verdict == "modulationally_unstable"
+        # the scalar family whose well bottom sits at v0 with wavenumber k0
+        w2 = (TWO_PI * k0) ** 2 * 2.0
+        fj = m.f_jet(v0, 2)
+        c = -(fj[2] + w2)
+        r = 0.5 * math.sqrt(w2)
+        hp = harmonic_point(m, c, [-fj[1] - c * v0], (v0 - r, v0 + r))
+        assert hp.k0 == pytest.approx(k0, rel=1e-9)
+        table = sweep_table(m, hp, w2 * np.array([1e-4, 3e-5, 1e-5]))
+        for row in table.rows:
+            zs = row.eigenvalues
+            pair = zs[np.argsort(np.abs(zs - hp.vg))[:2]]
+            assert np.all(np.abs(pair.imag) > 1e-3)
+        half_gap2 = float(np.real(((pair[1] - pair[0]) / 2.0) ** 2))
+        assert half_gap2 / row.alpha == pytest.approx(rep.delta_mi, rel=1e-3)
 
     def test_consistency_with_limit_assembly(self, gkdv):
         # closed form against the limiting-matrix Schur-complement path

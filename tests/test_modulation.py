@@ -67,7 +67,7 @@ class TestChartChange:
             br = bracket_near_limit(gkdv, p, 0.0, "soliton")
             mv = params_to_modvars(gkdv, orbit_integrals(gkdv, p,
                                                          br).grad_theta)
-            cfg = FDConfig(mu_soliton=0.0, limit_center=0.0,
+            cfg = FDConfig(limit_mu=0.0, limit_center=0.0,
                            limit_side="soliton")
             _, _, cond = modvars_to_params(gkdv, mv, p, bracket=br,
                                            fd_config=cfg)
@@ -142,12 +142,15 @@ class TestHessianH:
 
     def test_upper_block_indefinite_near_limits(self, gkdv):
         from modlab.profiles import bracket_near_limit
-        for mu, center, side in ((-2.0 / 3.0 + 5e-4, 2.0, "harmonic"),
-                                 (-1e-5, 0.0, "soliton")):
+        # each case names its own limit: level mu0 = -2/3 at v0 = 2,
+        # level mu_s = 0 at vs = 0
+        for mu, limit_mu, center, side in (
+                (-2.0 / 3.0 + 5e-4, -2.0 / 3.0, 2.0, "harmonic"),
+                (-1e-5, 0.0, 0.0, "soliton")):
             p = WaveParams(mu, 1.0, [0.0])
             br = bracket_near_limit(gkdv, p, center, side)
-            cfg = FDConfig(mu_harmonic=-2.0 / 3.0, mu_soliton=0.0,
-                           limit_center=center, limit_side=side)
+            cfg = FDConfig(limit_mu=limit_mu, limit_center=center,
+                           limit_side=side)
             jet = action_hessian(gkdv, p, br, cfg)
             mv = params_to_modvars(gkdv, jet.grad)
             H = hessianH(gkdv, jet, mv, p.c)
