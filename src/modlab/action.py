@@ -1,17 +1,17 @@
-"""Abbreviated action of the wave family: value, gradient, Hessian.
+"""Abbreviated action of the wave family: its finite-difference Hessian.
 
 The action Theta(mu, c, lambda) is the period integral of the profile
 Lagrangian plus mu; along an orbit it reduces to twice the period
-integral of (mu - W), which the quadrature engine returns directly.
-Its gradient collects the period and the period-integrated impulse and
-means; the Hessian is obtained by central differences of that gradient
-(the twice-differentiated integrand diverges at the turning points, so
-differentiation under the integral is not an option here).
+integral of (mu - W).  ``profiles.orbit_integrals`` returns its value
+(``theta``) and gradient (``grad_theta``: the period and the
+period-integrated impulse and means) directly.  The Hessian is obtained
+by central differences of that gradient (the twice-differentiated
+integrand diverges at the turning points, so differentiation under the
+integral is not an option here).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +22,7 @@ from .models import ModelSpec, WaveParams
 from .polys import pder, peval
 from .profiles import (DEFAULT_QUAD_ORDER, OrbitBracket, _newton_refine,
                        _shift_scale_combine, bracket_near_limit,
-                       find_turning_points, orbit_integrals)
+                       orbit_integrals)
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,10 @@ class ActionJet:
     quad_error: float
     warnings: tuple = ()
     negative_signature: int = field(init=False, default=0)
-    determinant: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         evals = np.linalg.eigvalsh(self.hess)
         object.__setattr__(self, "negative_signature", int((evals < 0).sum()))
-        object.__setattr__(self, "determinant", float(np.prod(evals)))
 
 
 def rebracket(model: ModelSpec, params: WaveParams,
@@ -84,19 +82,6 @@ def rebracket(model: ModelSpec, params: WaveParams,
     return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=reference.regime_hint,
                         root_residuals=(abs(peval(T, v2) / peval(den, v2)),
                                         abs(peval(T, v3) / peval(den, v3))))
-
-
-def action_value(model: ModelSpec, params: WaveParams, bracket: OrbitBracket,
-                 quad_order: int = DEFAULT_QUAD_ORDER) -> float:
-    """Theta at one parameter point (positive for a genuine orbit)."""
-    return orbit_integrals(model, params, bracket, quad_order).theta
-
-
-def action_gradient(model: ModelSpec, params: WaveParams,
-                    bracket: OrbitBracket,
-                    quad_order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
-    """(d Theta/d mu, d/dc, d/d lambda) = (period, impulse, mean integrals)."""
-    return orbit_integrals(model, params, bracket, quad_order).grad_theta
 
 
 def _bracket_at(model: ModelSpec, params: WaveParams, base: OrbitBracket,

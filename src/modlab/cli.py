@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import errors as err
-from .action import FDConfig, action_hessian
+from .action import FDConfig
 from .limits import _soliton_point_at_lambda, harmonic_point, \
     limiting_whitham_harmonic, limiting_whitham_soliton, soliton_point, \
     toy_double_root
@@ -120,7 +120,6 @@ def render_csv(rows, precision: int = 17) -> str:
 
 DEFAULT_NUMERIC = {
     "quad_order": 96,
-    "fd_rel_step": 1e-5,
     "precision": 17,
 }
 
@@ -213,7 +212,6 @@ def cmd_whitham(model, cfg, args) -> dict:
     params = WaveParams(args.mu, args.c, _lambda_arg(args.lam, model.N))
     rep = whitham_report(model, params,
                          fd_config=FDConfig(
-                             rel_step=cfg["numeric"]["fd_rel_step"],
                              quad_order=cfg["numeric"]["quad_order"]))
     return {"schema": "modlab/1", "command": "whitham",
             "params": {"mu": params.mu, "c": params.c,
@@ -231,8 +229,7 @@ def cmd_whitham(model, cfg, args) -> dict:
 
 
 def cmd_limit_harmonic(model, cfg, args) -> dict:
-    hp = harmonic_point(model, args.c, _lambda_arg(args.lam, model.N),
-                        branch=args.branch)
+    hp = harmonic_point(model, args.c, _lambda_arg(args.lam, model.N))
     lw = limiting_whitham_harmonic(model, hp)
     return {"schema": "modlab/1", "command": "limit_harmonic",
             "c": hp.c, "lambda": list(hp.lam),
@@ -272,7 +269,7 @@ def cmd_limit_soliton(model, cfg, args) -> dict:
 def cmd_mi(model, cfg, args) -> dict:
     v0 = args.v0 if args.v0 is not None else 1.0
     U0 = [v0] if model.N == 1 else [v0, args.u0]
-    rep = delta_mi(model, U0, args.k0, branch=args.branch)
+    rep = delta_mi(model, U0, args.k0, branch=args.branch or "plus")
     return {"schema": "modlab/1", "command": "mi",
             "v0": v0, "k0": rep.k0, "U0": list(rep.U0),
             "delta_mi": rep.delta_mi, "a_tilde0": rep.a_tilde0,
@@ -311,8 +308,7 @@ def cmd_conjugation(model, cfg, args) -> dict:
 def sweep_runner(model, cfg, args):
     """Drive a limit sweep; returns ((header, rows), fit_report_dict)."""
     if args.regime == "harmonic":
-        anchor = harmonic_point(model, args.c, _lambda_arg(args.lam, model.N),
-                                branch=args.branch)
+        anchor = harmonic_point(model, args.c, _lambda_arg(args.lam, model.N))
     elif args.regime == "soliton":
         anchor = _soliton_anchor(model, args)
     else:
@@ -365,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--k0", type=float, default=0.2)
     ap.add_argument("--grid", default=None, help="offset grid a:b:n")
     ap.add_argument("--regime", choices=("harmonic", "soliton"), default=None)
-    ap.add_argument("--branch", choices=("plus", "minus"), default="plus")
+    ap.add_argument("--branch", choices=("plus", "minus"), default=None,
+                    help="harmonic speed branch of mi (default plus)")
     ap.add_argument("--out", default=None)
     ap.add_argument("--quad-order", type=int, default=None)
     ap.add_argument("--precision", type=int, default=None)
@@ -393,6 +390,8 @@ HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.branch is not None and args.command != "mi":
+            raise err.ConfigError("--branch applies to mi only")
         cfg = load_config(args.config)
         if args.quad_order is not None:
             cfg["numeric"]["quad_order"] = args.quad_order

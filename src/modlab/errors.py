@@ -7,7 +7,7 @@ the CLI exit code and the stderr label:
     InvalidInput      2  invalid config, argument or output sink
     OrbitNotFound     3  no periodic orbit
     LimitFailure      4  degenerate orbit or limit failure
-    ToleranceFailure  5  tolerance, fit or integrator failure
+    ToleranceFailure  5  tolerance or fit failure
 """
 
 
@@ -105,10 +105,6 @@ class UnsupportedConjugateFamily(LimitFailure):
 
 class QuadratureNotConverged(ToleranceFailure):
     """Order-doubling error estimate above the requested tolerance."""
-
-
-class IntegratorFailure(ToleranceFailure):
-    """Shooting integration failed or the return event never fired."""
 
 
 class SingularThetaHessian(ToleranceFailure):

@@ -177,8 +177,8 @@ def _window(model: ModelSpec, window):
     return (lo if math.isfinite(lo) else -1e6, hi if math.isfinite(hi) else 1e6)
 
 
-def harmonic_point(model: ModelSpec, c: float, lam, window=None,
-                   branch: str = "plus") -> HarmonicPoint:
+def harmonic_point(model: ModelSpec, c: float, lam,
+                   window=None) -> HarmonicPoint:
     """Locate the well minimum of the family (c, lambda) and its limit data.
 
     Raises NoWellMinimum / DegenerateWell; for two-field models the
@@ -340,13 +340,19 @@ def soliton_point(model: ModelSpec, c: float, endstate,
 
     ``endstate`` is the solitary wave's endstate U_s (length N); the
     family's lambda is reconstructed from it.  The adjacent well is
-    expected on the right of the saddle.
+    expected on the right of the saddle.  Raises NoSaddle when the saddle
+    of that family is not the endstate (e.g. the endstate is a well
+    bottom).
     """
     Us = np.atleast_1d(np.asarray(endstate, dtype=float))
     if Us.shape[0] != model.N:
         raise ValueError("endstate must have length N")
-    return _soliton_point_at_lambda(model, c, _lambda_at_endstate(model, c, Us),
-                                    window)
+    sp = _soliton_point_at_lambda(model, c, _lambda_at_endstate(model, c, Us),
+                                  window)
+    if np.any(np.abs(sp.Us - Us) > 1e-9 * np.maximum(1.0, np.abs(Us))):
+        raise NoSaddle(f"endstate {Us.tolist()} is not the saddle of its "
+                       f"family (saddle at Us = {sp.Us.tolist()})")
+    return sp
 
 
 def _soliton_point_at_lambda(model: ModelSpec, c: float, lam,

@@ -20,7 +20,6 @@ from .errors import (ConfigError, InadmissibleWavenumber, UncoveredClass,
                      UnsupportedConjugateFamily)
 from .limits import _response_coefficients, harmonic_point
 from .models import ModelSpec, WaveParams
-from .polys import Laurent
 
 TOL_MI = 1e-10
 TWO_PI_SQ = (2.0 * math.pi) ** 2

@@ -158,14 +158,11 @@ class ModelSpec:
             raise ConfigError("velocity_jet is defined for system models only")
         self.check_domain(v)
         t = self.tau_jet(v, 3)
-        g = -((self.c_over_b(c)) * v + lam2) / t[0]
+        g = -((c / self.b) * v + lam2) / t[0]
         gv = (-(c / self.b) - t[1] * g) / t[0]
         gvv = (-t[2] * g - 2.0 * t[1] * gv) / t[0]
         gvvv = (-t[3] * g - 3.0 * t[2] * gv - 3.0 * t[1] * gvv) / t[0]
         return np.array([g, gv, gvv, gvvv])
-
-    def c_over_b(self, c: float) -> float:
-        return c / self.b
 
     def impulse_q(self, v: float, c: float = 0.0, lam2: float = 0.0) -> float:
         """Reduced impulse q(v) = Q(U) along the profile constraint."""
@@ -278,12 +275,6 @@ class ModelSpec:
         t = self.tau_jet(v, 2)
         return np.array([[fj[2] + 0.5 * t[2] * u * u, t[1] * u],
                          [t[1] * u, t[0]]])
-
-    def hamiltonian_value(self, U: np.ndarray) -> float:
-        if self.kind == "scalar":
-            return float(self.f(float(U[0])))
-        v, u = float(U[0]), float(U[1])
-        return float(self.f(v)) + 0.5 * self.tau_jet(v, 0)[0] * u * u
 
     def hamiltonian_gradient(self, U: np.ndarray) -> np.ndarray:
         if self.kind == "scalar":

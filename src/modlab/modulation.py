@@ -19,8 +19,7 @@ from .eigen import eig_small
 from .errors import (DegenerateOrbit, LeftBranch, NoConvergence,
                      SingularJacobian, SingularThetaHessian)
 from .models import ModelSpec, WaveParams, structural_matrices
-from .profiles import (DEFAULT_QUAD_ORDER, OrbitBracket, find_turning_points,
-                       orbit_integrals)
+from .profiles import OrbitBracket, find_turning_points
 
 TOL_IM = 1e-8
 EIGVEC_COND_CAP = 1e8
@@ -218,63 +217,3 @@ def modvars_to_params(model: ModelSpec, target: ModVars,
             raise LeftBranch("could not track the wave branch during Newton")
         p, br = pn, brn
     raise NoConvergence(f"modvars_to_params: no convergence in {max_iter} steps")
-
-
-# ----------------------------------------------------------------------------
-# averaged identities
-
-
-def chart_hamiltonian(model: ModelSpec, mv: ModVars, guess: WaveParams,
-                      bracket: OrbitBracket | None = None,
-                      quad_order: int = DEFAULT_QUAD_ORDER) -> float:
-    """Averaged Hamiltonian as a function of (k, alpha, M)."""
-    p, br, _ = modvars_to_params(model, mv, guess, bracket)
-    o = orbit_integrals(model, p, br, quad_order)
-    return (o.int_E + 0.5 * o.theta) / o.Xi
-
-
-def averaged_identities(model: ModelSpec, params: WaveParams,
-                        bracket: OrbitBracket | None = None,
-                        quad_order: int = DEFAULT_QUAD_ORDER,
-                        fd_rel: float = 1e-6) -> dict:
-    """Residuals of the exact averaged relations at one wave.
-
-    Keys: dkH (dH/dk - (Theta - alpha c)), daH (dH/dalpha + k c),
-    dMH (closed-form mean-gradient relation), impulse_virial
-    (U . deltaH average), legendre (averaged remainder vs k Theta - H).
-    All residuals are relative to natural scales.
-    """
-    if bracket is None:
-        bracket = find_turning_points(model, params)
-    o = orbit_integrals(model, params, bracket, quad_order)
-    mv = params_to_modvars(model, o.grad_theta)
-    c, lam = params.c, params.lam
-    Xi = o.Xi
-    meanH = (o.int_E + 0.5 * o.theta) / Xi
-    meanLH = (0.5 * o.theta - o.int_E) / Xi
-    meanQ = o.int_Q / Xi
-    sm = structural_matrices(model)
-    # (iii) mean gradient: <deltaH> = -c B^-1 M - lambda, and the closed form
-    mean_dH = -c * (sm.Binv @ mv.M) - lam
-    closed = -c * model.impulse_gradient(mv.M) - lam
-    res_dMH = float(np.max(np.abs(mean_dH - closed))) / max(1.0, float(np.max(np.abs(closed))))
-    # (iv) impulse virial: <U . deltaH> = M . <deltaH> - 2 c k alpha
-    lhs = -2.0 * c * meanQ - float(lam @ mv.M)
-    rhs = float(mv.M @ mean_dH) - 2.0 * c * mv.k * mv.alpha
-    res_virial = abs(lhs - rhs) / max(1.0, abs(lhs))
-    # (v) averaged remainder
-    res_legendre = abs(meanLH - (mv.k * o.theta - meanH)) / max(1.0, abs(meanH))
-    # (i), (ii) by finite differences of the chart Hamiltonian
-    def H_of(mvx: ModVars) -> float:
-        return chart_hamiltonian(model, mvx, params, bracket, quad_order)
-
-    hk = fd_rel * max(1.0, mv.k)
-    ha = fd_rel * max(1.0, abs(mv.alpha))
-    dkH = (H_of(ModVars(mv.k + hk, mv.alpha, mv.M))
-           - H_of(ModVars(mv.k - hk, mv.alpha, mv.M))) / (2.0 * hk)
-    daH = (H_of(ModVars(mv.k, mv.alpha + ha, mv.M))
-           - H_of(ModVars(mv.k, mv.alpha - ha, mv.M))) / (2.0 * ha)
-    res_dkH = abs(dkH - (o.theta - mv.alpha * c)) / max(1.0, abs(o.theta))
-    res_daH = abs(daH + mv.k * c) / max(1.0, abs(mv.k * c))
-    return {"dkH": res_dkH, "daH": res_daH, "dMH": res_dMH,
-            "impulse_virial": res_virial, "legendre": res_legendre}

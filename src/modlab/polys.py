@@ -148,9 +148,6 @@ class Laurent:
             out[j] = cur(v)
         return out
 
-    def scaled(self, s: float) -> "Laurent":
-        return Laurent(pscale(self.coeffs, s), self.shift)
-
     def plus(self, other: "Laurent") -> "Laurent":
         s = max(self.shift, other.shift)
         a = self.coeffs if self.shift == s else pmul(
@@ -158,10 +155,6 @@ class Laurent:
         b = other.coeffs if other.shift == s else pmul(
             other.coeffs, monomial_coeffs(s - other.shift))
         return Laurent.make(padd(a, b), s)
-
-    def times(self, other: "Laurent") -> "Laurent":
-        return Laurent.make(pmul(self.coeffs, other.coeffs),
-                            self.shift + other.shift)
 
     def compose_inverse_times_v(self) -> "Laurent":
         """v * p(1/v) as a Laurent polynomial (conjugation transform)."""

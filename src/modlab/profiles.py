@@ -12,9 +12,6 @@ turning points v2 < v3 of mu - W.  The engine below:
   substitutions (a trigonometric one generically; a hyperbolic/trig
   split when an inner root v1 sits close on the soliton side),
 * estimates quadrature error by order doubling.
-
-A scipy-based shooting integrator provides the independent oracle used
-by the tests; it never touches the quadrature path.
 """
 
 from __future__ import annotations
@@ -26,8 +23,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import kernels
-from .errors import (DegenerateOrbit, IntegratorFailure, MultipleWells,
-                     NoPeriodicOrbit, QuadratureNotConverged)
+from .errors import (DegenerateOrbit, MultipleWells, NoPeriodicOrbit,
+                     QuadratureNotConverged)
 from .models import ModelSpec, WaveParams
 from .polys import pdeflate, peval, pder, trim
 
@@ -479,68 +476,3 @@ def profile_sample(model: ModelSpec, params: WaveParams,
             g = model.velocity_jet(v_i, params.c, params.lam2)[0]
             out.append((float(xi_i), np.array([v_i, g])))
     return out
-
-
-# ----------------------------------------------------------------------------
-# shooting oracle (independent verification path)
-
-
-def shooting_oracle(model: ModelSpec, params: WaveParams,
-                    bracket: OrbitBracket, rtol: float = 1e-12,
-                    atol: float = 1e-13):
-    """Integrate the profile ODE with an event at the upper turning point.
-
-    Returns (WaveState, theta).  This path shares no code with the
-    quadrature engine and exists for cross-validation.
-    """
-    from scipy.integrate import solve_ivp
-
-    mu, c = params.mu, params.c
-    lam = params.lam
-
-    def w_jet(v):
-        return model.potential_jet(v, params, order=1)
-
-    def rhs(_, y):
-        v, vp = y[0], y[1]
-        kj = model.kappa_jet(v, 1)
-        w1 = w_jet(v)[1]
-        vpp = -(0.5 * kj[1] * vp * vp + w1) / kj[0]
-        if model.kind == "scalar":
-            q = v * v / (2.0 * model.b)
-            e = float(model.f(v))
-        else:
-            g = model.velocity_jet(v, c, params.lam2)[0]
-            q = v * g / model.b
-            e = float(model.f(v)) + 0.5 * model.tau_jet(v, 0)[0] * g * g
-        w0 = w_jet(v)[0]
-        integr = [1.0, v, q, e, mu - w0]
-        if model.kind == "euler_korteweg":
-            integr.append(g)
-        return [vp, vpp] + integr
-
-    def turn(_, y):
-        return y[1]
-
-    turn.terminal = True
-    turn.direction = -1
-
-    kj0 = model.kappa_jet(bracket.v2, 0)[0]
-    w1 = w_jet(bracket.v2)[1]
-    naug = 5 + (1 if model.kind == "euler_korteweg" else 0)
-    y0 = [bracket.v2, 0.0] + [0.0] * naug
-    # rough period scale to bound the integration
-    guess = 2.0 * math.pi * math.sqrt(abs(kj0 / max(abs(w1), 1e-12))) + 10.0
-    sol = solve_ivp(rhs, (0.0, 40.0 * guess), y0, method="DOP853",
-                    rtol=rtol, atol=atol, events=turn, dense_output=False)
-    if not sol.t_events[0].size:
-        raise IntegratorFailure("turning-point event never fired")
-    yf = sol.y_events[0][0]
-    half = sol.t_events[0][0]
-    Xi = 2.0 * half
-    I0, Iv, Iq, Ie, Iw = (2.0 * yf[2], 2.0 * yf[3], 2.0 * yf[4],
-                          2.0 * yf[5], 2.0 * yf[6])
-    intU = np.array([Iv]) if model.kind == "scalar" else np.array(
-        [Iv, 2.0 * yf[7]])
-    o = OrbitIntegrals(Xi=Xi, int_U=intU, int_Q=Iq, theta=2.0 * Iw, int_E=Ie)
-    return _state_from_integrals(model, params, o), o.theta

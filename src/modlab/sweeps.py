@@ -274,8 +274,11 @@ def eigen_splitting_fit(model: ModelSpec, anchor, offsets=None,
     the square-root growth of the second eigenvector component.  Soliton
     side: fits the splitting coefficient against rho/k, the log-log
     convergence rate in rho, and the 1/|log rho| eigenvector drift.
+    Give either ``offsets`` or an evaluated ``table``.
     """
     if table is None:
+        if offsets is None:
+            raise GridDegenerate("give offsets or a sweep table")
         table = sweep_table(model, anchor, offsets, quad_order)
     idx = _tail(table, frac=0.5)
     if table.regime == "harmonic":

@@ -1,13 +1,24 @@
-"""Independent closed-form oracles used by the test suite only.
+"""Independent oracles used by the test suite only.
 
-Everything here goes through scipy special functions or raw adaptive
-quadrature, never through the package's own integration engine, so that
-agreement between the two is a genuine cross-check.
+The closed forms, the raw adaptive quadratures and the shooting
+integrator go through scipy special functions or scipy's ODE solver,
+never through the package's own integration engine, so agreement
+between the two is a genuine cross-check.  The averaged-identity checker
+uses the engine's averages but tests them against exact relations that
+the engine does not impose.
 """
 
+import math
+
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.special import ellipe, ellipk
+
+from modlab.models import structural_matrices
+from modlab.modulation import ModVars, modvars_to_params, params_to_modvars
+from modlab.profiles import (DEFAULT_QUAD_ORDER, OrbitIntegrals,
+                             _state_from_integrals, find_turning_points,
+                             orbit_integrals)
 
 
 def cubic_well_elliptic(v1, v2, v3):
@@ -97,3 +108,112 @@ def fd_hessian(fn, x, h):
                        - fn(x - ei + ej) + fn(x - ei - ej)) / (4 * hv[i] * hv[j])
             H[j, i] = H[i, j]
     return H
+
+
+def shooting_oracle(model, params, bracket, rtol=1e-12, atol=1e-13):
+    """Integrate the profile ODE with an event at the upper turning point.
+
+    Returns (WaveState, theta).  Only the assembly of the averages from
+    the period integrals is shared with the quadrature engine.
+    """
+    mu, c = params.mu, params.c
+
+    def w_jet(v):
+        return model.potential_jet(v, params, order=1)
+
+    def rhs(_, y):
+        v, vp = y[0], y[1]
+        kj = model.kappa_jet(v, 1)
+        w1 = w_jet(v)[1]
+        vpp = -(0.5 * kj[1] * vp * vp + w1) / kj[0]
+        if model.kind == "scalar":
+            q = v * v / (2.0 * model.b)
+            e = float(model.f(v))
+        else:
+            g = model.velocity_jet(v, c, params.lam2)[0]
+            q = v * g / model.b
+            e = float(model.f(v)) + 0.5 * model.tau_jet(v, 0)[0] * g * g
+        w0 = w_jet(v)[0]
+        integr = [1.0, v, q, e, mu - w0]
+        if model.kind == "euler_korteweg":
+            integr.append(g)
+        return [vp, vpp] + integr
+
+    def turn(_, y):
+        return y[1]
+
+    turn.terminal = True
+    turn.direction = -1
+
+    kj0 = model.kappa_jet(bracket.v2, 0)[0]
+    w1 = w_jet(bracket.v2)[1]
+    naug = 5 + (1 if model.kind == "euler_korteweg" else 0)
+    y0 = [bracket.v2, 0.0] + [0.0] * naug
+    # rough period scale to bound the integration
+    guess = 2.0 * math.pi * math.sqrt(abs(kj0 / max(abs(w1), 1e-12))) + 10.0
+    sol = solve_ivp(rhs, (0.0, 40.0 * guess), y0, method="DOP853",
+                    rtol=rtol, atol=atol, events=turn, dense_output=False)
+    if not sol.t_events[0].size:
+        raise RuntimeError("turning-point event never fired")
+    yf = sol.y_events[0][0]
+    half = sol.t_events[0][0]
+    Xi = 2.0 * half
+    I0, Iv, Iq, Ie, Iw = (2.0 * yf[2], 2.0 * yf[3], 2.0 * yf[4],
+                          2.0 * yf[5], 2.0 * yf[6])
+    intU = np.array([Iv]) if model.kind == "scalar" else np.array(
+        [Iv, 2.0 * yf[7]])
+    o = OrbitIntegrals(Xi=Xi, int_U=intU, int_Q=Iq, theta=2.0 * Iw, int_E=Ie)
+    return _state_from_integrals(model, params, o), o.theta
+
+
+def chart_hamiltonian(model, mv, guess, bracket=None,
+                      quad_order=DEFAULT_QUAD_ORDER):
+    """Averaged Hamiltonian as a function of (k, alpha, M)."""
+    p, br, _ = modvars_to_params(model, mv, guess, bracket)
+    o = orbit_integrals(model, p, br, quad_order)
+    return (o.int_E + 0.5 * o.theta) / o.Xi
+
+
+def averaged_identities(model, params, bracket=None,
+                        quad_order=DEFAULT_QUAD_ORDER, fd_rel=1e-6):
+    """Residuals of the exact averaged relations at one wave.
+
+    Keys: dkH (dH/dk - (Theta - alpha c)), daH (dH/dalpha + k c),
+    dMH (closed-form mean-gradient relation), impulse_virial
+    (U . deltaH average), legendre (averaged remainder vs k Theta - H).
+    All residuals are relative to natural scales.
+    """
+    if bracket is None:
+        bracket = find_turning_points(model, params)
+    o = orbit_integrals(model, params, bracket, quad_order)
+    mv = params_to_modvars(model, o.grad_theta)
+    c, lam = params.c, params.lam
+    Xi = o.Xi
+    meanH = (o.int_E + 0.5 * o.theta) / Xi
+    meanLH = (0.5 * o.theta - o.int_E) / Xi
+    meanQ = o.int_Q / Xi
+    sm = structural_matrices(model)
+    # (iii) mean gradient: <deltaH> = -c B^-1 M - lambda, and the closed form
+    mean_dH = -c * (sm.Binv @ mv.M) - lam
+    closed = -c * model.impulse_gradient(mv.M) - lam
+    res_dMH = float(np.max(np.abs(mean_dH - closed))) / max(1.0, float(np.max(np.abs(closed))))
+    # (iv) impulse virial: <U . deltaH> = M . <deltaH> - 2 c k alpha
+    lhs = -2.0 * c * meanQ - float(lam @ mv.M)
+    rhs = float(mv.M @ mean_dH) - 2.0 * c * mv.k * mv.alpha
+    res_virial = abs(lhs - rhs) / max(1.0, abs(lhs))
+    # (v) averaged remainder
+    res_legendre = abs(meanLH - (mv.k * o.theta - meanH)) / max(1.0, abs(meanH))
+    # (i), (ii) by finite differences of the chart Hamiltonian
+    def H_of(mvx):
+        return chart_hamiltonian(model, mvx, params, bracket, quad_order)
+
+    hk = fd_rel * max(1.0, mv.k)
+    ha = fd_rel * max(1.0, abs(mv.alpha))
+    dkH = (H_of(ModVars(mv.k + hk, mv.alpha, mv.M))
+           - H_of(ModVars(mv.k - hk, mv.alpha, mv.M))) / (2.0 * hk)
+    daH = (H_of(ModVars(mv.k, mv.alpha + ha, mv.M))
+           - H_of(ModVars(mv.k, mv.alpha - ha, mv.M))) / (2.0 * ha)
+    res_dkH = abs(dkH - (o.theta - mv.alpha * c)) / max(1.0, abs(o.theta))
+    res_daH = abs(daH + mv.k * c) / max(1.0, abs(mv.k * c))
+    return {"dkH": res_dkH, "daH": res_daH, "dMH": res_dMH,
+            "impulse_virial": res_virial, "legendre": res_legendre}

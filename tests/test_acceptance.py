@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modlab.action import FDConfig, action_gradient, action_hessian
+from modlab.action import FDConfig, action_hessian
 from modlab.limits import (HarmonicPoint, SolitonPoint, frame_vectors,
                            harmonic_point, limiting_whitham_harmonic,
                            limiting_whitham_soliton, soliton_point,
@@ -36,15 +36,16 @@ from modlab.miindex import (conjugation_check, critical_wavenumber, delta_mi,
                             predicted_alpha_sign)
 from modlab.models import (ModelSpec, WaveParams, gkdv_model,
                            structural_matrices)
-from modlab.modulation import (averaged_identities, chart_hamiltonian,
-                               coupling_matrix_A, hessianH, params_to_modvars,
-                               whitham_report)
+from modlab.modulation import (coupling_matrix_A, hessianH,
+                               params_to_modvars, whitham_report)
 from modlab.polys import Laurent
 from modlab.profiles import (averaged_state, find_turning_points,
-                             orbit_integrals, shooting_oracle)
+                             orbit_integrals)
 from modlab.sweeps import asymptotic_sweep, eigen_splitting_fit, sweep_table
 
-from oracles import cubic_well_elliptic, fd_hessian, kdv_soliton_facts
+from oracles import (averaged_identities, chart_hamiltonian,
+                     cubic_well_elliptic, fd_hessian, kdv_soliton_facts,
+                     shooting_oracle)
 
 TWO_PI = 2.0 * math.pi
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "modlab" / "configs"
@@ -197,7 +198,7 @@ def test_criterion_03_gradient_hessian_checks(cnoidal):
             p = WaveParams.from_vector(x)
             return orbit_integrals(model, p, rebracket(model, p, br)).theta
 
-        g = action_gradient(model, params, br)
+        g = orbit_integrals(model, params, br).grad_theta
         x0 = params.as_vector()
         for j in range(3):
             e = np.zeros(3)

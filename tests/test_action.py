@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from modlab.action import FDConfig, action_gradient, action_hessian, \
-    action_value
+from modlab.action import FDConfig, action_hessian
 from modlab.errors import StencilLeftBranch
 from modlab.models import WaveParams
 from modlab.profiles import (averaged_state, bracket_near_limit,
@@ -14,19 +13,19 @@ from oracles import fd_gradient
 def rebracketed_value(model, x, reference):
     from modlab.action import rebracket
     p = WaveParams.from_vector(x)
-    return action_value(model, p, rebracket(model, p, reference))
+    return orbit_integrals(model, p, rebracket(model, p, reference)).theta
 
 
 class TestGradient:
     def test_first_component_is_period(self, cnoidal):
         model, params, br = cnoidal
-        g = action_gradient(model, params, br)
+        g = orbit_integrals(model, params, br).grad_theta
         st = averaged_state(model, params, br)
         assert g[0] == pytest.approx(st.Xi, rel=1e-12)
 
     def test_matches_finite_differences(self, cnoidal):
         model, params, br = cnoidal
-        g = action_gradient(model, params, br)
+        g = orbit_integrals(model, params, br).grad_theta
         fd = fd_gradient(lambda x: rebracketed_value(model, x, br),
                          params.as_vector(), 1e-6)
         assert np.allclose(fd, g, rtol=1e-7, atol=1e-9)
@@ -34,7 +33,7 @@ class TestGradient:
     def test_impulse_component_identity(self, cnoidal):
         # dTheta/dc = alpha + Q(M)/k
         model, params, br = cnoidal
-        g = action_gradient(model, params, br)
+        g = orbit_integrals(model, params, br).grad_theta
         st = averaged_state(model, params, br)
         rhs = st.alpha + model.impulse_value(st.meanU) / st.k
         assert g[1] == pytest.approx(rhs, rel=1e-12)

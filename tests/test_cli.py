@@ -194,6 +194,15 @@ class TestReadme:
             argv[i] = str(tmp_path / argv[i])
         assert main(argv) == 0, capsys.readouterr().err
 
+    def test_python_api_example_runs_as_written(self, capsys):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = text.split("## Python API", 1)[1].split("```python", 1)[1]
+        exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("hyperbolic")
+        assert float(lines[1]) == pytest.approx(12.0, rel=1e-3)
+        assert lines[2] == "modulationally_stable"
+
 
 # documented exit code of every error class (README exit-code table)
 EXIT_CODES = {
@@ -204,9 +213,9 @@ EXIT_CODES = {
     "GroupVelocityResonance": 4, "SpeedResonance": 4,
     "InadmissibleWavenumber": 4, "UncoveredClass": 4,
     "UnsupportedConjugateFamily": 4,
-    "QuadratureNotConverged": 5, "IntegratorFailure": 5,
-    "SingularThetaHessian": 5, "SingularJacobian": 5, "NoConvergence": 5,
-    "EigenFailure": 5, "FitRejected": 5, "GridDegenerate": 5,
+    "QuadratureNotConverged": 5, "SingularThetaHessian": 5,
+    "SingularJacobian": 5, "NoConvergence": 5, "EigenFailure": 5,
+    "FitRejected": 5, "GridDegenerate": 5,
 }
 
 
@@ -237,12 +246,34 @@ class TestFailurePaths:
         (["mi", "--config", str(CONFIGS / "nls_hydro.json"), "--v0", "-2",
           "--k0", "0.2"], 2),
         (["wave", "--config", GKDV, "--mu", "0.5", "--c", "1"], 3),
+        (["limit_soliton", "--config", GKDV, "--c", "1", "--endstate=1.5"],
+         4),
+        (["limit_harmonic", "--config", GKDV, "--c", "1", "--branch",
+          "minus"], 2),
     ], ids=["lambda-not-a-number", "lambda-and-endstate",
-            "mi-v0-outside-domain", "wave-no-orbit"])
+            "mi-v0-outside-domain", "wave-no-orbit", "endstate-not-a-saddle",
+            "branch-on-limit-harmonic"])
     def test_failure_exits_without_traceback(self, argv, code):
         got, out, err = run_cli(argv)
         assert got == code, err
         assert not out and err and b"Traceback" not in err
+
+    def test_branch_is_read_by_mi_only(self, tmp_path):
+        dst = tmp_path / "h.csv"
+        code, _, err = run_cli(["sweep", "--config", GKDV, "--regime",
+                                "harmonic", "--c", "1", "--grid",
+                                "1e-3:1e-6:10", "--branch", "plus",
+                                "--out", str(dst)])
+        assert code == 2 and b"--branch" in err
+        assert not dst.exists()
+        mi = ["mi", "--config", str(CONFIGS / "ek_lagrangian.json"),
+              "--v0", "1.5", "--u0", "0.2", "--k0", "0.2"]
+        reps = []
+        for extra in ([], ["--branch", "plus"], ["--branch", "minus"]):
+            code, out, err = run_cli(mi + extra)
+            assert code == 0, err
+            reps.append(json.loads(out)["delta_mi"])
+        assert reps[0] == reps[1] == -reps[2] != 0.0
 
     def test_sweep_checks_out_before_computing(self, monkeypatch, capsys):
         def compute(*args):

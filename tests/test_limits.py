@@ -229,6 +229,10 @@ class TestSolitonPoint:
     def test_no_saddle_error(self, gkdv):
         with pytest.raises(NoSaddle):
             soliton_point(gkdv, 1.0, [0.0], (1.0, 1.8))
+        # endstate 1.5 is the well bottom of its family (lambda = -0.375),
+        # whose saddle sits at 0.5: the endstate is not replaced
+        with pytest.raises(NoSaddle):
+            soliton_point(gkdv, 1.0, [1.5])
 
     def test_system_soliton(self, ek_lagrangian):
         sp = soliton_point(ek_lagrangian, 0.8, np.array([-1.2, 0.3]))

@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 
 from modlab.action import FDConfig, action_hessian
 from modlab.models import WaveParams, gkdv_model, structural_matrices
-from modlab.modulation import (ModVars, averaged_identities,
-                               chart_hamiltonian, coupling_matrix_A,
-                               hessianH, modvars_to_params, params_to_modvars,
+from modlab.modulation import (ModVars, coupling_matrix_A, hessianH,
+                               modvars_to_params, params_to_modvars,
                                spectrum_and_classification, whitham_matrix,
                                whitham_report)
 from modlab.profiles import averaged_state, find_turning_points, \
     orbit_integrals
 
-from oracles import fd_hessian
+from oracles import averaged_identities, chart_hamiltonian, fd_hessian
 
 
 class TestChartChange:

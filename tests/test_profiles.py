@@ -8,9 +8,10 @@ from modlab.errors import (DegenerateOrbit, MultipleWells, NoPeriodicOrbit,
 from modlab.models import WaveParams, gkdv_model
 from modlab.profiles import (averaged_state, bracket_near_limit,
                              find_turning_points, orbit_integrals,
-                             profile_sample, shooting_oracle)
+                             profile_sample)
 
-from oracles import cubic_well_elliptic, raw_action_quadrature
+from oracles import cubic_well_elliptic, raw_action_quadrature, \
+    shooting_oracle
 
 CNOIDAL_ROOTS = (-0.8793852415718167, 1.3472963553338607, 2.5320888862379560)
 

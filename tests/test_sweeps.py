@@ -232,6 +232,8 @@ class TestFitHelpers:
             sweep_table(gkdv, harmonic_anchor, [1e-3, 1e-3, 1e-3])
         with pytest.raises(GridDegenerate):
             sweep_table(gkdv, harmonic_anchor, [1e-5, 1e-4, 1e-3])
+        with pytest.raises(GridDegenerate):
+            eigen_splitting_fit(gkdv, harmonic_anchor)
 
     def test_sweep_table_deterministic_across_runs(self, gkdv,
                                                    harmonic_anchor):
