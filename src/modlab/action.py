@@ -24,6 +24,8 @@ from .profiles import (DEFAULT_QUAD_ORDER, OrbitBracket, _newton_refine,
                        _shift_scale_combine, bracket_near_limit,
                        orbit_integrals)
 
+REL_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class FDConfig:
@@ -34,7 +36,6 @@ class FDConfig:
     it is ("harmonic" or "soliton").
     """
 
-    rel_step: float = 1e-5
     richardson: bool = False
     limit_mu: float | None = None
     limit_center: float | None = None
@@ -101,7 +102,7 @@ def action_hessian(model: ModelSpec, params: WaveParams,
                    fd_config: FDConfig | None = None) -> ActionJet:
     """Central-difference Hessian of the action gradient.
 
-    Steps follow ``max(rel_step, cbrt(quad_error)) * scale`` per
+    Steps follow ``max(REL_STEP, cbrt(quad_error)) * scale`` per
     direction, shrink in mu near a known soliton level, and every stencil
     point is re-bracketed; a stencil point that crosses a distinguished
     limit raises StencilLeftBranch.
@@ -109,7 +110,7 @@ def action_hessian(model: ModelSpec, params: WaveParams,
     cfg = fd_config or FDConfig()
     base = orbit_integrals(model, params, bracket, cfg.quad_order)
     n = 2 + len(params.lam)
-    rel = max(cfg.rel_step, base.quad_error ** (1.0 / 3.0))
+    rel = max(REL_STEP, base.quad_error ** (1.0 / 3.0))
     steps = rel * default_scales(params)
     warnings = []
     if cfg.limit_mu is not None:

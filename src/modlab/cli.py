@@ -4,9 +4,9 @@ Reports are byte-stable: canonical field order, fixed float formatting
 (shortest round-trip at precision 17), LF line endings, sweep rows in
 grid order.
 
-Exit codes: 0 success, and for a failure the exit code of its error
-group (see modlab.errors): 2 invalid input, 3 no periodic orbit,
-4 degenerate orbit or limit failure, 5 tolerance failure.
+Exit codes: 0 success, 2 usage error, and for a failure the exit code
+of its error group (see modlab.errors): 2 invalid input, 3 no periodic
+orbit, 4 degenerate orbit or limit failure, 5 tolerance failure.
 """
 
 from __future__ import annotations
@@ -24,16 +24,10 @@ from .limits import _soliton_point_at_lambda, harmonic_point, \
     limiting_whitham_harmonic, limiting_whitham_soliton, soliton_point, \
     toy_double_root
 from .miindex import conjugation_check, delta_mi
-from .models import WaveParams, model_from_dict
+from .models import WaveParams, check_keys, model_from_dict
 from .modulation import params_to_modvars, whitham_report
 from .profiles import averaged_state, find_turning_points, orbit_integrals
 from .sweeps import asymptotic_sweep, eigen_splitting_fit
-
-COMMANDS = ("validate", "wave", "whitham", "limit_harmonic", "limit_soliton",
-            "sweep", "mi", "toy", "conjugation")
-
-EXIT_OK = 0
-
 
 # ----------------------------------------------------------------------------
 # deterministic formatting
@@ -46,8 +40,7 @@ def format_float(x: float, precision: int = 17) -> str:
         return "Infinity" if x > 0 else "-Infinity"
     if precision >= 17:
         return repr(float(x))
-    s = format(float(x), f".{precision}g")
-    return s
+    return format(float(x), f".{precision}g")
 
 
 def render_json(obj, precision: int = 17) -> str:
@@ -84,23 +77,21 @@ def render_json(obj, precision: int = 17) -> str:
     return rec(obj, 0) + "\n"
 
 
-def emit_report(report, sink, fmt: str = "json", precision: int = 17) -> bytes:
+def emit_report(report, sink, fmt: str = "json", precision: int = 17):
     """Serialize a report deterministically and write it to the sink.
 
     ``fmt`` is "json" for a report dict or "csv" for a sweep table.
     """
     render = render_csv if fmt == "csv" else render_json
     text = render(report, precision)
-    data = text.encode("utf-8")
     try:
         if sink in (None, "-"):
             sys.stdout.write(text)
         else:
             with open(sink, "wb") as fh:
-                fh.write(data)
+                fh.write(text.encode("utf-8"))
     except OSError as exc:
         raise err.IOFailure(str(exc)) from None
-    return data
 
 
 def render_csv(rows, precision: int = 17) -> str:
@@ -118,25 +109,30 @@ def render_csv(rows, precision: int = 17) -> str:
 # configuration
 
 
-DEFAULT_NUMERIC = {
-    "quad_order": 96,
-    "precision": 17,
-}
+DEFAULT_NUMERIC = {"quad_order": 96, "precision": 17}
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, overrides: dict | None = None) -> dict:
+    """Read a JSON config; ``overrides`` replace numeric-block entries.
+
+    Raises ConfigError on an unreadable file, a key modlab does not read,
+    a quad_order below 1 or a precision outside [6, 17].
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise err.ConfigError(f"cannot read config {path}: {exc}") from None
+    check_keys(cfg, ("model", "numeric"), "config")
     if "model" not in cfg:
         raise err.ConfigError("config must contain a 'model' block")
-    numeric = dict(DEFAULT_NUMERIC)
-    numeric.update(cfg.get("numeric", {}))
-    p = int(numeric.get("precision", 17))
-    if not 6 <= p <= 17:
-        raise err.ConfigError("precision must lie in [6, 17]")
+    numeric = cfg.get("numeric", {})
+    check_keys(numeric, DEFAULT_NUMERIC, "numeric")
+    numeric = {**DEFAULT_NUMERIC, **numeric, **(overrides or {})}
+    for key, lo, hi in (("quad_order", 1, math.inf), ("precision", 6, 17)):
+        if type(numeric[key]) is not int or not lo <= numeric[key] <= hi:
+            raise err.ConfigError(f"{key} must be an integer in [{lo}, {hi}],"
+                                  f" got {numeric[key]!r}")
     cfg["numeric"] = numeric
     return cfg
 
@@ -172,33 +168,20 @@ def _lambda_arg(text: str | None, N: int) -> np.ndarray:
 # command handlers
 
 
-def _model_echo(cfg: dict) -> dict:
-    m = cfg["model"]
-    return {k: m[k] for k in sorted(m)}
-
-
 def cmd_validate(model, cfg, args) -> dict:
-    return {"schema": "modlab/1", "command": "validate",
-            "status": "ok", "kind": model.kind, "N": model.N,
-            "b": model.b, "label": model.label,
-            "domain": [model.domain[0], model.domain[1]],
-            "model": _model_echo(cfg)}
-
-
-def _wave_payload(model, params, quad_order):
-    bracket = find_turning_points(model, params)
-    o = orbit_integrals(model, params, bracket, quad_order)
-    st = averaged_state(model, params, bracket, quad_order)
-    mv = params_to_modvars(model, o.grad_theta)
-    return bracket, o, st, mv
+    return {"status": "ok", "kind": model.kind, "N": model.N,
+            "b": model.b, "label": model.label, "domain": list(model.domain),
+            "model": dict(sorted(cfg["model"].items()))}
 
 
 def cmd_wave(model, cfg, args) -> dict:
     params = WaveParams(args.mu, args.c, _lambda_arg(args.lam, model.N))
-    bracket, o, st, mv = _wave_payload(model, params,
-                                       cfg["numeric"]["quad_order"])
-    return {"schema": "modlab/1", "command": "wave",
-            "params": {"mu": params.mu, "c": params.c,
+    quad_order = cfg["numeric"]["quad_order"]
+    bracket = find_turning_points(model, params)
+    o = orbit_integrals(model, params, bracket, quad_order)
+    st = averaged_state(model, params, bracket, quad_order)
+    mv = params_to_modvars(model, o.grad_theta)
+    return {"params": {"mu": params.mu, "c": params.c,
                        "lambda": list(params.lam)},
             "bracket": {"v1": bracket.v1, "v2": bracket.v2,
                         "v3": bracket.v3, "regime": bracket.regime_hint},
@@ -210,11 +193,9 @@ def cmd_wave(model, cfg, args) -> dict:
 
 def cmd_whitham(model, cfg, args) -> dict:
     params = WaveParams(args.mu, args.c, _lambda_arg(args.lam, model.N))
-    rep = whitham_report(model, params,
-                         fd_config=FDConfig(
-                             quad_order=cfg["numeric"]["quad_order"]))
-    return {"schema": "modlab/1", "command": "whitham",
-            "params": {"mu": params.mu, "c": params.c,
+    fd = FDConfig(quad_order=cfg["numeric"]["quad_order"])
+    rep = whitham_report(model, params, fd_config=fd)
+    return {"params": {"mu": params.mu, "c": params.c,
                        "lambda": list(params.lam)},
             "classification": rep.classification,
             "eigenvalues_re": [float(z.real) for z in rep.eigenvalues],
@@ -231,8 +212,7 @@ def cmd_whitham(model, cfg, args) -> dict:
 def cmd_limit_harmonic(model, cfg, args) -> dict:
     hp = harmonic_point(model, args.c, _lambda_arg(args.lam, model.N))
     lw = limiting_whitham_harmonic(model, hp)
-    return {"schema": "modlab/1", "command": "limit_harmonic",
-            "c": hp.c, "lambda": list(hp.lam),
+    return {"c": hp.c, "lambda": list(hp.lam),
             "v0": hp.v0, "mu0": hp.mu0, "k0": hp.k0, "Xi0": hp.Xi0,
             "c0": hp.c0, "vg": hp.vg, "a0": hp.a0, "b0": hp.b0,
             "w0": hp.w0, "branch": hp.branch,
@@ -244,8 +224,6 @@ def cmd_limit_harmonic(model, cfg, args) -> dict:
 
 def _soliton_anchor(model, args):
     """Soliton anchor of --lambda's family, or at --endstate (default 0)."""
-    if args.lam is not None and args.endstate is not None:
-        raise err.ConfigError("give --lambda or --endstate, not both")
     if args.lam is not None:
         return _soliton_point_at_lambda(model, args.c,
                                         _lambda_arg(args.lam, model.N))
@@ -255,8 +233,7 @@ def _soliton_anchor(model, args):
 def cmd_limit_soliton(model, cfg, args) -> dict:
     sp = _soliton_anchor(model, args)
     lw = limiting_whitham_soliton(model, sp)
-    return {"schema": "modlab/1", "command": "limit_soliton",
-            "c": sp.cs, "lambda": list(sp.lambdas),
+    return {"c": sp.cs, "lambda": list(sp.lambdas),
             "vs": sp.vs, "vS": sp.vS, "mus": sp.mus, "XiS": sp.XiS,
             "Us": list(sp.Us), "boussinesq": sp.boussinesq,
             "dcM": sp.dcM, "dc2M": sp.dc2M, "gradUM": list(sp.gradUM),
@@ -267,11 +244,12 @@ def cmd_limit_soliton(model, cfg, args) -> dict:
 
 
 def cmd_mi(model, cfg, args) -> dict:
-    v0 = args.v0 if args.v0 is not None else 1.0
-    U0 = [v0] if model.N == 1 else [v0, args.u0]
-    rep = delta_mi(model, U0, args.k0, branch=args.branch or "plus")
-    return {"schema": "modlab/1", "command": "mi",
-            "v0": v0, "k0": rep.k0, "U0": list(rep.U0),
+    if model.N == 1 and args.u0 is not None:
+        raise err.ConfigError("--u0 applies to two-field models only")
+    u0 = 0.0 if args.u0 is None else args.u0
+    U0 = [args.v0] if model.N == 1 else [args.v0, u0]
+    rep = delta_mi(model, U0, args.k0, branch=args.branch)
+    return {"v0": args.v0, "k0": rep.k0, "U0": list(rep.U0),
             "delta_mi": rep.delta_mi, "a_tilde0": rep.a_tilde0,
             "a0": rep.a0, "b0": rep.b0,
             "k_c": rep.k_c, "naive_index": rep.naive_index,
@@ -282,8 +260,7 @@ def cmd_mi(model, cfg, args) -> dict:
 def cmd_toy(model, cfg, args) -> dict:
     out = toy_double_root(args.eps, args.v, args.a_tilde, args.delta,
                           args.delta_prime)
-    return {"schema": "modlab/1", "command": "toy",
-            "eps": args.eps, "v": args.v, "a_tilde": args.a_tilde,
+    return {"eps": args.eps, "v": args.v, "a_tilde": args.a_tilde,
             "delta": args.delta, "delta_prime": args.delta_prime,
             "eigenvalues_re": [float(z.real) for z in out["eigenvalues"]],
             "eigenvalues_im": [float(z.imag) for z in out["eigenvalues"]],
@@ -294,8 +271,7 @@ def cmd_toy(model, cfg, args) -> dict:
 def cmd_conjugation(model, cfg, args) -> dict:
     params = WaveParams(args.mu, args.c, _lambda_arg(args.lam, model.N))
     res = conjugation_check(model, params, cfg["numeric"]["quad_order"])
-    return {"schema": "modlab/1", "command": "conjugation",
-            "params": {"mu": params.mu, "c": params.c,
+    return {"params": {"mu": params.mu, "c": params.c,
                        "lambda": list(params.lam)},
             "alpha_over_k_residual": res["alpha_over_k"],
             "v0_product_residual": res["v0_product"],
@@ -308,12 +284,12 @@ def cmd_conjugation(model, cfg, args) -> dict:
 def sweep_runner(model, cfg, args):
     """Drive a limit sweep; returns ((header, rows), fit_report_dict)."""
     if args.regime == "harmonic":
+        if args.endstate is not None:
+            raise err.ConfigError("--endstate applies to --regime soliton")
         anchor = harmonic_point(model, args.c, _lambda_arg(args.lam, model.N))
-    elif args.regime == "soliton":
-        anchor = _soliton_anchor(model, args)
     else:
-        raise err.ConfigError("sweep needs --regime harmonic|soliton")
-    offsets = parse_grid(args.grid or cfg.get("sweep", {}).get("grid", ""))
+        anchor = _soliton_anchor(model, args)
+    offsets = parse_grid(args.grid)
     quad = cfg["numeric"]["quad_order"]
     table, fit = asymptotic_sweep(model, anchor, offsets, quad)
     split = eigen_splitting_fit(model, anchor, table=table)
@@ -330,8 +306,7 @@ def sweep_runner(model, cfg, args):
                     + [float(z.real) for z in r.eigenvalues]
                     + [float(z.imag) for z in r.eigenvalues]
                     + [float(np.max(r.eig_residuals))])
-    fitrep = {"schema": "modlab/1", "command": "sweep",
-              "regime": table.regime,
+    fitrep = {"regime": table.regime,
               "grid_points": len(table.rows),
               "fits": {k: v for k, v in sorted(fit.fits.items())},
               "fit_r2": {k: v for k, v in sorted(fit.r2.items())},
@@ -344,34 +319,54 @@ def sweep_runner(model, cfg, args):
 # entry point
 
 
+def _file_path(text: str) -> str:
+    if text == "-":
+        raise argparse.ArgumentTypeError("a sweep writes two files, not -")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each accepting only the options it reads."""
+    common, out, quad, line, anchor = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    common.add_argument("--config", required=True)
+    common.add_argument("--precision", type=int)
+    out.add_argument("--out", help="report path (default stdout)")
+    quad.add_argument("--quad-order", type=int)
+    lam = {"dest": "lam", "help": "comma-separated lambda components"}
+    line.add_argument("--c", type=float, default=0.0)
+    line.add_argument("--lambda", **lam)
+    anchor.add_argument("--c", type=float, default=0.0)
+    one = anchor.add_mutually_exclusive_group()
+    one.add_argument("--lambda", **lam)
+    one.add_argument("--endstate", help="comma-separated soliton endstate")
+    wave = [common, out, quad, line]
+    parents = {"validate": [common, out], "wave": wave, "whitham": wave,
+               "limit_harmonic": [common, out, line],
+               "limit_soliton": [common, out, anchor],
+               "sweep": [common, quad, anchor], "mi": [common, out],
+               "toy": [common, out], "conjugation": wave}
     ap = argparse.ArgumentParser(
-        prog="modlab",
+        prog="modlab", allow_abbrev=False,
         description="periodic traveling waves and their modulation systems")
-    ap.add_argument("command", choices=COMMANDS)
-    ap.add_argument("--config", required=True)
-    ap.add_argument("--mu", type=float, default=None)
-    ap.add_argument("--c", type=float, default=0.0)
-    ap.add_argument("--lambda", dest="lam", default=None,
-                    help="comma-separated lambda components")
-    ap.add_argument("--endstate", default=None,
-                    help="soliton endstate components (comma-separated)")
-    ap.add_argument("--v0", type=float, default=None)
-    ap.add_argument("--u0", type=float, default=0.0)
-    ap.add_argument("--k0", type=float, default=0.2)
-    ap.add_argument("--grid", default=None, help="offset grid a:b:n")
-    ap.add_argument("--regime", choices=("harmonic", "soliton"), default=None)
-    ap.add_argument("--branch", choices=("plus", "minus"), default=None,
-                    help="harmonic speed branch of mi (default plus)")
-    ap.add_argument("--out", default=None)
-    ap.add_argument("--quad-order", type=int, default=None)
-    ap.add_argument("--precision", type=int, default=None)
-    ap.add_argument("--eps", type=float, default=0.01)
-    ap.add_argument("--v", type=float, default=0.0)
-    ap.add_argument("--a-tilde", dest="a_tilde", type=float, default=1.0)
-    ap.add_argument("--delta", type=float, default=1.0)
-    ap.add_argument("--delta-prime", dest="delta_prime", type=float,
-                    default=0.0)
+    sub = ap.add_subparsers(dest="command", required=True)
+    cmd = {name: sub.add_parser(name, parents=ps, allow_abbrev=False)
+           for name, ps in parents.items()}
+    for name in ("wave", "whitham", "conjugation"):
+        cmd[name].add_argument("--mu", type=float, required=True)
+    sweep = cmd["sweep"]
+    sweep.add_argument("--regime", required=True,
+                       choices=("harmonic", "soliton"))
+    sweep.add_argument("--grid", required=True, help="offset grid a:b:n")
+    sweep.add_argument("--out", required=True, type=_file_path,
+                       help="CSV path; the fit report goes beside it")
+    for flag, default in (("--v0", 1.0), ("--u0", None), ("--k0", 0.2)):
+        cmd["mi"].add_argument(flag, type=float, default=default)
+    cmd["mi"].add_argument("--branch", choices=("plus", "minus"),
+                           default="plus")
+    for flag, default in (("--eps", 0.01), ("--v", 0.0), ("--a-tilde", 1.0),
+                          ("--delta", 1.0), ("--delta-prime", 0.0)):
+        cmd["toy"].add_argument(flag, type=float, default=default)
     return ap
 
 
@@ -388,39 +383,30 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.branch is not None and args.command != "mi":
-            raise err.ConfigError("--branch applies to mi only")
-        cfg = load_config(args.config)
-        if args.quad_order is not None:
-            cfg["numeric"]["quad_order"] = args.quad_order
-        if args.precision is not None:
-            if not 6 <= args.precision <= 17:
-                raise err.ConfigError("precision must lie in [6, 17]")
-            cfg["numeric"]["precision"] = args.precision
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:        # usage error (2) or --help (0)
+        return exc.code
+    header = {"schema": "modlab/1", "command": args.command}
+    try:
+        overrides = {k: v for k, v in vars(args).items()
+                     if k in DEFAULT_NUMERIC and v is not None}
+        cfg = load_config(args.config, overrides)
         model = model_from_dict(cfg["model"])
         precision = cfg["numeric"]["precision"]
         if args.command == "sweep":
-            if args.out is None:
-                raise err.ConfigError("sweep requires --out for its CSV")
             table, fitrep = sweep_runner(model, cfg, args)
             emit_report(table, args.out, "csv", precision)
-            emit_report(fitrep, _fit_path(args.out), "json", precision)
-            return EXIT_OK
-        if args.command in ("wave", "whitham", "conjugation") \
-                and args.mu is None:
-            raise err.ConfigError(f"{args.command} requires --mu")
-        report = HANDLERS[args.command](model, cfg, args)
-        emit_report(report, args.out, "json", precision)
-        return EXIT_OK
+            stem = args.out[:-4] if args.out.endswith(".csv") else args.out
+            emit_report({**header, **fitrep}, stem + ".fit.json", "json",
+                        precision)
+        else:
+            report = HANDLERS[args.command](model, cfg, args)
+            emit_report({**header, **report}, args.out, "json", precision)
+        return 0
     except err.ModlabError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-
-
-def _fit_path(out: str) -> str:
-    return (out[:-4] if out.endswith(".csv") else out) + ".fit.json"
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import EigenFailure
 
+TOL = 1e-9
+
 
 def _normalize(v: np.ndarray) -> np.ndarray:
     v = v / np.linalg.norm(v)
@@ -22,13 +24,13 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     return v / phase
 
 
-def eig_small(A: np.ndarray, tol: float = 1e-9):
+def eig_small(A: np.ndarray):
     """Eigen decomposition for matrices of size <= 4.
 
     Returns (values, vectors, residuals) with values sorted by (Re, Im),
     vectors as columns, residuals = ||A v - z v|| per pair.
 
-    Raises EigenFailure when any residual exceeds 50 tol ||A||.
+    Raises EigenFailure when any residual exceeds 50 TOL ||A||.
     """
     n = A.shape[0]
     if n > 4:
@@ -47,7 +49,7 @@ def eig_small(A: np.ndarray, tol: float = 1e-9):
     for i, j in enumerate(order):
         vecs[:, i] = _normalize(V[:, j])
     resid = np.linalg.norm(A @ vecs - vecs * zs, axis=0)
-    if np.any(resid > tol * norm * 50):
+    if np.any(resid > TOL * norm * 50):
         raise EigenFailure(
             f"eigen residual {resid.max():.2e} above tolerance for ||A|| = {norm:.2e}")
     return zs, vecs, resid

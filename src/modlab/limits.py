@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import (DegenerateWell, GroupVelocityResonance, NoSaddle,
-                     NoWellMinimum, QuadratureNotConverged, SpeedResonance)
+from .errors import (ConfigError, DegenerateWell, GroupVelocityResonance,
+                     NoSaddle, NoWellMinimum, QuadratureNotConverged,
+                     SpeedResonance)
 from .models import ModelSpec, WaveParams, structural_matrices
 from .polys import padd, pder, pdeflate, pmul, pscale, trim
 from .profiles import _newton_refine, _shift_scale_combine, gauss_nodes
@@ -46,7 +47,6 @@ class LimitFrame:
     sigma: float
     w: float
     zeta: float
-    A_small: np.ndarray
 
 
 def frame_vectors(model: ModelSpec, v: float, c: float = 0.0,
@@ -64,7 +64,6 @@ def frame_vectors(model: ModelSpec, v: float, c: float = 0.0,
         F = np.array([0.0, -1.0, 0.0])
         P = np.column_stack([sm.Sinv @ F, sm.Sinv @ V, sm.Sinv @ W])
         sigma, w, zeta = 0.0, 1.0 / b, 0.0
-        A_small = np.array([[1.0]])
     else:
         g, gv, gvv, _ = model.velocity_jet(v, c, lam2)
         q, qv, qvv = model.impulse_jet(v, c, lam2)
@@ -80,10 +79,9 @@ def frame_vectors(model: ModelSpec, v: float, c: float = 0.0,
         sigma = 1.0 / (b * rt)
         w = 2.0 * gv / b
         zeta = gvv / b
-        A_small = np.array([[0.0, 1.0 / rt], [1.0, gv]])
     D = P.T @ sm.S @ P
     return LimitFrame(V=V, W=W, Z=Z, T=T, E=E, F=F, P=P, D=D,
-                      sigma=sigma, w=w, zeta=zeta, A_small=A_small)
+                      sigma=sigma, w=w, zeta=zeta)
 
 
 # ----------------------------------------------------------------------------
@@ -346,7 +344,7 @@ def soliton_point(model: ModelSpec, c: float, endstate,
     """
     Us = np.atleast_1d(np.asarray(endstate, dtype=float))
     if Us.shape[0] != model.N:
-        raise ValueError("endstate must have length N")
+        raise ConfigError(f"endstate must have {model.N} component(s)")
     sp = _soliton_point_at_lambda(model, c, _lambda_at_endstate(model, c, Us),
                                   window)
     if np.any(np.abs(sp.Us - Us) > 1e-9 * np.maximum(1.0, np.abs(Us))):

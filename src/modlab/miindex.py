@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (ConfigError, InadmissibleWavenumber, UncoveredClass,
                      UnsupportedConjugateFamily)
 from .limits import _response_coefficients, harmonic_point
-from .models import ModelSpec, WaveParams
+from .models import ModelSpec, WaveParams, reduced_jet
 
 TOL_MI = 1e-10
 TWO_PI_SQ = (2.0 * math.pi) ** 2
@@ -126,14 +126,8 @@ def _delta_mi_system(model: ModelSpec, U0: np.ndarray, k0: float, branch: str):
     K1 = kj[1] / kj[0]
     K2 = kj[2] / kj[0]
     # general bracket in (W, g, kappa, tau) derivatives
-    g = u0_in
     t0 = tj[0]
-    gvv = (-tj[2] * g - 2.0 * tj[1] * gv) / t0
-    w3 = (-fj[3] - 0.5 * tj[3] * g * g - tj[2] * g * gv
-          + tj[1] * gv * gv + 2.0 * t0 * gv * gvv)
-    w4 = (-fj[4] - 2.0 * tj[3] * g * gv - tj[2] * g * gvv
-          + 4.0 * tj[1] * gv * gvv + 2.0 * t0 * gvv * gvv
-          + 2.0 * t0 * gv * _gvvv(tj, g, gv, gvv))
+    gvv, _, (_, w3, w4) = reduced_jet(tj, u0_in, gv, fj)
     big = (-0.5 * w4 * w2 * (w2 + 3.0 * t0 * gv * gv)
            - (w3 ** 2) * (w2 - 3.0 * t0 * gv * gv) / 6.0
            + w3 * w2 * (K1 * (w2 + t0 * gv * gv) + 2.0 * t0 * gv * gvv)
@@ -147,10 +141,6 @@ def _delta_mi_system(model: ModelSpec, U0: np.ndarray, k0: float, branch: str):
     a0, b0 = _response_coefficients(K1, K2, w2, w3, w4)
     w0 = 2.0 * gv / b
     return dmi, at0, a0, b0, w0
-
-
-def _gvvv(tj, g, gv, gvv):
-    return (-tj[3] * g - 3.0 * tj[2] * gv - 3.0 * tj[1] * gvv) / tj[0]
 
 
 def system_mi_polynomial(model: ModelSpec, v0: float, w2: float,

@@ -160,8 +160,7 @@ class ModelSpec:
         t = self.tau_jet(v, 3)
         g = -((c / self.b) * v + lam2) / t[0]
         gv = (-(c / self.b) - t[1] * g) / t[0]
-        gvv = (-t[2] * g - 2.0 * t[1] * gv) / t[0]
-        gvvv = (-t[3] * g - 3.0 * t[2] * gv - 3.0 * t[1] * gvv) / t[0]
+        gvv, gvvv, _ = reduced_jet(t, g, gv)
         return np.array([g, gv, gvv, gvvv])
 
     def impulse_q(self, v: float, c: float = 0.0, lam2: float = 0.0) -> float:
@@ -214,23 +213,13 @@ class ModelSpec:
                 out[2] -= 2.0 * cb
             return out
         lam1, lam2 = float(lam[0]), float(lam[1])
-        t = self.tau_jet(v, 4) if order >= 4 else self.tau_jet(v, 3)
-        t = np.concatenate([t, np.zeros(5 - len(t))])
-        g, gv, gvv, gvvv = self.velocity_jet(v, c, lam2)
-        cb = c / self.b
+        t = self.tau_jet(v, 3)
+        g, gv = self.velocity_jet(v, c, lam2)[:2]
         out = np.empty(order + 1)
         out[0] = -fj[0] + 0.5 * t[0] * g * g - lam1 * v
         if order >= 1:
-            out[1] = -fj[1] - 0.5 * t[1] * g * g - cb * g - lam1
-        if order >= 2:
-            out[2] = -fj[2] - 0.5 * t[2] * g * g + t[0] * gv * gv
-        if order >= 3:
-            out[3] = (-fj[3] - 0.5 * t[3] * g * g - t[2] * g * gv
-                      + t[1] * gv * gv + 2.0 * t[0] * gv * gvv)
-        if order >= 4:
-            out[4] = (-fj[4] - 0.5 * t[4] * g * g - 2.0 * t[3] * g * gv
-                      - t[2] * g * gvv + 4.0 * t[1] * gv * gvv
-                      + 2.0 * t[0] * gvv * gvv + 2.0 * t[0] * gv * gvvv)
+            out[1] = -fj[1] - 0.5 * t[1] * g * g - (c / self.b) * g - lam1
+        out[2:] = reduced_jet(t, g, gv, fj)[2]
         return out
 
     def potential_rational(self, params: WaveParams) -> tuple[np.ndarray, np.ndarray]:
@@ -321,23 +310,81 @@ def structural_matrices(model: ModelSpec) -> StructuralMatrices:
     return StructuralMatrices(B=B, Binv=Binv, S=S, BB=BB, BBinv=BBinv, Sinv=Sinv)
 
 
+def reduced_jet(t, g: float, gv: float, fj=()) -> tuple:
+    """g'', g''' and [W'', ..., W^(len(fj) - 1)] of a two-field model.
+
+    ``t`` is the tau jet to order 3, ``g`` and ``gv`` the reduced
+    velocity and its slope, ``fj`` the f jet (orders 2 to 4 are read).
+    g'' and g''' differentiate ``b tau g' = -c - b tau' g``; the W
+    derivatives are those of ``-f + tau g^2 / 2`` along it.
+    """
+    gvv = (-t[2] * g - 2.0 * t[1] * gv) / t[0]
+    gvvv = (-t[3] * g - 3.0 * t[2] * gv - 3.0 * t[1] * gvv) / t[0]
+    w = []
+    if len(fj) > 2:
+        w.append(-fj[2] - 0.5 * t[2] * g * g + t[0] * gv * gv)
+    if len(fj) > 3:
+        w.append(-fj[3] - 0.5 * t[3] * g * g - t[2] * g * gv
+                 + t[1] * gv * gv + 2.0 * t[0] * gv * gvv)
+    if len(fj) > 4:
+        w.append(-fj[4] - 2.0 * t[3] * g * gv - t[2] * g * gvv
+                 + 4.0 * t[1] * gv * gvv + 2.0 * t[0] * gvv * gvv
+                 + 2.0 * t[0] * gv * gvvv)
+    return gvv, gvvv, w
+
+
 # -- construction ------------------------------------------------------------
 
 
+_MODEL_KEYS = ("kind", "b", "f", "kappa", "tau", "domain", "label")
+
+
+def check_keys(block, keys, name: str):
+    """Raise ConfigError unless ``block`` is a dict holding only ``keys``."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be an object, got {block!r}")
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {name} key(s) {unknown}; "
+                          f"expected {list(keys)}")
+
+
+def _spec_entry(spec, name: str, keys) -> tuple:
+    """The (key, value) of a spec dict holding exactly one of ``keys``."""
+    check_keys(spec, keys, f"{name} spec")
+    key, val = next(iter(spec.items()), (None, None))
+    if len(spec) != 1 or (key in ("inv4v", "identity") and not val):
+        raise ConfigError(f"{name} spec must hold exactly one of "
+                          f"{list(keys)}, a flag set true: {spec!r}")
+    return key, val
+
+
 def _parse_function(spec, name: str) -> Laurent:
-    if isinstance(spec, dict):
-        if "poly" in spec:
-            return Laurent.make(spec["poly"])
-        if "laurent" in spec:
-            return Laurent.from_terms(spec["laurent"])
-        if spec.get("inv4v"):
-            return Laurent.from_terms({-1: 0.25})
-        raise ConfigError(f"unrecognized {name} spec: {spec!r}")
-    return Laurent.make(spec)
+    if not isinstance(spec, dict):
+        return Laurent.make(spec)
+    key, val = _spec_entry(spec, name, ("poly", "laurent", "inv4v"))
+    if key == "inv4v":
+        return Laurent.from_terms({-1: 0.25})
+    return Laurent.make(val) if key == "poly" else Laurent.from_terms(val)
+
+
+def _parse_tau(spec) -> tuple:
+    key, val = _spec_entry(spec, "tau", ("const", "affine", "identity"))
+    if key == "const":
+        return (float(val), 0.0)
+    if key == "affine":
+        t0, t1 = val
+        return (float(t0), float(t1))
+    return (0.0, 1.0)
 
 
 def model_from_dict(cfg: dict) -> ModelSpec:
-    """Build a ModelSpec from the JSON config model block."""
+    """Build a ModelSpec from the JSON config model block.
+
+    Raises ConfigError on a missing field, a key it does not read, and
+    ``tau`` on a scalar model.
+    """
+    check_keys(cfg, _MODEL_KEYS, "model")
     try:
         kind = cfg["kind"]
         b = float(cfg["b"])
@@ -347,16 +394,9 @@ def model_from_dict(cfg: dict) -> ModelSpec:
         raise ConfigError(f"model block missing field {exc}") from None
     tau = None
     if kind == "euler_korteweg":
-        tspec = cfg.get("tau", {"const": 1.0})
-        if "const" in tspec:
-            tau = (float(tspec["const"]), 0.0)
-        elif "affine" in tspec:
-            t0, t1 = tspec["affine"]
-            tau = (float(t0), float(t1))
-        elif tspec.get("identity"):
-            tau = (0.0, 1.0)
-        else:
-            raise ConfigError(f"unrecognized tau spec: {tspec!r}")
+        tau = _parse_tau(cfg.get("tau", {"const": 1.0}))
+    elif "tau" in cfg:
+        raise ConfigError("tau applies to euler_korteweg models only")
     if "domain" in cfg:
         lo = float(cfg["domain"][0]) if cfg["domain"][0] is not None else -math.inf
         hi = float(cfg["domain"][1]) if cfg["domain"][1] is not None else math.inf

@@ -53,7 +53,6 @@ class WhithamReport:
     eigenvectors: np.ndarray
     residuals: np.ndarray
     classification: str
-    char_in_params: np.ndarray
     spectral_match_residual: float
     hessH_negative_signature: int
     theta_negative_signature: int
@@ -64,7 +63,7 @@ def params_to_modvars(model: ModelSpec, grad_theta: np.ndarray) -> ModVars:
     """Chart change from the action gradient: k, alpha, M."""
     dmu = grad_theta[0]
     if dmu <= 0.0:
-        raise ValueError("period must be positive")
+        raise DegenerateOrbit(f"period {dmu} is not positive")
     k = 1.0 / dmu
     M = grad_theta[2:] / dmu
     alpha = grad_theta[1] - dmu * model.impulse_value(M)
@@ -74,7 +73,7 @@ def params_to_modvars(model: ModelSpec, grad_theta: np.ndarray) -> ModVars:
 def coupling_matrix_A(model: ModelSpec, k: float, M: np.ndarray) -> np.ndarray:
     """Jacobian coupling the two charts; satisfies S = A BB A^T."""
     if k <= 0.0:
-        raise ValueError("k must be positive")
+        raise DegenerateOrbit(f"wavenumber k = {k} is not positive")
     N = model.N
     A = np.zeros((N + 2, N + 2))
     A[0, 0] = -1.0 / k
@@ -103,7 +102,10 @@ def hessianH(model: ModelSpec, jet: ActionJet, mv: ModVars,
 
 def whitham_matrix(model: ModelSpec, hessH_mat: np.ndarray, jet: ActionJet,
                    k: float, c: float):
-    """Characteristic matrices of both charts: (W, char_in_params)."""
+    """Characteristic matrices of both charts.
+
+    Returns W in (k, alpha, M) and its similar matrix in (mu, c, lambda).
+    """
     sm = structural_matrices(model)
     W = -sm.BB @ hessH_mat
     char = np.linalg.solve(jet.hess, sm.S) / k + c * np.eye(model.N + 2)
@@ -161,7 +163,7 @@ def whitham_report(model: ModelSpec, params: WaveParams,
     sigH = int((np.linalg.eigvalsh(H) < 0).sum())
     return WhithamReport(hessH=H, whitham=W, eigenvalues=zs,
                          eigenvectors=vecs, residuals=resid,
-                         classification=cls, char_in_params=char,
+                         classification=cls,
                          spectral_match_residual=match,
                          hessH_negative_signature=sigH,
                          theta_negative_signature=jet.negative_signature,

@@ -148,14 +148,6 @@ class Laurent:
             out[j] = cur(v)
         return out
 
-    def plus(self, other: "Laurent") -> "Laurent":
-        s = max(self.shift, other.shift)
-        a = self.coeffs if self.shift == s else pmul(
-            self.coeffs, monomial_coeffs(s - self.shift))
-        b = other.coeffs if other.shift == s else pmul(
-            other.coeffs, monomial_coeffs(s - other.shift))
-        return Laurent.make(padd(a, b), s)
-
     def compose_inverse_times_v(self) -> "Laurent":
         """v * p(1/v) as a Laurent polynomial (conjugation transform)."""
         # p = sum c_j v^(j-s)  ->  v * p(1/v) = sum c_j v^(1-j+s)

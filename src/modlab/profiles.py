@@ -23,8 +23,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import kernels
-from .errors import (DegenerateOrbit, MultipleWells, NoPeriodicOrbit,
-                     QuadratureNotConverged)
+from .errors import (ConfigError, DegenerateOrbit, MultipleWells,
+                     NoPeriodicOrbit, QuadratureNotConverged)
 from .models import ModelSpec, WaveParams
 from .polys import pdeflate, peval, pder, trim
 
@@ -279,7 +279,7 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
         v3 = min(above)
         hint = "near_soliton"
     else:
-        raise ValueError(f"unknown side {side!r}")
+        raise ConfigError(f"unknown side {side!r}")
     dvals = [abs(peval(T, x) / peval(den, x)) for x in (v2, v3)]
     return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=hint,
                         root_residuals=tuple(dvals))
@@ -441,7 +441,7 @@ def profile_sample(model: ModelSpec, params: WaveParams,
     mirrors the first, so v(Xi - xi) = v(xi) exactly.
     """
     if n < 2:
-        raise ValueError("need n >= 2 samples")
+        raise ConfigError("need n >= 2 samples")
     T, rows = _integrand_rows(model, params)
     P = _deflate_bracket(T, bracket)
     rows = [P] + rows

@@ -265,21 +265,16 @@ def _pair_near(zs: np.ndarray, target: float):
     return pair, rest
 
 
-def eigen_splitting_fit(model: ModelSpec, anchor, offsets=None,
-                        table: SweepTable | None = None,
-                        quad_order: int = DEFAULT_QUAD_ORDER) -> SplitReport:
+def eigen_splitting_fit(model: ModelSpec, anchor,
+                        table: SweepTable) -> SplitReport:
     """Track the eigenvalue pair emerging from the double characteristic.
 
     Harmonic side: fits splitting^2 / alpha (the instability index) and
     the square-root growth of the second eigenvector component.  Soliton
     side: fits the splitting coefficient against rho/k, the log-log
     convergence rate in rho, and the 1/|log rho| eigenvector drift.
-    Give either ``offsets`` or an evaluated ``table``.
+    ``table`` is the evaluated sweep of ``anchor``; it is not modified.
     """
-    if table is None:
-        if offsets is None:
-            raise GridDegenerate("give offsets or a sweep table")
-        table = sweep_table(model, anchor, offsets, quad_order)
     idx = _tail(table, frac=0.5)
     if table.regime == "harmonic":
         hp: HarmonicPoint = table.anchor
@@ -339,22 +334,15 @@ def eigen_splitting_fit(model: ModelSpec, anchor, offsets=None,
         jz = int(np.argmin(np.abs(zl - z)))
         v = np.real(Vl[:, jz])
         vlims.append(v / np.linalg.norm(v))
-    splits, angles, pair_merge = [], [], []
+    splits, angles = [], []
     for r in table.rows:
-        pair, rest = _pair_near(r.eigenvalues, sp.cs)
+        pair, _ = _pair_near(r.eigenvalues, sp.cs)
         splits.append(0.5 * abs(pair[1] - pair[0]))
-        cols = [int(np.argmin(np.abs(r.eigenvalues - pair[j])))
-                for j in range(2)]
-        w1 = np.real(r.eigenvectors[:, cols[0]])
-        w2 = np.real(r.eigenvectors[:, cols[1]])
-        w1 /= np.linalg.norm(w1)
-        w2 /= np.linalg.norm(w2)
-        pair_merge.append(math.acos(min(1.0, abs(float(w1 @ w2)))))
         worst = 0.0
         for z, vlim in zip(disp, vlims):
             jz = int(np.argmin(np.abs(r.eigenvalues - z)))
             w = np.real(r.eigenvectors[:, jz])
-            w /= np.linalg.norm(w)
+            w = w / np.linalg.norm(w)
             worst = max(worst, math.acos(min(1.0, abs(float(w @ vlim)))))
         angles.append(worst)
     splits = np.array(splits)
@@ -371,6 +359,6 @@ def eigen_splitting_fit(model: ModelSpec, anchor, offsets=None,
     r2 = {"split_coefficient": r2_coef, "split_rate": r2_rate,
           "eigvec_angle": r2_ang}
     per_point = {"rho": rho, "k": k, "splitting": splits, "angle": angles,
-                 "coefficient": coeff, "pair_merge": np.array(pair_merge)}
+                 "coefficient": coeff}
     return SplitReport(regime="soliton", fits=fits, r2=r2,
                        per_point=per_point)

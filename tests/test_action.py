@@ -88,8 +88,7 @@ class TestHessian:
         br = bracket_near_limit(gkdv, p, 2.0, "harmonic")
         # without limit protection the mu stencil crosses the well bottom
         with pytest.raises(StencilLeftBranch):
-            action_hessian(gkdv, p, br, FDConfig(rel_step=1e-3,
-                                                 limit_center=2.0,
+            action_hessian(gkdv, p, br, FDConfig(limit_center=2.0,
                                                  limit_side="harmonic"))
 
     def test_soliton_conditioning_warning(self, gkdv):

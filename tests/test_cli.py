@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -11,18 +13,18 @@ import pytest
 from modlab import cli, errors
 from modlab.cli import format_float, main, parse_grid, render_csv, render_json
 from modlab.errors import ConfigError
+from modlab.models import model_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "src" / "modlab" / "configs"
 GKDV = str(CONFIGS / "gkdv.json")
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args, cwd=None):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-m", "modlab.cli"] + args,
-                          capture_output=True, env=env)
+                          capture_output=True, env=env, cwd=cwd)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -124,6 +126,18 @@ class TestCommands:
         assert rep["dcM"] == pytest.approx(12.0, rel=1e-9)
 
 
+    def test_reports_open_with_schema_and_command(self, tmp_path, capsys):
+        assert main(["validate", "--config", GKDV]) == 0
+        assert list(json.loads(capsys.readouterr().out))[:2] == [
+            "schema", "command"]
+        dst = tmp_path / "s.csv"
+        assert main(["sweep", "--config", GKDV, "--regime", "harmonic",
+                     "--c", "1", "--grid", "1e-3:1e-6:5",
+                     "--out", str(dst)]) == 0
+        fit = json.loads((tmp_path / "s.fit.json").read_text())
+        assert list(fit)[:3] == ["schema", "command", "regime"]
+        assert fit["command"] == "sweep"
+
     def test_numpy_booleans_render_as_json_booleans(self):
         code, out, err = run_cli([
             "limit_harmonic", "--config", str(CONFIGS / "nls_hydro.json"),
@@ -182,6 +196,31 @@ def readme_cli_commands():
             if ln.startswith("modlab ")]
 
 
+def readme_option_table():
+    """{command: options} from the README's per-command option table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    intro, table = text.split("| command | options it reads |", 1)
+    common = set(re.findall(r"`(--[a-z0-9-]+)`", intro.splitlines()[-2]))
+    out = {}
+    for ln in table.splitlines()[2:]:
+        if not ln.startswith("|"):
+            break
+        cmds, opts = ln.split("|")[1:3]
+        for cmd in re.findall(r"`([a-z_]+)`", cmds):
+            out[cmd] = common | set(re.findall(r"`(--[a-z0-9-]+)`", opts))
+    return out
+
+
+def parser_options():
+    """{command: options} that build_parser's subparsers accept."""
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings
+                   if o not in ("-h", "--help")}
+            for name, p in sub.choices.items()}
+
+
 class TestReadme:
     @pytest.mark.parametrize("argv", readme_cli_commands(),
                              ids=lambda a: a[0])
@@ -193,6 +232,11 @@ class TestReadme:
             i = argv.index("--out") + 1
             argv[i] = str(tmp_path / argv[i])
         assert main(argv) == 0, capsys.readouterr().err
+
+    def test_option_table_matches_the_parser(self):
+        table = readme_option_table()
+        assert table == parser_options()
+        assert sum(len(opts) for opts in table.values()) == 59
 
     def test_python_api_example_runs_as_written(self, capsys):
         text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -250,9 +294,15 @@ class TestFailurePaths:
          4),
         (["limit_harmonic", "--config", GKDV, "--c", "1", "--branch",
           "minus"], 2),
+        (["wave", "--config", GKDV, "--mu", "-0.5", "--c", "1",
+          "--quad-order", "0"], 2),
+        (["wave", "--config", GKDV, "--mu", "-0.5", "--c", "1",
+          "--precision", "5"], 2),
+        (["wave", "--config", GKDV, "--c", "1"], 2),
     ], ids=["lambda-not-a-number", "lambda-and-endstate",
             "mi-v0-outside-domain", "wave-no-orbit", "endstate-not-a-saddle",
-            "branch-on-limit-harmonic"])
+            "branch-on-limit-harmonic", "quad-order-0", "precision-5",
+            "wave-without-mu"])
     def test_failure_exits_without_traceback(self, argv, code):
         got, out, err = run_cli(argv)
         assert got == code, err
@@ -302,3 +352,85 @@ class TestSolitonAnchorArguments:
         assert code == 0, err
         rep = json.loads(out)
         assert rep["Us"] == pytest.approx([-1.2, 0.3], abs=1e-12)
+
+
+class TestOptionContract:
+    """Each subcommand accepts only the options it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["mi", "--config", GKDV, "--v", "2"],
+        ["mi", "--con", GKDV],
+        ["wave", "--config", GKDV, "--mu", "-0.5", "--c", "1", "--k0", "9"],
+        ["limit_harmonic", "--config", GKDV, "--c", "1", "--quad-order",
+         "8"],
+        ["toy", "--config", GKDV, "--lambda=1"],
+        ["sweep", "--config", GKDV, "--regime", "harmonic", "--c", "1",
+         "--grid", "1e-3:1e-6:10", "--endstate=0"],
+        ["mi", "--config", GKDV, "--u0", "5"],
+    ], ids=["mi-v", "abbreviated-config", "wave-k0",
+            "limit-harmonic-quad-order", "toy-lambda",
+            "harmonic-sweep-endstate", "mi-u0-one-field"])
+    def test_unread_option_exits_2_and_writes_nothing(self, argv, tmp_path):
+        out = "s.csv" if argv[0] == "sweep" else "r.json"
+        code, stdout, err = run_cli(argv + ["--out", out], cwd=tmp_path)
+        assert code == 2, err
+        assert not stdout and err and b"Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_usage_errors_return_2_from_main(self, capsys):
+        assert main(["mi", "--config", GKDV, "--v", "2"]) == 2
+        assert main(["wave", "--config", GKDV, "--c", "1"]) == 2
+        assert "--mu" in capsys.readouterr().err
+
+    def test_sweep_out_dash_exits_2_and_writes_nothing(self, tmp_path):
+        code, stdout, err = run_cli([
+            "sweep", "--config", GKDV, "--regime", "soliton", "--c", "1",
+            "--grid", "1e-4:1e-8:4", "--out", "-"], cwd=tmp_path)
+        assert code == 2, err
+        assert not stdout and b"Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+def _rename(block, old, new):
+    def edit(cfg):
+        part = cfg if block is None else cfg[block]
+        part[new] = part.pop(old)
+    return edit
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json"))
+                             + [ROOT / "modbench" / "conjugation_ek.json"],
+                             ids=lambda p: p.stem)
+    def test_shipped_configs_load(self, path):
+        cfg = cli.load_config(str(path))
+        assert cfg["numeric"] == cli.DEFAULT_NUMERIC
+        model_from_dict(cfg["model"])
+
+    @pytest.mark.parametrize("edit", [
+        _rename("model", "kappa", "kapa"),
+        _rename("numeric", "quad_order", "quad_ordr"),
+        _rename(None, "numeric", "numerics"),
+    ], ids=["kapa", "quad_ordr", "numerics"])
+    def test_misspelt_key_exits_2(self, edit, tmp_path):
+        cfg = json.loads((CONFIGS / "nls_hydro.json").read_text())
+        edit(cfg)
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(["limit_harmonic", "--config", str(path),
+                                  "--lambda=-1.4,0.5"])
+        assert code == 2, err
+        assert not out and b"Traceback" not in err
+
+    @pytest.mark.parametrize("numeric", [
+        {"quad_order": 0}, {"quad_order": 8.5}, {"precision": 18},
+        {"precision": "12"}, {"fd_rel_step": 1e-5},
+    ], ids=["quad-order-0", "quad-order-float", "precision-18",
+            "precision-text", "retired-key"])
+    def test_bad_numeric_block_is_a_config_error(self, numeric, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"model": {"kind": "scalar", "b": 1.0,
+                                              "f": [0.0]},
+                                    "numeric": numeric}))
+        with pytest.raises(ConfigError):
+            cli.load_config(str(path))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modlab.errors import NoSaddle, NoWellMinimum
+from modlab.errors import ConfigError, NoSaddle, NoWellMinimum
 from modlab.limits import (HarmonicPoint, _soliton_point_at_lambda,
                            frame_vectors, harmonic_point,
                            limiting_whitham_harmonic, limiting_whitham_soliton,
@@ -233,6 +233,10 @@ class TestSolitonPoint:
         # whose saddle sits at 0.5: the endstate is not replaced
         with pytest.raises(NoSaddle):
             soliton_point(gkdv, 1.0, [1.5])
+
+    def test_endstate_length_is_checked(self, ek_lagrangian):
+        with pytest.raises(ConfigError):
+            soliton_point(ek_lagrangian, 0.8, [-1.2])
 
     def test_system_soliton(self, ek_lagrangian):
         sp = soliton_point(ek_lagrangian, 0.8, np.array([-1.2, 0.3]))

@@ -161,6 +161,33 @@ def test_model_from_dict_roundtrip():
     assert m.kappa_jet(2.0, 2)[2] == pytest.approx(1.0 / 16.0)
 
 
+NLS_BLOCK = {"kind": "euler_korteweg", "b": -1.0,
+             "f": {"poly": [0.0, 0.0, 0.5]}, "kappa": {"inv4v": True},
+             "tau": {"identity": True}, "label": "nls"}
+
+
+@pytest.mark.parametrize("change", [
+    {"kapa": {"inv4v": True}},
+    {"tau": {"identity": True, "const": 1.0}},
+    {"tau": {"cosnt": 1.0}},
+    {"f": {"poly": [0.0, 0.0, 0.5], "laurent": {"2": 0.5}}},
+    {"kappa": {}},
+], ids=["unknown-key", "two-tau-keys", "unknown-tau-key", "two-f-keys",
+        "empty-kappa-spec"])
+def test_model_from_dict_rejects_what_it_does_not_read(change):
+    with pytest.raises(ConfigError):
+        model_from_dict({**NLS_BLOCK, **change})
+
+
+def test_model_from_dict_rejects_tau_on_scalar():
+    cfg = {"kind": "scalar", "b": 1.0, "f": {"poly": [0.0, 0.0, 0.0, -1.0]},
+           "tau": {"const": 1.0}}
+    with pytest.raises(ConfigError):
+        model_from_dict(cfg)
+    del cfg["tau"]
+    assert model_from_dict(cfg).tau is None
+
+
 def test_potential_rational_consistency(request):
     for name in ("gkdv", "quartic", "ek_lagrangian", "ek_eulerian",
                  "nls_hydro"):

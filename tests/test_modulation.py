@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modlab.action import FDConfig, action_hessian
+from modlab.errors import DegenerateOrbit
 from modlab.models import WaveParams, gkdv_model, structural_matrices
 from modlab.modulation import (ModVars, coupling_matrix_A, hessianH,
                                modvars_to_params, params_to_modvars,
@@ -16,6 +17,10 @@ from oracles import averaged_identities, chart_hamiltonian, fd_hessian
 
 
 class TestChartChange:
+    def test_nonpositive_period_is_degenerate(self, gkdv):
+        with pytest.raises(DegenerateOrbit):
+            params_to_modvars(gkdv, np.array([-1.0, 0.5, 0.2]))
+
     def test_agrees_with_averaged_state(self, cnoidal):
         model, params, br = cnoidal
         o = orbit_integrals(model, params, br)
@@ -78,6 +83,10 @@ class TestCouplingMatrix:
     def test_scalar_display(self, gkdv):
         A = coupling_matrix_A(gkdv, 1.0, np.array([0.0]))
         assert np.array_equal(A, np.diag([-1.0, 1.0, 1.0]))
+
+    def test_nonpositive_wavenumber_is_degenerate(self, gkdv):
+        with pytest.raises(DegenerateOrbit):
+            coupling_matrix_A(gkdv, 0.0, np.array([0.0]))
 
     @given(k=st.floats(0.05, 5.0), m1=st.floats(-3.0, 3.0),
            m2=st.floats(-3.0, 3.0))

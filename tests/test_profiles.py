@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from modlab.errors import (DegenerateOrbit, MultipleWells, NoPeriodicOrbit,
-                           QuadratureNotConverged)
+from modlab.errors import (ConfigError, DegenerateOrbit, MultipleWells,
+                           NoPeriodicOrbit, QuadratureNotConverged)
 from modlab.models import WaveParams, gkdv_model
 from modlab.profiles import (averaged_state, bracket_near_limit,
                              find_turning_points, orbit_integrals,
@@ -55,6 +55,12 @@ class TestTurningPoints:
         assert br.v1 == pytest.approx(-w, rel=1e-6)
         assert br.v2 == pytest.approx(+w, rel=1e-6)
         assert br.rho == pytest.approx((br.v2 - br.v1) / (br.v3 - br.v2))
+
+
+    def test_near_limit_side_is_checked(self, gkdv):
+        p = WaveParams(-2.0 / 3.0 + 1e-4, 1.0, [0.0])
+        with pytest.raises(ConfigError):
+            bracket_near_limit(gkdv, p, 2.0, "sideways")
 
 
 class TestAveragedState:
@@ -137,6 +143,12 @@ class TestProfileSample:
         mean_trap = np.trapezoid(v, xi) / (xi[-1] - xi[0])
         st = averaged_state(model, params, br)
         assert mean_trap == pytest.approx(st.meanU[0], rel=1e-6)
+
+
+    def test_sample_count_is_checked(self, cnoidal):
+        model, params, br = cnoidal
+        with pytest.raises(ConfigError):
+            profile_sample(model, params, br, 1)
 
 
 class TestShootingOracle:

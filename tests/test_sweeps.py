@@ -6,7 +6,7 @@ import pytest
 from modlab.errors import GridDegenerate
 from modlab.limits import harmonic_point, soliton_point
 from modlab.miindex import delta_mi
-from modlab.models import WaveParams
+from modlab.models import WaveParams, gkdv_model
 from modlab.sweeps import (asymptotic_sweep, eigen_splitting_fit, linear_fit,
                            poly_extrapolate, sweep_table)
 
@@ -177,12 +177,17 @@ class TestSplittingSoliton:
         assert split.r2["eigvec_angle"] >= 0.99
         assert split.fits["eigvec_angle_slope"] > 0.0
 
-    def test_pair_vectors_merge_faster_than_log(self, soliton_split_run):
-        table, split = soliton_split_run
-        rho = split.per_point["rho"]
-        pm = split.per_point["pair_merge"]
-        slope, _, _ = linear_fit(np.log(rho), np.log(pm))
-        assert slope > 0.5
+    def test_fit_leaves_the_table_unchanged(self):
+        # p = 5: the splitting pair is complex, so the real parts of its
+        # eigenvectors are not unit vectors; normalising them in place
+        # would change the table
+        m = gkdv_model(f_coeffs=(0.0,) * 7 + (-1.0 / 42.0,), label="p5")
+        sp = soliton_point(m, 1.0, [0.0])
+        table = sweep_table(m, sp, np.geomspace(1e-4, 1e-8, 6))
+        before = [r.eigenvectors.copy() for r in table.rows]
+        eigen_splitting_fit(m, sp, table=table)
+        for r, vecs in zip(table.rows, before):
+            assert np.array_equal(r.eigenvectors, vecs)
 
 
 class TestSplittingNegativeAlpha:
@@ -201,7 +206,8 @@ class TestSplittingNegativeAlpha:
         w2 = ek_lagrangian.potential_jet(hp.v0, WaveParams(hp.mu0, c, lam),
                                          2)[2]
         offs = 0.5 * w2 * np.geomspace(0.02, 6e-3, 7) ** 2
-        rep = eigen_splitting_fit(ek_lagrangian, hp, offs)
+        table = sweep_table(ek_lagrangian, hp, offs)
+        rep = eigen_splitting_fit(ek_lagrangian, hp, table=table)
         assert np.all(rep.per_point["alpha"] < 0.0)
         u0 = ek_lagrangian.velocity_jet(hp.v0, c, lam[1])[0]
         dmi = delta_mi(ek_lagrangian, [hp.v0, u0], hp.k0).delta_mi
@@ -232,8 +238,6 @@ class TestFitHelpers:
             sweep_table(gkdv, harmonic_anchor, [1e-3, 1e-3, 1e-3])
         with pytest.raises(GridDegenerate):
             sweep_table(gkdv, harmonic_anchor, [1e-5, 1e-4, 1e-3])
-        with pytest.raises(GridDegenerate):
-            eigen_splitting_fit(gkdv, harmonic_anchor)
 
     def test_sweep_table_deterministic_across_runs(self, gkdv,
                                                    harmonic_anchor):
