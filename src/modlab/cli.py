@@ -110,13 +110,16 @@ def render_csv(rows, precision: int = 17) -> str:
 
 
 DEFAULT_NUMERIC = {"quad_order": 96, "precision": 17}
+# the fine pass runs 2 * quad_order Gauss nodes, whose rule numpy builds from
+# an n x n companion matrix: 1024 caps it at 2048 nodes (32 MiB)
+MAX_QUAD_ORDER = 1024
 
 
 def load_config(path: str, overrides: dict | None = None) -> dict:
     """Read a JSON config; ``overrides`` replace numeric-block entries.
 
     Raises ConfigError on an unreadable file, a key modlab does not read,
-    a quad_order below 1 or a precision outside [6, 17].
+    a quad_order outside [1, MAX_QUAD_ORDER] or a precision outside [6, 17].
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -129,7 +132,8 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     numeric = cfg.get("numeric", {})
     check_keys(numeric, DEFAULT_NUMERIC, "numeric")
     numeric = {**DEFAULT_NUMERIC, **numeric, **(overrides or {})}
-    for key, lo, hi in (("quad_order", 1, math.inf), ("precision", 6, 17)):
+    for key, lo, hi in (("quad_order", 1, MAX_QUAD_ORDER),
+                        ("precision", 6, 17)):
         if type(numeric[key]) is not int or not lo <= numeric[key] <= hi:
             raise err.ConfigError(f"{key} must be an integer in [{lo}, {hi}],"
                                   f" got {numeric[key]!r}")

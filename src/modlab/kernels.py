@@ -28,7 +28,8 @@ def horner_batch(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     acc = np.repeat(coeffs[:, :1], v.shape[0], axis=1)
     for j in range(1, coeffs.shape[1]):
-        acc = acc * v + coeffs[:, j:j + 1]
+        acc *= v
+        acc += coeffs[:, j:j + 1]
     return acc
 
 

@@ -94,6 +94,9 @@ class ModelSpec:
     tau: tuple | None = None
     domain: tuple = (-math.inf, math.inf)
     label: str = field(default="model", compare=False)
+    # (fn, fn', ..., fn^(4)) for fn = f and kappa, built once per model
+    _f_chain: tuple = field(init=False, repr=False, compare=False)
+    _kappa_chain: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("scalar", "euler_korteweg"):
@@ -110,6 +113,8 @@ class ModelSpec:
         if self.tau is not None:
             t0, t1 = self.tau
             self._check_positive(Laurent.make([t0, t1]), "tau")
+        object.__setattr__(self, "_f_chain", _derivative_chain(self.f))
+        object.__setattr__(self, "_kappa_chain", _derivative_chain(self.kappa))
 
     def _check_positive(self, fn: Laurent, name: str):
         lo, hi = self.domain
@@ -141,10 +146,12 @@ class ModelSpec:
         return out
 
     def kappa_jet(self, v: float, order: int = 2) -> np.ndarray:
-        return self.kappa.jet(v, order)
+        """[kappa(v), kappa'(v), ..., kappa^(order)(v)] for order <= 4."""
+        return _jet(self._kappa_chain, v, order)
 
     def f_jet(self, v: float, order: int = 4) -> np.ndarray:
-        return self.f.jet(v, order)
+        """[f(v), f'(v), ..., f^(order)(v)] for order <= 4."""
+        return _jet(self._f_chain, v, order)
 
     # -- reduced velocity and impulse ---------------------------------------
 
@@ -285,6 +292,20 @@ class ModelSpec:
         return np.array([float(U[1]) / self.b, float(U[0]) / self.b])
 
 
+def _derivative_chain(fn: Laurent, order: int = 4) -> tuple:
+    chain = [fn]
+    for _ in range(order):
+        chain.append(chain[-1].derivative())
+    return tuple(chain)
+
+
+def _jet(chain: tuple, v: float, order: int) -> np.ndarray:
+    out = np.empty(order + 1)
+    for j in range(order + 1):
+        out[j] = chain[j](v)
+    return out
+
+
 def structural_matrices(model: ModelSpec) -> StructuralMatrices:
     """B, S and the (N+2) modulation weight with their exact inverses."""
     b = model.b
@@ -359,35 +380,77 @@ def _spec_entry(spec, name: str, keys) -> tuple:
     return key, val
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number (bools and numeric strings are not)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+def _number(val, name: str) -> float:
+    if not _is_number(val):
+        raise ConfigError(f"{name} must be a finite number, got {val!r}")
+    return float(val)
+
+
+def _coeffs(val, name: str) -> np.ndarray:
+    vals = val if isinstance(val, list) else [val]
+    if not vals or not all(_is_number(x) for x in vals):
+        raise ConfigError(f"{name} coefficients must be a non-empty list of "
+                          f"finite numbers, got {val!r}")
+    return np.array(vals, dtype=float)
+
+
 def _parse_function(spec, name: str) -> Laurent:
     if not isinstance(spec, dict):
-        return Laurent.make(spec)
+        return Laurent.make(_coeffs(spec, name))
     key, val = _spec_entry(spec, name, ("poly", "laurent", "inv4v"))
     if key == "inv4v":
         return Laurent.from_terms({-1: 0.25})
-    return Laurent.make(val) if key == "poly" else Laurent.from_terms(val)
+    if key == "poly":
+        return Laurent.make(_coeffs(val, name))
+    if not isinstance(val, dict) or not val:
+        raise ConfigError(f"{name} laurent terms must be a non-empty "
+                          f"{{exponent: coefficient}} object, got {val!r}")
+    try:
+        terms = {int(e): c for e, c in val.items()}
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} laurent exponents must be integers, "
+                          f"got {list(val)}") from None
+    return Laurent.from_terms({e: _number(c, f"{name} coefficient")
+                               for e, c in terms.items()})
 
 
 def _parse_tau(spec) -> tuple:
     key, val = _spec_entry(spec, "tau", ("const", "affine", "identity"))
     if key == "const":
-        return (float(val), 0.0)
+        return (_number(val, "tau const"), 0.0)
     if key == "affine":
-        t0, t1 = val
-        return (float(t0), float(t1))
+        if not isinstance(val, list) or len(val) != 2:
+            raise ConfigError(f"tau affine must be [t0, t1], got {val!r}")
+        return (_number(val[0], "tau t0"), _number(val[1], "tau t1"))
     return (0.0, 1.0)
+
+
+def _parse_domain(val) -> tuple:
+    if not isinstance(val, list) or len(val) != 2:
+        raise ConfigError(f"domain must be [lo, hi], got {val!r}")
+    lo = -math.inf if val[0] is None else _number(val[0], "domain lo")
+    hi = math.inf if val[1] is None else _number(val[1], "domain hi")
+    if not lo < hi:
+        raise ConfigError(f"domain must have lo < hi, got {val!r}")
+    return lo, hi
 
 
 def model_from_dict(cfg: dict) -> ModelSpec:
     """Build a ModelSpec from the JSON config model block.
 
-    Raises ConfigError on a missing field, a key it does not read, and
-    ``tau`` on a scalar model.
+    Raises ConfigError on a missing field, a key it does not read, a value
+    of the wrong type or shape, and ``tau`` on a scalar model.
     """
     check_keys(cfg, _MODEL_KEYS, "model")
     try:
         kind = cfg["kind"]
-        b = float(cfg["b"])
+        b = _number(cfg["b"], "b")
         f = _parse_function(cfg["f"], "f")
         kappa = _parse_function(cfg.get("kappa", [1.0]), "kappa")
     except KeyError as exc:
@@ -398,8 +461,7 @@ def model_from_dict(cfg: dict) -> ModelSpec:
     elif "tau" in cfg:
         raise ConfigError("tau applies to euler_korteweg models only")
     if "domain" in cfg:
-        lo = float(cfg["domain"][0]) if cfg["domain"][0] is not None else -math.inf
-        hi = float(cfg["domain"][1]) if cfg["domain"][1] is not None else math.inf
+        lo, hi = _parse_domain(cfg["domain"])
     else:
         needs_positive = (not f.is_poly or not kappa.is_poly
                           or (tau is not None and tau[1] != 0.0))

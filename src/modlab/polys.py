@@ -57,7 +57,18 @@ def pder(a: np.ndarray, order: int = 1) -> np.ndarray:
 
 
 def peval(a: np.ndarray, v):
-    """Horner evaluation (scalar or array argument)."""
+    """Horner evaluation (scalar or array argument).
+
+    A float argument (np.float64 included) runs the same recurrence on
+    Python floats, which gives the same IEEE results as the 0-d array path
+    without its per-step array overhead.
+    """
+    if isinstance(v, float):
+        c = a.tolist()
+        acc = c[-1]
+        for k in range(len(c) - 2, -1, -1):
+            acc = acc * v + c[k]
+        return float(acc)
     acc = np.full_like(np.asarray(v, dtype=float), a[-1], dtype=float)
     for k in range(len(a) - 2, -1, -1):
         acc = acc * v + a[k]
@@ -137,16 +148,6 @@ class Laurent:
         if self.shift == 0:
             return val
         return val / np.asarray(v, dtype=float) ** self.shift if np.ndim(v) else val / v ** self.shift
-
-    def jet(self, v: float, order: int) -> np.ndarray:
-        """[p(v), p'(v), ..., p^(order)(v)]."""
-        out = np.empty(order + 1)
-        cur = self
-        out[0] = cur(v)
-        for j in range(1, order + 1):
-            cur = cur.derivative()
-            out[j] = cur(v)
-        return out
 
     def compose_inverse_times_v(self) -> "Laurent":
         """v * p(1/v) as a Laurent polynomial (conjugation transform)."""

@@ -26,19 +26,32 @@ from . import kernels
 from .errors import (ConfigError, DegenerateOrbit, MultipleWells,
                      NoPeriodicOrbit, QuadratureNotConverged)
 from .models import ModelSpec, WaveParams
-from .polys import pdeflate, peval, pder, trim
+from .polys import pdeflate, peval, pder, pshift, trim
 
 DEGENERACY_FRACTION = 1e-6
 DEFAULT_QUAD_ORDER = 96
 
+# order n -> (x, w, s, c, s2, wq4): the Gauss-Legendre rule and, at its
+# nodes, sin, cos and sin^2 of theta = (x + 1) pi / 4 and the weights
+# 4 w pi / 4 of that substitution; every array read-only
 _leggauss_cache: dict = {}
 
 
-def gauss_nodes(n: int):
+def _gauss_entry(n: int) -> tuple:
     if n not in _leggauss_cache:
         x, w = leggauss(n)
-        _leggauss_cache[n] = (x, w)
+        th = (x + 1.0) * (math.pi / 4.0)
+        s = np.sin(th)
+        entry = (x, w, s, np.cos(th), s ** 2, 4.0 * (w * (math.pi / 4.0)))
+        for a in entry:
+            a.flags.writeable = False
+        _leggauss_cache[n] = entry
     return _leggauss_cache[n]
+
+
+def gauss_nodes(n: int):
+    """The n-point Gauss-Legendre rule (x, w) on [-1, 1], cached."""
+    return _gauss_entry(n)[:2]
 
 
 @dataclass(frozen=True)
@@ -137,7 +150,7 @@ def _real_roots_in(T: np.ndarray, lo: float, hi: float, span: float) -> list:
         x = _newton_refine(Tt, Td, x, lo - 0.01 * span, hi + 0.01 * span, 1e-15)
         out.append(x)
     out.sort()
-    merged: list(tuple) = []
+    merged: list[tuple] = []
     for x in out:
         if merged and abs(x - merged[-1][0]) <= 1e-9 * span:
             prev, cnt = merged[-1]
@@ -233,6 +246,21 @@ def _shift_scale_combine(mu: float, den: np.ndarray, num: np.ndarray) -> np.ndar
     return trim(T)
 
 
+def _quotient_real_roots(q: np.ndarray) -> list:
+    """Real roots of the ascending polynomial q, as np.roots finds them.
+
+    A linear q has the root np.roots reads off its 1x1 companion matrix,
+    -q0 / q1, which is computed directly, bit for bit the same.
+    """
+    qt = trim(q)
+    if len(qt) == 2:
+        return [-qt[0] / qt[1]]
+    if len(qt) < 2:
+        return []
+    return [z.real for z in np.roots(qt[::-1])
+            if abs(z.imag) < 1e-7 * max(1.0, abs(z.real))]
+
+
 def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
                        side: str) -> OrbitBracket:
     """Turning points for a wave close to a distinguished limit.
@@ -243,8 +271,6 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
     relative rounding even when it is 1e-10 of the window.  No degeneracy
     cutoff applies here; callers sweep knowingly close to the limit.
     """
-    from .polys import pshift
-
     num, den = model.potential_rational(params)
     T = _shift_scale_combine(params.mu, den, num)
     Tc = trim(pshift(T, center))
@@ -261,12 +287,10 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
     q, _ = pdeflate(Tc, wm)
     q, _ = pdeflate(q, wp)
     far = []
-    qt = trim(q)
-    if len(qt) >= 2:
-        for z in np.roots(qt[::-1]):
-            if abs(z.imag) < 1e-7 * max(1.0, abs(z.real)):
-                x = center + float(z.real)
-                far.append(_newton_refine(T, pder(T), x, x - 1.0, x + 1.0, 1e-15))
+    Td_far = pder(T)
+    for z in _quotient_real_roots(q):
+        x = center + float(z)
+        far.append(_newton_refine(T, Td_far, x, x - 1.0, x + 1.0, 1e-15))
     if side == "harmonic":
         v2, v3 = center + wm, center + wp
         v1 = max([r for r in far if r < v2], default=None)
@@ -289,26 +313,27 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
 # orbit integrals
 
 
-def _integrand_rows(model: ModelSpec, params: WaveParams):
-    """Polynomial stack evaluated by the hot kernel, plus assembly info."""
+def _integrand_stack(model: ModelSpec, params: WaveParams,
+                     bracket: OrbitBracket) -> np.ndarray:
+    """Packed polynomial stack the hot kernel evaluates at the nodes.
+
+    Rows: the deflated (mu - W) D with the bracket's roots divided out,
+    then D, the kappa numerator and denominator, the f numerator and
+    denominator and, on two-field models, G = -(lam2 + c v / b) and tau.
+    """
     num, den = model.potential_rational(params)
-    T = _shift_scale_combine(params.mu, den, num)
+    q, _ = pdeflate(_shift_scale_combine(params.mu, den, num), bracket.v2)
+    q, _ = pdeflate(q, bracket.v3)
+    if bracket.v1 is not None:
+        q, _ = pdeflate(q, bracket.v1)
     kn, kd = model.kappa_rational()
     fn, fd = model.energy_density_rational()
-    rows = [den, kn, kd, fn, fd]
+    rows = [trim(-q), den, kn, kd, fn, fd]
     if model.kind == "euler_korteweg":
         G = np.array([-params.lam2, -(params.c / model.b)])
         tau = np.array([model.tau[0], model.tau[1]])
         rows.extend([G, tau])
-    return T, rows
-
-
-def _deflate_bracket(T: np.ndarray, bracket: OrbitBracket):
-    q, _ = pdeflate(T, bracket.v2)
-    q, _ = pdeflate(q, bracket.v3)
-    if bracket.v1 is not None:
-        q, _ = pdeflate(q, bracket.v1)
-    return trim(-q)
+    return kernels.pack_rows(rows)
 
 
 def _assemble(model: ModelSpec, params: WaveParams, v: np.ndarray,
@@ -334,13 +359,10 @@ def _assemble(model: ModelSpec, params: WaveParams, v: np.ndarray,
 
 
 def _orbit_pass(model: ModelSpec, params: WaveParams, bracket: OrbitBracket,
-                n: int):
-    """One full-period quadrature pass at order n."""
-    T, rows = _integrand_rows(model, params)
-    P = _deflate_bracket(T, bracket)
-    packed = kernels.pack_rows([P] + rows)
+                n: int, packed: np.ndarray):
+    """One full-period quadrature pass at order n over the packed stack."""
     v2, v3, v1 = bracket.v2, bracket.v3, bracket.v1
-    x, wgt = gauss_nodes(n)
+    x, wgt, s, c, s2, wq4 = _gauss_entry(n)
     acc = None
 
     def accumulate(v, wq, pair_factor, dxi_core):
@@ -356,12 +378,9 @@ def _orbit_pass(model: ModelSpec, params: WaveParams, bracket: OrbitBracket,
 
     if v1 is None:
         # single trigonometric substitution over the whole well
-        th = (x + 1.0) * (math.pi / 4.0)
-        wq = wgt * (math.pi / 4.0)
-        s2 = np.sin(th) ** 2
         v = v2 + (v3 - v2) * s2
         pair = (v3 - v2) ** 2 * s2 * (1.0 - s2)
-        accumulate(v, 4.0 * wq, pair, np.sqrt(0.5) * np.ones_like(v))
+        accumulate(v, wq4, pair, math.sqrt(0.5))
     else:
         vm = 0.5 * (v2 + v3)
         # lower segment: hyperbolic substitution absorbing the (v1, v2) pair
@@ -374,12 +393,9 @@ def _orbit_pass(model: ModelSpec, params: WaveParams, bracket: OrbitBracket,
         accumulate(vlo, 4.0 * wq, pair_lo,
                    np.sqrt(0.5 / (v3 - vlo)))
         # upper segment: trigonometric substitution at the outer root v3
-        th = (x + 1.0) * (math.pi / 4.0)
-        wq2 = wgt * (math.pi / 4.0)
-        s, c = np.sin(th), np.cos(th)
         vup = v3 - (v3 - vm) * s * s
         pair_up = (v3 - vm) * s * s * (vup - v1) * (vup - v2)
-        accumulate(vup, 4.0 * wq2, pair_up,
+        accumulate(vup, wq4, pair_up,
                    c * np.sqrt(0.5 * (v3 - vm) / ((vup - v1) * (vup - v2))))
 
     I0, IU, Iq, Ie, Iw = acc
@@ -394,8 +410,9 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
     Raises QuadratureNotConverged when the doubled-order estimate
     exceeds ``rtol`` relative to the period.
     """
-    coarse = _orbit_pass(model, params, bracket, quad_order)
-    fine = _orbit_pass(model, params, bracket, 2 * quad_order)
+    packed = _integrand_stack(model, params, bracket)
+    coarse = _orbit_pass(model, params, bracket, quad_order, packed)
+    fine = _orbit_pass(model, params, bracket, 2 * quad_order, packed)
     num = [abs(fine.Xi - coarse.Xi), abs(fine.int_Q - coarse.int_Q),
            abs(fine.theta - coarse.theta), abs(fine.int_E - coarse.int_E)]
     num += list(np.abs(fine.int_U - coarse.int_U))
@@ -442,9 +459,7 @@ def profile_sample(model: ModelSpec, params: WaveParams,
     """
     if n < 2:
         raise ConfigError("need n >= 2 samples")
-    T, rows = _integrand_rows(model, params)
-    P = _deflate_bracket(T, bracket)
-    rows = [P] + rows
+    packed = _integrand_stack(model, params, bracket)
     v2, v3 = bracket.v2, bracket.v3
     m = n // 2 + 1
     theta_grid = np.linspace(0.0, math.pi / 2.0, m)
@@ -453,7 +468,7 @@ def profile_sample(model: ModelSpec, params: WaveParams,
     def jac(th):
         s2 = np.sin(th) ** 2
         v = v2 + (v3 - v2) * s2
-        vals = kernels.horner_batch(kernels.pack_rows(rows), np.atleast_1d(v))
+        vals = kernels.horner_batch(packed, np.atleast_1d(v))
         Pv, denv, knv, kdv = vals[0], vals[1], vals[2], vals[3]
         if bracket.v1 is not None:
             Pv = Pv * (v - bracket.v1)

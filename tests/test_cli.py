@@ -425,8 +425,9 @@ class TestConfigKeys:
     @pytest.mark.parametrize("numeric", [
         {"quad_order": 0}, {"quad_order": 8.5}, {"precision": 18},
         {"precision": "12"}, {"fd_rel_step": 1e-5},
+        {"quad_order": 1025},
     ], ids=["quad-order-0", "quad-order-float", "precision-18",
-            "precision-text", "retired-key"])
+            "precision-text", "retired-key", "quad-order-above-bound"])
     def test_bad_numeric_block_is_a_config_error(self, numeric, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": {"kind": "scalar", "b": 1.0,
@@ -434,3 +435,38 @@ class TestConfigKeys:
                                     "numeric": numeric}))
         with pytest.raises(ConfigError):
             cli.load_config(str(path))
+
+    def test_quad_order_at_its_bound_loads(self):
+        cfg = cli.load_config(GKDV, {"quad_order": cli.MAX_QUAD_ORDER})
+        assert cfg["numeric"]["quad_order"] == 1024
+
+    def test_quad_order_above_bound_exits_before_any_node(self, monkeypatch,
+                                                          capsys):
+        def nodes(n):
+            raise AssertionError(f"Gauss rule of order {n} computed")
+
+        monkeypatch.setattr("modlab.profiles.leggauss", nodes)
+        monkeypatch.setattr("modlab.profiles._leggauss_cache", {})
+        argv = ["wave", "--config", GKDV, "--mu", "-0.5", "--c", "1",
+                "--quad-order", str(cli.MAX_QUAD_ORDER + 1)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("config error: quad_order")
+
+    @pytest.mark.parametrize("change", [
+        {"b": "one"}, {"domain": [0]}, {"tau": {"affine": [1, 0, 3]}},
+        {"f": {"poly": "abc"}}, {"b": [1.0]}, {"domain": [2.0, 1.0]},
+        {"f": {"laurent": {"x": 1.0}}}, {"kappa": {"poly": []}},
+        {"tau": {"const": "1.0"}}, {"b": float("nan")}, {"b": True},
+        {"f": {"poly": [0.0, 0.0, float("inf")]}},
+    ], ids=["b-text", "domain-one-entry", "tau-affine-three",
+            "f-poly-text", "b-list", "domain-reversed", "laurent-exponent",
+            "kappa-empty", "tau-const-text", "b-nan", "b-bool", "f-inf"])
+    def test_malformed_model_value_exits_2(self, change, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "nls_hydro.json").read_text())
+        cfg["model"].update(change)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")

@@ -32,3 +32,17 @@ def test_horner_batch_bit_identical_to_row_loop():
             v = rng.uniform(-3.0, 3.0, size=n)
             assert np.array_equal(kernels.horner_batch(packed, v),
                                   row_loop(packed, v))
+
+
+def test_scalar_peval_bit_identical_to_array_path():
+    # a float argument runs Horner on Python floats; the 0-d and 1-d array
+    # paths are the reference
+    rng = np.random.default_rng(17)
+    for deg in range(12):
+        a = rng.standard_normal(deg + 1) * 10.0 ** rng.uniform(-3, 3, deg + 1)
+        for x in rng.uniform(-3.0, 3.0, size=25):
+            want = peval(a, np.array(x))
+            assert want == peval(a, np.array([x]))[0]
+            for v in (float(x), np.float64(x)):
+                got = peval(a, v)
+                assert type(got) is float and got == want

@@ -200,3 +200,16 @@ def test_potential_rational_consistency(request):
             ratio = np.polynomial.polynomial.polyval(v, num) / \
                 np.polynomial.polynomial.polyval(v, den)
             assert ratio == pytest.approx(direct, rel=1e-13, abs=1e-13)
+
+
+def test_jets_equal_fresh_derivatives(request):
+    # f_jet / kappa_jet read the derivative chain built once per model;
+    # each entry must equal the derivative built at the call
+    for name in ("gkdv", "quartic", "ek_lagrangian", "ek_eulerian",
+                 "nls_hydro"):
+        m = request.getfixturevalue(name)
+        for v in (0.3, 1.7, 2.9):
+            for fn, jet in ((m.f, m.f_jet), (m.kappa, m.kappa_jet)):
+                want = [fn.derivative(j)(v) for j in range(5)]
+                for order in range(5):
+                    assert np.array_equal(jet(v, order), want[:order + 1])

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
+from modlab import profiles
 from modlab.errors import (ConfigError, DegenerateOrbit, MultipleWells,
                            NoPeriodicOrbit, QuadratureNotConverged)
 from modlab.models import WaveParams, gkdv_model
 from modlab.profiles import (averaged_state, bracket_near_limit,
-                             find_turning_points, orbit_integrals,
-                             profile_sample)
+                             find_turning_points, gauss_nodes,
+                             orbit_integrals, profile_sample)
 
 from oracles import cubic_well_elliptic, raw_action_quadrature, \
     shooting_oracle
@@ -61,6 +63,46 @@ class TestTurningPoints:
         p = WaveParams(-2.0 / 3.0 + 1e-4, 1.0, [0.0])
         with pytest.raises(ConfigError):
             bracket_near_limit(gkdv, p, 2.0, "sideways")
+
+    def test_linear_far_root_equals_np_roots(self):
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            q = rng.standard_normal(2) * 10.0 ** rng.uniform(-8.0, 8.0, 2)
+            (got,) = profiles._quotient_real_roots(q)
+            (want,) = np.roots(q[::-1])
+            assert np.isreal(want) and got == want.real
+            assert np.signbit(got) == np.signbit(want.real)
+
+
+class TestQuadratureSetup:
+    @pytest.mark.parametrize("n", [24, 96, 192])
+    def test_cached_trig_substitution_is_fresh_and_read_only(self, n):
+        entry = profiles._gauss_entry(n)
+        x, w, s, c, s2, wq4 = entry
+        fx, fw = leggauss(n)
+        th = (fx + 1.0) * (math.pi / 4.0)
+        assert np.array_equal(x, fx) and np.array_equal(w, fw)
+        assert np.array_equal(s, np.sin(th))
+        assert np.array_equal(c, np.cos(th))
+        assert np.array_equal(s2, np.sin(th) ** 2)
+        assert np.array_equal(wq4, 4.0 * (fw * (math.pi / 4.0)))
+        assert all(not a.flags.writeable for a in entry)
+        gx, gw = gauss_nodes(n)
+        assert gx is x and gw is w
+
+    def test_one_integrand_stack_per_orbit_integrals(self, cnoidal,
+                                                     monkeypatch):
+        model, params, br = cnoidal
+        calls = []
+        build = profiles._integrand_stack
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(profiles, "_integrand_stack", counted)
+        orbit_integrals(model, params, br)
+        assert len(calls) == 1
 
 
 class TestAveragedState:
