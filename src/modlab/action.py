@@ -12,7 +12,7 @@ integral is not an option here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,26 +21,29 @@ from .errors import (DegenerateOrbit, MultipleWells, NoPeriodicOrbit,
 from .models import ModelSpec, WaveParams
 from .polys import pder, peval
 from .profiles import (DEFAULT_QUAD_ORDER, OrbitBracket, _newton_refine,
-                       _shift_scale_combine, bracket_near_limit,
-                       orbit_integrals)
+                       bracket_near_limit, level_polynomial, orbit_integrals)
 
 REL_STEP = 1e-5
 
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Finite-difference policy for the action Hessian.
+    """Generic or near-limit finite-difference policy for the action Hessian.
 
-    Near a distinguished limit, ``limit_mu`` is its level (mu0 or mu_s),
-    ``limit_center`` its state (v0 or vs) and ``limit_side`` which limit
-    it is ("harmonic" or "soliton").
+    ``limit`` is None for a generic wave: central differences with every
+    stencil point tracked from the base bracket.  Near a distinguished
+    limit it is ``(side, center, level)``: which limit ("harmonic" or
+    "soliton"), its state (v0 or vs) and its level (mu0 or mu_s).  Then
+    the steps are capped by the gap to that level, every stencil point is
+    bracketed about ``center`` and the Hessian is Richardson-extrapolated.
     """
 
-    richardson: bool = False
-    limit_mu: float | None = None
-    limit_center: float | None = None
-    limit_side: str | None = None
     quad_order: int = DEFAULT_QUAD_ORDER
+    limit: tuple | None = None
+
+    @property
+    def richardson(self) -> bool:
+        return self.limit is not None
 
 
 @dataclass(frozen=True)
@@ -55,18 +58,12 @@ class ActionJet:
     symmetry_residual: float
     quad_error: float
     warnings: tuple = ()
-    negative_signature: int = field(init=False, default=0)
-
-    def __post_init__(self):
-        evals = np.linalg.eigvalsh(self.hess)
-        object.__setattr__(self, "negative_signature", int((evals < 0).sum()))
 
 
 def rebracket(model: ModelSpec, params: WaveParams,
               reference: OrbitBracket) -> OrbitBracket:
     """Track the turning points to nearby parameters (warm-start Newton)."""
-    num, den = model.potential_rational(params)
-    T = _shift_scale_combine(params.mu, den, num)
+    T, den = level_polynomial(model, params)
     Td = pder(T)
 
     def polish(x0):
@@ -82,19 +79,8 @@ def rebracket(model: ModelSpec, params: WaveParams,
         raise DegenerateOrbit("inner root crossed while tracking")
     return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=reference.regime_hint,
                         root_residuals=(abs(peval(T, v2) / peval(den, v2)),
-                                        abs(peval(T, v3) / peval(den, v3))))
-
-
-def _bracket_at(model: ModelSpec, params: WaveParams, base: OrbitBracket,
-                cfg: FDConfig) -> OrbitBracket:
-    if cfg.limit_center is not None and cfg.limit_side is not None:
-        return bracket_near_limit(model, params, cfg.limit_center,
-                                  cfg.limit_side)
-    return rebracket(model, params, base)
-
-
-def default_scales(params: WaveParams) -> np.ndarray:
-    return np.maximum(1.0, np.abs(params.as_vector()))
+                                        abs(peval(T, v3) / peval(den, v3))),
+                        T=T, den=den)
 
 
 def action_hessian(model: ModelSpec, params: WaveParams,
@@ -102,35 +88,33 @@ def action_hessian(model: ModelSpec, params: WaveParams,
                    fd_config: FDConfig | None = None) -> ActionJet:
     """Central-difference Hessian of the action gradient.
 
-    Steps follow ``max(REL_STEP, cbrt(quad_error)) * scale`` per
-    direction, shrink in mu near a known soliton level, and every stencil
-    point is re-bracketed; a stencil point that crosses a distinguished
-    limit raises StencilLeftBranch.
+    Steps follow ``max(REL_STEP, cbrt(quad_error)) * max(1, |x|)`` per
+    direction and every stencil point is re-bracketed; a stencil point
+    that crosses a distinguished limit raises StencilLeftBranch.  With a
+    near-limit ``fd_config`` the steps are also capped by the gap to the
+    limit level.
     """
     cfg = fd_config or FDConfig()
     base = orbit_integrals(model, params, bracket, cfg.quad_order)
     n = 2 + len(params.lam)
     rel = max(REL_STEP, base.quad_error ** (1.0 / 3.0))
-    steps = rel * default_scales(params)
+    steps = rel * np.maximum(1.0, np.abs(params.as_vector()))
     warnings = []
-    if cfg.limit_mu is not None:
+    if cfg.limit is not None:
+        side, vstar, level = cfg.limit
         # the limit level mu*(c, lambda) moves under (c, lambda) steps;
         # the envelope identities give its exact parameter gradient at
         # the distinguished state, which caps every stencil direction
-        frac = 0.2 if cfg.richardson else 0.05
-        gap = abs(cfg.limit_mu - params.mu)
+        gap = abs(level - params.mu)
         sens = np.ones(n)
-        if cfg.limit_center is not None:
-            vstar = cfg.limit_center
-            sens[1] = abs(model.impulse_q(vstar, params.c,
-                                          params.lam[-1])) + 1e-3
-            sens[2] = abs(vstar) + 1e-3
-            if n == 4:
-                sens[3] = abs(model.velocity_jet(vstar, params.c,
-                                                 params.lam2)[0]) + 1e-3
-        steps = np.minimum(steps, frac * gap / sens)
+        sens[1] = abs(model.impulse_q(vstar, params.c, params.lam[-1])) + 1e-3
+        sens[2] = abs(vstar) + 1e-3
+        if n == 4:
+            sens[3] = abs(model.velocity_jet(vstar, params.c,
+                                             params.lam2)[0]) + 1e-3
+        steps = np.minimum(steps, 0.2 * gap / sens)
         rho = bracket.rho
-        if cfg.limit_side == "soliton" and rho is not None and rho < 1e-3:
+        if side == "soliton" and rho is not None and rho < 1e-3:
             warnings.append(
                 f"soliton-side conditioning: rho = {rho:.2e}, "
                 f"Hessian entries grow like rho**-2")
@@ -138,7 +122,10 @@ def action_hessian(model: ModelSpec, params: WaveParams,
     def grad_at(x: np.ndarray) -> np.ndarray:
         p = WaveParams.from_vector(x)
         try:
-            b = _bracket_at(model, p, bracket, cfg)
+            if cfg.limit is None:
+                b = rebracket(model, p, bracket)
+            else:
+                b = bracket_near_limit(model, p, vstar, side)
         except (NoPeriodicOrbit, DegenerateOrbit, MultipleWells) as exc:
             raise StencilLeftBranch(
                 f"stencil point {x} crossed a limit: {exc}") from exc

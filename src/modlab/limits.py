@@ -23,9 +23,11 @@ from .errors import (ConfigError, DegenerateWell, GroupVelocityResonance,
                      SpeedResonance)
 from .models import ModelSpec, WaveParams, structural_matrices
 from .polys import padd, pder, pdeflate, pmul, pscale, trim
-from .profiles import _newton_refine, _shift_scale_combine, gauss_nodes
+from .profiles import _gauss_entry, _newton_refine, level_polynomial
 
 RESONANCE_TOL = 1e-10
+# Gauss order of the coarse homoclinic pass (the fine pass doubles it)
+HOMOCLINIC_ORDER = 160
 
 
 # ----------------------------------------------------------------------------
@@ -247,10 +249,9 @@ def _lambda_at_endstate(model: ModelSpec, c: float, Us: np.ndarray) -> np.ndarra
 
 
 def _homoclinic_integrals(model: ModelSpec, params: WaveParams, vs: float,
-                          vS: float, n: int = 160):
+                          vS: float):
     """(M, dcM) for the solitary orbit between the saddle vs and level vS."""
-    num, den = model.potential_rational(params)
-    T = _shift_scale_combine(params.mu, den, num)
+    T, den = level_polynomial(model, params)
     q, r1 = pdeflate(T, vs)
     q, r2 = pdeflate(q, vs)
     q, r3 = pdeflate(q, vS)
@@ -259,10 +260,8 @@ def _homoclinic_integrals(model: ModelSpec, params: WaveParams, vs: float,
     rows = kernels.pack_rows([P, den, kn, kd])
 
     def one_pass(m):
-        x, wgt = gauss_nodes(m)
-        th = (x + 1.0) * (math.pi / 4.0)
-        wq = wgt * (math.pi / 4.0)
-        s, cth = np.sin(th), np.cos(th)
+        # wq4 = 4 wq exactly, wq the weights of theta = (x + 1) pi / 4
+        _, _, s, cth, _, wq4 = _gauss_entry(m)
         v = vS - (vS - vs) * s * s
         vals = kernels.horner_batch(rows, v)
         Pv, Dv, Knv, Kdv = vals
@@ -270,7 +269,7 @@ def _homoclinic_integrals(model: ModelSpec, params: WaveParams, vs: float,
         dv = 2.0 * (vS - vs) * s * cth
         # action integrand sqrt(2 kappa (mu_s - W))
         act = (v - vs) * np.sqrt(2.0 * kap * (vS - vs) * Pv / Dv) * s
-        Mval = 2.0 * float((wq * act * dv).sum())
+        Mval = 0.5 * float((wq4 * act * dv).sum())
         # impulse-bracket integrand over the diverging arclength measure;
         # the bracket's quadratic vanishing at vs cancels the divergence
         meas = np.sqrt(kap * Dv / (2.0 * (vS - vs) * Pv)) / s
@@ -283,11 +282,11 @@ def _homoclinic_integrals(model: ModelSpec, params: WaveParams, vs: float,
             g = -(cb * v + params.lam2) / tau_v
             gs = -(cb * vs + params.lam2) / (t0 + t1 * vs)
             qb = (g - gs) / model.b
-        dcM = 2.0 * float((wq * qb * meas * dv).sum())
+        dcM = 0.5 * float((wq4 * qb * meas * dv).sum())
         return Mval, dcM
 
-    c1 = one_pass(n)
-    c2 = one_pass(2 * n)
+    c1 = one_pass(HOMOCLINIC_ORDER)
+    c2 = one_pass(2 * HOMOCLINIC_ORDER)
     err = max(abs(c2[0] - c1[0]) / max(abs(c2[0]), 1e-300),
               abs(c2[1] - c1[1]) / max(abs(c2[1]), 1e-300))
     if err > 1e-9:
@@ -318,8 +317,7 @@ def _homoclinic_orbit(model: ModelSpec, c: float, lam: np.ndarray, window,
         vs, w2 = saddles[0]
     params = WaveParams(model.potential_jet(vs, params, 0)[0], c, lam)
     # outer root of mu_s - W beyond the right well
-    num, den = model.potential_rational(params)
-    T = _shift_scale_combine(params.mu, den, num)
+    T, _ = level_polynomial(model, params)
     q, _ = pdeflate(T, vs)
     q, _ = pdeflate(q, vs)
     cands = [_newton_refine(T, pder(T), float(z.real), vs, hi, 1e-15)

@@ -100,16 +100,9 @@ def hessianH(model: ModelSpec, jet: ActionJet, mv: ModVars,
     return 0.5 * (H + H.T)
 
 
-def whitham_matrix(model: ModelSpec, hessH_mat: np.ndarray, jet: ActionJet,
-                   k: float, c: float):
-    """Characteristic matrices of both charts.
-
-    Returns W in (k, alpha, M) and its similar matrix in (mu, c, lambda).
-    """
-    sm = structural_matrices(model)
-    W = -sm.BB @ hessH_mat
-    char = np.linalg.solve(jet.hess, sm.S) / k + c * np.eye(model.N + 2)
-    return W, char
+def whitham_matrix(model: ModelSpec, hessH_mat: np.ndarray) -> np.ndarray:
+    """Characteristic matrix W of the modulation system in (k, alpha, M)."""
+    return -structural_matrices(model).BB @ hessH_mat
 
 
 def spectrum_and_classification(W: np.ndarray, tol_im: float = TOL_IM,
@@ -156,17 +149,20 @@ def whitham_report(model: ModelSpec, params: WaveParams,
     jet = action_hessian(model, params, bracket, fd_config)
     mv = params_to_modvars(model, jet.grad)
     H = hessianH(model, jet, mv, params.c)
-    W, char = whitham_matrix(model, H, jet, mv.k, params.c)
+    W = whitham_matrix(model, H)
     zs, vecs, resid, cls, cond = spectrum_and_classification(W)
-    z2 = eig_small(char)[0]
-    match = _match_spectra(zs, z2)
+    # the similar matrix in (mu, c, lambda), built apart from hessH
+    char = (np.linalg.solve(jet.hess, structural_matrices(model).S) / mv.k
+            + params.c * np.eye(model.N + 2))
+    match = _match_spectra(zs, eig_small(char)[0])
     sigH = int((np.linalg.eigvalsh(H) < 0).sum())
+    sigT = int((np.linalg.eigvalsh(jet.hess) < 0).sum())
     return WhithamReport(hessH=H, whitham=W, eigenvalues=zs,
                          eigenvectors=vecs, residuals=resid,
                          classification=cls,
                          spectral_match_residual=match,
                          hessH_negative_signature=sigH,
-                         theta_negative_signature=jet.negative_signature,
+                         theta_negative_signature=sigT,
                          eigvec_condition=cond)
 
 

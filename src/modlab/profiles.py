@@ -30,6 +30,8 @@ from .polys import pdeflate, peval, pder, pshift, trim
 
 DEGENERACY_FRACTION = 1e-6
 DEFAULT_QUAD_ORDER = 96
+# relative order-doubling error above which orbit_integrals raises
+QUAD_RTOL = 1e-9
 
 # order n -> (x, w, s, c, s2, wq4): the Gauss-Legendre rule and, at its
 # nodes, sin, cos and sin^2 of theta = (x + 1) pi / 4 and the weights
@@ -63,6 +65,9 @@ class OrbitBracket:
     v1: float | None = None
     regime_hint: str = "generic"
     root_residuals: tuple = ()
+    # the level polynomial T = mu D - N and D the roots were found on
+    T: np.ndarray = field(kw_only=True, compare=False, repr=False)
+    den: np.ndarray = field(kw_only=True, compare=False, repr=False)
 
     @property
     def delta(self) -> float:
@@ -100,11 +105,7 @@ class OrbitIntegrals:
     int_Q: float             # integral of Q(U) dxi
     theta: float             # abbreviated action = 2 * integral of (mu - W)
     int_E: float             # integral of f + tau g^2 / 2
-    meanU: np.ndarray = field(init=False)
     quad_error: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "meanU", self.int_U / self.Xi)
 
     @property
     def grad_theta(self) -> np.ndarray:
@@ -113,6 +114,16 @@ class OrbitIntegrals:
 
 # ----------------------------------------------------------------------------
 # turning points
+
+
+def level_polynomial(model: ModelSpec,
+                     params: WaveParams) -> tuple[np.ndarray, np.ndarray]:
+    """(T, D): the level polynomial T = mu D - N of (mu - W) D, and D."""
+    num, den = model.potential_rational(params)
+    T = np.zeros(max(len(den), len(num)))
+    T[: len(den)] = params.mu * den
+    T[: len(num)] -= num
+    return trim(T), den
 
 
 def _newton_refine(T: np.ndarray, Td: np.ndarray, x: float, lo: float,
@@ -180,8 +191,7 @@ def find_turning_points(model: ModelSpec, params: WaveParams,
         lo = -1e6
     if not math.isfinite(hi):
         hi = 1e6
-    num, den = model.potential_rational(params)
-    T = _shift_scale_combine(params.mu, den, num)
+    T, den = level_polynomial(model, params)
     span = hi - lo
     clustered = _real_roots_in(T, lo, hi, span)
     roots = [r for r, _ in clustered]
@@ -235,15 +245,7 @@ def find_turning_points(model: ModelSpec, params: WaveParams,
     elif v1 is not None and (v2 - v1) / (v3 - v2) < 0.02:
         hint = "near_soliton"
     return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=hint,
-                        root_residuals=tuple(resid))
-
-
-def _shift_scale_combine(mu: float, den: np.ndarray, num: np.ndarray) -> np.ndarray:
-    n = max(len(den), len(num))
-    T = np.zeros(n)
-    T[: len(den)] = mu * den
-    T[: len(num)] -= num
-    return trim(T)
+                        root_residuals=tuple(resid), T=T, den=den)
 
 
 def _quotient_real_roots(q: np.ndarray) -> list:
@@ -271,8 +273,7 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
     relative rounding even when it is 1e-10 of the window.  No degeneracy
     cutoff applies here; callers sweep knowingly close to the limit.
     """
-    num, den = model.potential_rational(params)
-    T = _shift_scale_combine(params.mu, den, num)
+    T, den = level_polynomial(model, params)
     Tc = trim(pshift(T, center))
     Td = pder(Tc)
     wj = model.potential_jet(center, params, order=2)
@@ -306,7 +307,7 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
         raise ConfigError(f"unknown side {side!r}")
     dvals = [abs(peval(T, x) / peval(den, x)) for x in (v2, v3)]
     return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=hint,
-                        root_residuals=tuple(dvals))
+                        root_residuals=tuple(dvals), T=T, den=den)
 
 
 # ----------------------------------------------------------------------------
@@ -317,18 +318,17 @@ def _integrand_stack(model: ModelSpec, params: WaveParams,
                      bracket: OrbitBracket) -> np.ndarray:
     """Packed polynomial stack the hot kernel evaluates at the nodes.
 
-    Rows: the deflated (mu - W) D with the bracket's roots divided out,
-    then D, the kappa numerator and denominator, the f numerator and
+    Rows: the bracket's level polynomial (mu - W) D with its roots
+    divided out, then D, the kappa numerator and denominator, the f numerator and
     denominator and, on two-field models, G = -(lam2 + c v / b) and tau.
     """
-    num, den = model.potential_rational(params)
-    q, _ = pdeflate(_shift_scale_combine(params.mu, den, num), bracket.v2)
+    q, _ = pdeflate(bracket.T, bracket.v2)
     q, _ = pdeflate(q, bracket.v3)
     if bracket.v1 is not None:
         q, _ = pdeflate(q, bracket.v1)
     kn, kd = model.kappa_rational()
     fn, fd = model.energy_density_rational()
-    rows = [trim(-q), den, kn, kd, fn, fd]
+    rows = [trim(-q), bracket.den, kn, kd, fn, fd]
     if model.kind == "euler_korteweg":
         G = np.array([-params.lam2, -(params.c / model.b)])
         tau = np.array([model.tau[0], model.tau[1]])
@@ -403,12 +403,12 @@ def _orbit_pass(model: ModelSpec, params: WaveParams, bracket: OrbitBracket,
 
 
 def orbit_integrals(model: ModelSpec, params: WaveParams,
-                    bracket: OrbitBracket, quad_order: int = DEFAULT_QUAD_ORDER,
-                    rtol: float = 1e-9) -> OrbitIntegrals:
+                    bracket: OrbitBracket,
+                    quad_order: int = DEFAULT_QUAD_ORDER) -> OrbitIntegrals:
     """Full-period integrals with an order-doubling error estimate.
 
     Raises QuadratureNotConverged when the doubled-order estimate
-    exceeds ``rtol`` relative to the period.
+    exceeds ``QUAD_RTOL`` relative to the period.
     """
     packed = _integrand_stack(model, params, bracket)
     coarse = _orbit_pass(model, params, bracket, quad_order, packed)
@@ -418,9 +418,9 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
     num += list(np.abs(fine.int_U - coarse.int_U))
     scale = max(abs(fine.Xi), abs(fine.theta), 1e-300)
     err = max(num) / scale
-    if err > rtol:
+    if err > QUAD_RTOL:
         raise QuadratureNotConverged(
-            f"quadrature error {err:.3e} above rtol {rtol:.1e} "
+            f"quadrature error {err:.3e} above rtol {QUAD_RTOL:.1e} "
             f"(order {quad_order})")
     return OrbitIntegrals(Xi=fine.Xi, int_U=fine.int_U, int_Q=fine.int_Q,
                           theta=fine.theta, int_E=fine.int_E, quad_error=err)

@@ -119,15 +119,14 @@ def _sweep_point(model: ModelSpec, anchor, eps: float,
     # steps shrink with the gap, so the leading h^2 truncation of the
     # blowing-up soliton-side entries is a constant relative bias;
     # Richardson removes it
-    cfg = FDConfig(limit_mu=mu_limit, limit_center=center, limit_side=regime,
-                   quad_order=quad_order, richardson=True)
+    cfg = FDConfig(quad_order=quad_order, limit=(regime, center, mu_limit))
     params = WaveParams(mu, c, lam)
     bracket = bracket_near_limit(model, params, center, regime)
     jet = action_hessian(model, params, bracket, cfg)
     mv = params_to_modvars(model, jet.grad)
     H = hessianH(model, jet, mv, c)
-    W, _ = whitham_matrix(model, H, jet, mv.k, c)
-    zs, vecs, resid = eig_small(W)[:3]
+    W = whitham_matrix(model, H)
+    zs, vecs, resid = eig_small(W)
     sm = structural_matrices(model)
     frame = anchor.frame
     sv = sm.Sinv @ frame.V

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modlab import action
 from modlab.action import FDConfig, action_hessian
 from modlab.errors import StencilLeftBranch
 from modlab.models import WaveParams
@@ -68,35 +69,43 @@ class TestHessian:
         p = WaveParams(-2.0 / 3.0 + 1e-4, 1.0, [0.0])
         br = bracket_near_limit(gkdv, p, 2.0, "harmonic")
         jet = action_hessian(model=gkdv, params=p, bracket=br,
-                             fd_config=FDConfig(limit_mu=-2.0 / 3.0,
-                                                limit_center=2.0,
-                                                limit_side="harmonic"))
-        assert jet.negative_signature == 1
+                             fd_config=FDConfig(
+                                 limit=("harmonic", 2.0, -2.0 / 3.0)))
+        assert int((np.linalg.eigvalsh(jet.hess) < 0).sum()) == 1
 
-    def test_richardson_within_estimate(self, cnoidal):
-        model, params, br = cnoidal
-        plain = action_hessian(model, params, br)
-        rich = action_hessian(model, params, br,
-                              FDConfig(richardson=True))
-        # step halving changes entries by less than the coarse truncation
-        scale = np.max(np.abs(plain.hess))
-        est = (np.max(plain.fd_step) ** 2) * scale
-        assert np.max(np.abs(plain.hess - rich.hess)) <= max(est, 1e-7 * scale)
+    @pytest.mark.parametrize("near_limit", [False, True],
+                             ids=["generic", "near-limit"])
+    def test_orbit_integrals_per_hessian(self, gkdv, monkeypatch, near_limit):
+        # 2n + 1 orbits for the generic policy, 4n + 1 with Richardson
+        p = WaveParams(-2.0 / 3.0 + 1e-3, 1.0, [0.0])
+        br = bracket_near_limit(gkdv, p, 2.0, "harmonic")
+        cfg = FDConfig(limit=("harmonic", 2.0, -2.0 / 3.0) if near_limit
+                       else None)
+        calls = []
+        integrals = action.orbit_integrals
+
+        def counted(*args):
+            calls.append(args)
+            return integrals(*args)
+
+        monkeypatch.setattr(action, "orbit_integrals", counted)
+        action_hessian(gkdv, p, br, cfg)
+        assert cfg.richardson is near_limit
+        assert len(calls) == (4 * 3 + 1 if near_limit else 2 * 3 + 1)
 
     def test_stencil_left_branch(self, gkdv):
         p = WaveParams(-2.0 / 3.0 + 1e-7, 1.0, [0.0])
         br = bracket_near_limit(gkdv, p, 2.0, "harmonic")
-        # without limit protection the mu stencil crosses the well bottom
+        # the generic policy does not cap its steps by the gap to the
+        # limit, so the mu stencil crosses the well bottom
         with pytest.raises(StencilLeftBranch):
-            action_hessian(gkdv, p, br, FDConfig(limit_center=2.0,
-                                                 limit_side="harmonic"))
+            action_hessian(gkdv, p, br, FDConfig())
 
     def test_soliton_conditioning_warning(self, gkdv):
         p = WaveParams(-1e-9, 1.0, [0.0])
         br = bracket_near_limit(gkdv, p, 0.0, "soliton")
         jet = action_hessian(gkdv, p, br,
-                             FDConfig(limit_mu=0.0, limit_center=0.0,
-                                      limit_side="soliton"))
+                             FDConfig(limit=("soliton", 0.0, 0.0)))
         assert jet.warnings and "rho" in jet.warnings[0]
 
     def test_system_hessian_symmetry(self, ek_lagrangian):

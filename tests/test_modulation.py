@@ -71,8 +71,7 @@ class TestChartChange:
             br = bracket_near_limit(gkdv, p, 0.0, "soliton")
             mv = params_to_modvars(gkdv, orbit_integrals(gkdv, p,
                                                          br).grad_theta)
-            cfg = FDConfig(limit_mu=0.0, limit_center=0.0,
-                           limit_side="soliton")
+            cfg = FDConfig(limit=("soliton", 0.0, 0.0))
             _, _, cond = modvars_to_params(gkdv, mv, p, bracket=br,
                                            fd_config=cfg)
             conds.append(cond)
@@ -157,8 +156,7 @@ class TestHessianH:
                 (-1e-5, 0.0, 0.0, "soliton")):
             p = WaveParams(mu, 1.0, [0.0])
             br = bracket_near_limit(gkdv, p, center, side)
-            cfg = FDConfig(limit_mu=limit_mu, limit_center=center,
-                           limit_side=side)
+            cfg = FDConfig(limit=(side, center, limit_mu))
             jet = action_hessian(gkdv, p, br, cfg)
             mv = params_to_modvars(gkdv, jet.grad)
             H = hessianH(gkdv, jet, mv, p.c)

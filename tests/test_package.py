@@ -1,10 +1,16 @@
-"""The installed package needs numpy alone at run time."""
+"""The installed package needs numpy alone at run time, and its
+finite-difference configuration stays as small as the program uses."""
 
 import ast
+import dataclasses
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
+
+from modlab.action import FDConfig
+from modlab.profiles import orbit_integrals
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "modlab"
@@ -36,3 +42,14 @@ def test_runtime_dependency_is_numpy_alone():
     assert names == ["numpy"]
     assert any(d.startswith("scipy") for d in
                project["optional-dependencies"]["test"])
+
+
+def test_fd_config_is_quad_order_and_limit():
+    assert tuple(f.name for f in dataclasses.fields(FDConfig)) == \
+        ("quad_order", "limit")
+    with pytest.raises(TypeError):
+        FDConfig(richardson=True)
+
+
+def test_orbit_integrals_takes_no_tolerance():
+    assert "rtol" not in inspect.signature(orbit_integrals).parameters

@@ -104,6 +104,21 @@ class TestQuadratureSetup:
         orbit_integrals(model, params, br)
         assert len(calls) == 1
 
+    def test_one_level_polynomial_per_near_limit_orbit(self, gkdv,
+                                                       monkeypatch):
+        # the integrand deflates the T its bracket's roots were found on
+        calls = []
+        rational = type(gkdv).potential_rational
+
+        def counted(self, params):
+            calls.append(params)
+            return rational(self, params)
+
+        monkeypatch.setattr(type(gkdv), "potential_rational", counted)
+        p = WaveParams(-2.0 / 3.0 + 1e-6, 1.0, [0.0])
+        orbit_integrals(gkdv, p, bracket_near_limit(gkdv, p, 2.0, "harmonic"))
+        assert len(calls) == 1
+
 
 class TestAveragedState:
     def test_period_matches_elliptic_oracle(self, cnoidal):
@@ -144,12 +159,12 @@ class TestAveragedState:
     def test_quadrature_error_reporting(self, cnoidal):
         model, params, br = cnoidal
         with pytest.raises(QuadratureNotConverged):
-            orbit_integrals(model, params, br, quad_order=4, rtol=1e-14)
+            orbit_integrals(model, params, br, quad_order=4)
 
     def test_order_refinement_within_estimate(self, cnoidal):
         model, params, br = cnoidal
-        lo = orbit_integrals(model, params, br, quad_order=24, rtol=1.0)
-        hi = orbit_integrals(model, params, br, quad_order=48, rtol=1.0)
+        lo = orbit_integrals(model, params, br, quad_order=24)
+        hi = orbit_integrals(model, params, br, quad_order=48)
         assert abs(hi.Xi - lo.Xi) / hi.Xi <= max(lo.quad_error, 1e-15)
 
 
