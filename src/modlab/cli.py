@@ -26,7 +26,8 @@ from .limits import _soliton_point_at_lambda, harmonic_point, \
 from .miindex import conjugation_check, delta_mi
 from .models import WaveParams, check_keys, model_from_dict
 from .modulation import params_to_modvars, whitham_report
-from .profiles import averaged_state, find_turning_points, orbit_integrals
+from .profiles import (MAX_QUAD_ORDER, averaged_state, find_turning_points,
+                       orbit_integrals)
 from .sweeps import asymptotic_sweep, eigen_splitting_fit
 
 # ----------------------------------------------------------------------------
@@ -110,9 +111,6 @@ def render_csv(rows, precision: int = 17) -> str:
 
 
 DEFAULT_NUMERIC = {"quad_order": 96, "precision": 17}
-# the fine pass runs 2 * quad_order Gauss nodes, whose rule numpy builds from
-# an n x n companion matrix: 1024 caps it at 2048 nodes (32 MiB)
-MAX_QUAD_ORDER = 1024
 
 
 def load_config(path: str, overrides: dict | None = None) -> dict:

@@ -26,8 +26,11 @@ def horner_batch(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
     -------
     (k, n) float64
     """
-    acc = np.repeat(coeffs[:, :1], v.shape[0], axis=1)
-    for j in range(1, coeffs.shape[1]):
+    if coeffs.shape[1] == 1:
+        return np.repeat(coeffs, v.shape[0], axis=1)
+    acc = coeffs[:, :1] * v
+    acc += coeffs[:, 1:2]
+    for j in range(2, coeffs.shape[1]):
         acc *= v
         acc += coeffs[:, j:j + 1]
     return acc

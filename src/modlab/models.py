@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainViolation
+from .kernels import pack_rows
 from .polys import Laurent, monomial_coeffs, padd, pmul, pscale
 
 _MAX_F_DEGREE = 8
@@ -97,6 +98,11 @@ class ModelSpec:
     # (fn, fn', ..., fn^(4)) for fn = f and kappa, built once per model
     _f_chain: tuple = field(init=False, repr=False, compare=False)
     _kappa_chain: tuple = field(init=False, repr=False, compare=False)
+    # the parameter-free parts of W = N / D (-f, times tau on two-field
+    # models, and D) and the orbit-integrand rows of the model, packed: D,
+    # the kappa and f numerators and denominators, and tau (two-field)
+    _rational: tuple = field(init=False, repr=False, compare=False)
+    _integrand_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("scalar", "euler_korteweg"):
@@ -115,6 +121,17 @@ class ModelSpec:
             self._check_positive(Laurent.make([t0, t1]), "tau")
         object.__setattr__(self, "_f_chain", _derivative_chain(self.f))
         object.__setattr__(self, "_kappa_chain", _derivative_chain(self.kappa))
+        fixed, den = pscale(self.f.coeffs, -1.0), monomial_coeffs(self.f.shift)
+        rows = [*self.kappa_rational(), *self.energy_density_rational()]
+        if self.kind == "euler_korteweg":
+            t = np.array(self.tau, dtype=float)
+            fixed, den = pmul(fixed, t), pmul(t, den)
+            rows.append(t)
+        packed = pack_rows([den, *rows])
+        for a in (fixed, den, packed):
+            a.flags.writeable = False
+        object.__setattr__(self, "_rational", (fixed, den))
+        object.__setattr__(self, "_integrand_rows", packed)
 
     def _check_positive(self, fn: Laurent, name: str):
         lo, hi = self.domain
@@ -234,24 +251,20 @@ class ModelSpec:
 
         The quadrature engine deflates known turning points out of
         ``mu*D - N`` so the orbit integrands never suffer endpoint
-        cancellation.
+        cancellation.  N adds v**shift(f) times the (c, lambda) part,
+        formed on floats, to the model's fixed part.
         """
         c, lam = params.c, params.lam
-        mf = self.f.shift
-        vmf = monomial_coeffs(mf)
+        fixed, den = self._rational
         if self.kind == "scalar":
-            lam1 = float(lam[0])
-            rest = np.array([0.0, lam1, c / (2.0 * self.b)])
-            num = padd(pscale(self.f.coeffs, -1.0), pmul(pscale(rest, -1.0), vmf))
-            return num, vmf
-        lam1, lam2 = float(lam[0]), float(lam[1])
-        t = np.array([self.tau[0], self.tau[1]])
-        G = np.array([-lam2, -(c / self.b)])
-        num = padd(pmul(pscale(self.f.coeffs, -1.0), t),
-                   pmul(padd(pscale(pmul(G, G), 0.5),
-                             pmul(np.array([0.0, -lam1]), t)), vmf))
-        den = pmul(t, vmf)
-        return num, den
+            part = [-0.0, -float(lam[0]), -(c / (2.0 * self.b))]
+        else:
+            lam1, (t0, t1) = float(lam[0]), self.tau
+            g0, g1 = -float(lam[1]), -(c / self.b)
+            gg = [g0 * g0, g0 * g1 + g1 * g0, g1 * g1]
+            part = padd([x * 0.5 for x in gg],
+                        [0.0 * t0, 0.0 * t1 + -lam1 * t0, -lam1 * t1]).tolist()
+        return padd(fixed, [0.0] * self.f.shift + part), den
 
     def kappa_rational(self) -> tuple[np.ndarray, np.ndarray]:
         return self.kappa.coeffs, monomial_coeffs(self.kappa.shift)

@@ -8,7 +8,9 @@ polynomials are ascending float64 coefficient arrays ``c[0] + c[1] v +
 
 The deflation helpers factor known roots out of a polynomial exactly
 (synthetic division), which is what keeps the orbit quadrature free of
-endpoint cancellation.
+endpoint cancellation.  The shift, deflation and derivative loops run on
+Python floats: the IEEE operations of the float64 array form, in the
+same order, without its per-element array overhead.
 """
 
 from __future__ import annotations
@@ -23,8 +25,11 @@ def as_coeffs(c) -> np.ndarray:
     return trim(a)
 
 
-def trim(c: np.ndarray) -> np.ndarray:
-    """Drop trailing (high-order) zero coefficients, keeping degree >= 0."""
+def trim(c):
+    """Drop trailing (high-order) zero coefficients, keeping degree >= 0.
+
+    Works on an array or a list and returns the same kind.
+    """
     n = len(c)
     while n > 1 and c[n - 1] == 0.0:
         n -= 1
@@ -48,12 +53,12 @@ def pmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pder(a: np.ndarray, order: int = 1) -> np.ndarray:
-    c = a
+    c = a.tolist()
     for _ in range(order):
         if len(c) == 1:
             return np.zeros(1)
-        c = c[1:] * np.arange(1, len(c))
-    return trim(c)
+        c = [c[k] * k for k in range(1, len(c))]
+    return np.array(trim(c))
 
 
 def peval(a: np.ndarray, v):
@@ -77,24 +82,24 @@ def peval(a: np.ndarray, v):
 
 def pshift(a: np.ndarray, x0: float) -> np.ndarray:
     """Coefficients of p(x0 + w) as a polynomial in w (Taylor shift)."""
-    out = np.array(a, dtype=float, copy=True)
+    out = np.asarray(a, dtype=float).tolist()
     n = len(out)
     # repeated synthetic division by (v - x0); classic exact shift
     for j in range(n - 1):
         for k in range(n - 2, j - 1, -1):
             out[k] += x0 * out[k + 1]
-    return out
+    return np.array(out)
 
 
 def pdeflate(a: np.ndarray, root: float) -> tuple[np.ndarray, float]:
     """Divide by (v - root); returns (quotient, remainder)."""
-    n = len(a)
-    q = np.zeros(max(n - 1, 1))
-    acc = a[n - 1]
-    for k in range(n - 2, -1, -1):
-        q[k] = acc
-        acc = a[k] + root * acc
-    return trim(q), float(acc)
+    c = a.tolist()
+    acc = c.pop()
+    q = []
+    for ck in reversed(c):
+        q.append(acc)
+        acc = ck + root * acc
+    return np.array(trim(q[::-1] or [0.0])), float(acc)
 
 
 @dataclass(frozen=True)

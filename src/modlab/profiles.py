@@ -37,6 +37,11 @@ QUAD_RTOL = 1e-9
 # nodes, sin, cos and sin^2 of theta = (x + 1) pi / 4 and the weights
 # 4 w pi / 4 of that substitution; every array read-only
 _leggauss_cache: dict = {}
+# order n -> (x + 1, w, s, c, s2, wq4) of orders n and 2n side by side
+_node_cache: dict = {}
+# the fine pass runs 2 * quad_order Gauss nodes, whose rule numpy builds from
+# an n x n companion matrix: 1024 caps it at 2048 nodes (32 MiB)
+MAX_QUAD_ORDER = 1024
 
 
 def _gauss_entry(n: int) -> tuple:
@@ -49,6 +54,25 @@ def _gauss_entry(n: int) -> tuple:
             a.flags.writeable = False
         _leggauss_cache[n] = entry
     return _leggauss_cache[n]
+
+
+def _node_set(n: int) -> tuple:
+    """The order-n and order-2n rules of one segment, 3n nodes, read-only.
+
+    Raises ConfigError unless n is an integer in [1, MAX_QUAD_ORDER].
+    """
+    entry = _node_cache.get(n) if type(n) is int else None
+    if entry is None:
+        if type(n) is not int or not 1 <= n <= MAX_QUAD_ORDER:
+            raise ConfigError(f"quad_order must be an integer in "
+                              f"[1, {MAX_QUAD_ORDER}], got {n!r}")
+        lo, hi = _gauss_entry(n), _gauss_entry(2 * n)
+        x, *rest = (np.concatenate((a, b)) for a, b in zip(lo, hi))
+        entry = (x + 1.0, *rest)
+        for a in entry:
+            a.flags.writeable = False
+        _node_cache[n] = entry
+    return entry
 
 
 def gauss_nodes(n: int):
@@ -120,22 +144,33 @@ def level_polynomial(model: ModelSpec,
                      params: WaveParams) -> tuple[np.ndarray, np.ndarray]:
     """(T, D): the level polynomial T = mu D - N of (mu - W) D, and D."""
     num, den = model.potential_rational(params)
-    T = np.zeros(max(len(den), len(num)))
-    T[: len(den)] = params.mu * den
-    T[: len(num)] -= num
-    return trim(T), den
+    mu = params.mu
+    T = [mu * d for d in den.tolist()]
+    T += [0.0] * (len(num) - len(T))
+    for k, nk in enumerate(num.tolist()):
+        T[k] -= nk
+    return np.array(trim(T)), den
 
 
 def _newton_refine(T: np.ndarray, Td: np.ndarray, x: float, lo: float,
                    hi: float, tol: float) -> float:
+    # descending coefficients as floats; Horner runs inline on them
+    t0, *t = T[::-1].tolist()
+    d0, *d = Td[::-1].tolist()
     for _ in range(80):
-        fx = peval(T, x)
-        dx = peval(Td, x)
+        fx, dx = t0, d0
+        for ck in t:
+            fx = fx * x + ck
+        for ck in d:
+            dx = dx * x + ck
         if dx != 0.0:
             step = fx / dx
             xn = x - step
             if not (lo <= xn <= hi):
-                xn = 0.5 * (x + (lo if fx * peval(T, lo) < 0 else hi))
+                flo = t0
+                for ck in t:
+                    flo = flo * lo + ck
+                xn = 0.5 * (x + (lo if fx * flo < 0 else hi))
         else:
             xn = 0.5 * (lo + hi)
         if abs(xn - x) <= tol * max(1.0, abs(x)):
@@ -319,87 +354,23 @@ def _integrand_stack(model: ModelSpec, params: WaveParams,
     """Packed polynomial stack the hot kernel evaluates at the nodes.
 
     Rows: the bracket's level polynomial (mu - W) D with its roots
-    divided out, then D, the kappa numerator and denominator, the f numerator and
-    denominator and, on two-field models, G = -(lam2 + c v / b) and tau.
+    divided out, then the model's rows (D, the kappa numerator and
+    denominator, the f numerator and denominator and, on two-field
+    models, tau) and, on two-field models, G = -(lam2 + c v / b).
     """
     q, _ = pdeflate(bracket.T, bracket.v2)
     q, _ = pdeflate(q, bracket.v3)
     if bracket.v1 is not None:
         q, _ = pdeflate(q, bracket.v1)
-    kn, kd = model.kappa_rational()
-    fn, fd = model.energy_density_rational()
-    rows = [trim(-q), bracket.den, kn, kd, fn, fd]
+    rows = model._integrand_rows
+    k, dm = rows.shape
+    d = max(len(q), dm)
+    out = np.zeros((k + (2 if model.kind == "euler_korteweg" else 1), d))
+    out[0, d - len(q):] = -q[::-1]
+    out[1:k + 1, d - dm:] = rows
     if model.kind == "euler_korteweg":
-        G = np.array([-params.lam2, -(params.c / model.b)])
-        tau = np.array([model.tau[0], model.tau[1]])
-        rows.extend([G, tau])
-    return kernels.pack_rows(rows)
-
-
-def _assemble(model: ModelSpec, params: WaveParams, v: np.ndarray,
-              rowvals: np.ndarray, mu_minus_w: np.ndarray, dxi: np.ndarray,
-              wq: np.ndarray):
-    """Weighted period integrals of the averaged-quantity stack."""
-    den, knv, kdv, fnv, fdv = rowvals[:5]
-    fval = fnv / fdv
-    w = wq * dxi
-    I0 = float(w.sum())
-    Iv = float(w @ v)
-    Iw = float(w @ mu_minus_w)
-    if model.kind == "scalar":
-        q = v * v / (2.0 * model.b)
-        Iq = float(w @ q)
-        Ie = float(w @ fval)
-        return I0, np.array([Iv]), Iq, Ie, Iw
-    Gv, tauv = rowvals[5], rowvals[6]
-    g = Gv / tauv
-    q = v * g / model.b
-    e = fval + 0.5 * tauv * g * g
-    return I0, np.array([Iv, float(w @ g)]), float(w @ q), float(w @ e), Iw
-
-
-def _orbit_pass(model: ModelSpec, params: WaveParams, bracket: OrbitBracket,
-                n: int, packed: np.ndarray):
-    """One full-period quadrature pass at order n over the packed stack."""
-    v2, v3, v1 = bracket.v2, bracket.v3, bracket.v1
-    x, wgt, s, c, s2, wq4 = _gauss_entry(n)
-    acc = None
-
-    def accumulate(v, wq, pair_factor, dxi_core):
-        # wq carries the full-period weight (2 x the half-period sweep)
-        nonlocal acc
-        vals = kernels.horner_batch(packed, v)
-        Pv, denv = vals[0], vals[1]
-        knv, kdv = vals[2], vals[3]
-        mu_minus_w = pair_factor * Pv / denv
-        dxi = dxi_core * np.sqrt(knv * denv / (kdv * Pv))
-        out = _assemble(model, params, v, vals[1:], mu_minus_w, dxi, wq)
-        acc = out if acc is None else tuple(a + b for a, b in zip(acc, out))
-
-    if v1 is None:
-        # single trigonometric substitution over the whole well
-        v = v2 + (v3 - v2) * s2
-        pair = (v3 - v2) ** 2 * s2 * (1.0 - s2)
-        accumulate(v, wq4, pair, math.sqrt(0.5))
-    else:
-        vm = 0.5 * (v2 + v3)
-        # lower segment: hyperbolic substitution absorbing the (v1, v2) pair
-        psim = math.acosh(math.sqrt((vm - v1) / (v2 - v1)))
-        ps = (x + 1.0) * (psim / 2.0)
-        wq = wgt * (psim / 2.0)
-        ch, sh = np.cosh(ps), np.sinh(ps)
-        vlo = v1 + (v2 - v1) * ch * ch
-        pair_lo = (v2 - v1) ** 2 * (ch * sh) ** 2 * (v3 - vlo)
-        accumulate(vlo, 4.0 * wq, pair_lo,
-                   np.sqrt(0.5 / (v3 - vlo)))
-        # upper segment: trigonometric substitution at the outer root v3
-        vup = v3 - (v3 - vm) * s * s
-        pair_up = (v3 - vm) * s * s * (vup - v1) * (vup - v2)
-        accumulate(vup, wq4, pair_up,
-                   c * np.sqrt(0.5 * (v3 - vm) / ((vup - v1) * (vup - v2))))
-
-    I0, IU, Iq, Ie, Iw = acc
-    return OrbitIntegrals(Xi=I0, int_U=IU, int_Q=Iq, theta=2.0 * Iw, int_E=Ie)
+        out[k + 1, d - 2:] = (-(params.c / model.b), -params.lam2)
+    return out
 
 
 def orbit_integrals(model: ModelSpec, params: WaveParams,
@@ -407,23 +378,73 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
                     quad_order: int = DEFAULT_QUAD_ORDER) -> OrbitIntegrals:
     """Full-period integrals with an order-doubling error estimate.
 
-    Raises QuadratureNotConverged when the doubled-order estimate
-    exceeds ``QUAD_RTOL`` relative to the period.
+    The coarse (order n) and fine (order 2n) Gauss passes run on one node
+    set: each segment of the orbit lays its n and 2n nodes side by side,
+    the substitution and the integrand are formed once over all of them,
+    and each (pass, segment) block is evaluated and summed on its own
+    contiguous slice.  Raises QuadratureNotConverged when the
+    doubled-order estimate exceeds ``QUAD_RTOL`` relative to the period.
     """
+    xp1, wgt, s, c, s2, wq4 = _node_set(quad_order)
+    n = quad_order
     packed = _integrand_stack(model, params, bracket)
-    coarse = _orbit_pass(model, params, bracket, quad_order, packed)
-    fine = _orbit_pass(model, params, bracket, 2 * quad_order, packed)
-    num = [abs(fine.Xi - coarse.Xi), abs(fine.int_Q - coarse.int_Q),
-           abs(fine.theta - coarse.theta), abs(fine.int_E - coarse.int_E)]
-    num += list(np.abs(fine.int_U - coarse.int_U))
-    scale = max(abs(fine.Xi), abs(fine.theta), 1e-300)
+    v2, v3, v1 = bracket.v2, bracket.v3, bracket.v1
+    if v1 is None:
+        # single trigonometric substitution over the whole well
+        v = v2 + (v3 - v2) * s2
+        pair = (v3 - v2) ** 2 * s2 * (1.0 - s2)
+        dxi_core = math.sqrt(0.5)
+        wq = wq4
+        blocks = ((0, n), (n, 3 * n))
+    else:
+        vm = 0.5 * (v2 + v3)
+        # lower segment: hyperbolic substitution absorbing the (v1, v2) pair
+        psim = math.acosh(math.sqrt((vm - v1) / (v2 - v1)))
+        ps = xp1 * (psim / 2.0)
+        ch, sh = np.cosh(ps), np.sinh(ps)
+        vlo = v1 + (v2 - v1) * ch * ch
+        # upper segment: trigonometric substitution at the outer root v3
+        vup = v3 - (v3 - vm) * s * s
+        v = np.concatenate((vlo, vup))
+        pair = np.concatenate(((v2 - v1) ** 2 * (ch * sh) ** 2 * (v3 - vlo),
+                               (v3 - vm) * s * s * (vup - v1) * (vup - v2)))
+        dxi_core = np.concatenate((
+            np.sqrt(0.5 / (v3 - vlo)),
+            c * np.sqrt(0.5 * (v3 - vm) / ((vup - v1) * (vup - v2)))))
+        # wq carries the full-period weight (2 x the half-period sweep)
+        wq = np.concatenate((4.0 * (wgt * (psim / 2.0)), wq4))
+        blocks = ((0, n), (n, 3 * n), (3 * n, 4 * n), (4 * n, 6 * n))
+    vals = np.concatenate([kernels.horner_batch(packed, v[a:b])
+                           for a, b in blocks], axis=1)
+    Pv, denv, knv, kdv, fnv, fdv = vals[:6]
+    mu_minus_w = pair * Pv / denv
+    w = wq * (dxi_core * np.sqrt(knv * denv / (kdv * Pv)))
+    fval = fnv / fdv
+    if model.kind == "scalar":
+        rows = (v, v * v / (2.0 * model.b), fval, mu_minus_w)
+    else:
+        tauv, Gv = vals[6], vals[7]
+        g = Gv / tauv
+        rows = (v, g, v * g / model.b, fval + 0.5 * tauv * g * g, mu_minus_w)
+    # per block: the period, int_U, int_Q, int_E and the integral of mu - W
+    sums = [[float(w[a:b].sum())] + [float(w[a:b] @ r[a:b]) for r in rows]
+            for a, b in blocks]
+    if v1 is not None:
+        # pass totals, lower segment first
+        sums = [[lo + up for lo, up in zip(sums[i], sums[i + 2])]
+                for i in (0, 1)]
+    (cXi, *cU, cQ, cE, cW), (Xi, *U, Q, E, Iw) = sums
+    int_U, theta = np.array(U), 2.0 * Iw
+    num = [abs(Xi - cXi), abs(Q - cQ), abs(theta - 2.0 * cW), abs(E - cE)]
+    num += list(np.abs(int_U - np.array(cU)))
+    scale = max(abs(Xi), abs(theta), 1e-300)
     err = max(num) / scale
     if err > QUAD_RTOL:
         raise QuadratureNotConverged(
             f"quadrature error {err:.3e} above rtol {QUAD_RTOL:.1e} "
             f"(order {quad_order})")
-    return OrbitIntegrals(Xi=fine.Xi, int_U=fine.int_U, int_Q=fine.int_Q,
-                          theta=fine.theta, int_E=fine.int_E, quad_error=err)
+    return OrbitIntegrals(Xi=Xi, int_U=int_U, int_Q=Q, theta=theta, int_E=E,
+                          quad_error=err)
 
 
 def averaged_state(model: ModelSpec, params: WaveParams,

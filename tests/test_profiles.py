@@ -90,6 +90,38 @@ class TestQuadratureSetup:
         gx, gw = gauss_nodes(n)
         assert gx is x and gw is w
 
+    @pytest.mark.parametrize("n", [24, 96])
+    @pytest.mark.parametrize("inner_root", [False, True])
+    def test_one_kernel_call_per_pass_and_segment(self, cnoidal, monkeypatch,
+                                                  n, inner_root):
+        # the structure the benchmark's trace checks: one Horner call per
+        # (pass, segment) block, order n then 2n on each segment
+        model, params, br = cnoidal
+        if not inner_root:
+            br = find_turning_points(model, params, (0.0, 5.0))
+        assert (br.v1 is not None) == inner_root
+        nodes = []
+        horner = profiles.kernels.horner_batch
+
+        def counted(coeffs, v):
+            nodes.append(len(v))
+            return horner(coeffs, v)
+
+        monkeypatch.setattr(profiles.kernels, "horner_batch", counted)
+        orbit_integrals(model, params, br, quad_order=n)
+        assert nodes == ([n, 2 * n, n, 2 * n] if inner_root else [n, 2 * n])
+
+    @pytest.mark.parametrize("n", [0, 2.5, profiles.MAX_QUAD_ORDER + 1])
+    def test_quad_order_out_of_range_is_a_config_error(self, cnoidal,
+                                                       monkeypatch, n):
+        def nodes(m):
+            raise AssertionError(f"Gauss rule of order {m} computed")
+
+        monkeypatch.setattr(profiles, "leggauss", nodes)
+        model, params, br = cnoidal
+        with pytest.raises(ConfigError, match="quad_order"):
+            orbit_integrals(model, params, br, quad_order=n)
+
     def test_one_integrand_stack_per_orbit_integrals(self, cnoidal,
                                                      monkeypatch):
         model, params, br = cnoidal
