@@ -107,7 +107,8 @@ def action_hessian(model: ModelSpec, params: WaveParams,
         # the distinguished state, which caps every stencil direction
         gap = abs(level - params.mu)
         sens = np.ones(n)
-        sens[1] = abs(model.impulse_q(vstar, params.c, params.lam[-1])) + 1e-3
+        sens[1] = abs(model.impulse_jet(vstar, params.c,
+                                        params.lam[-1])[0]) + 1e-3
         sens[2] = abs(vstar) + 1e-3
         if n == 4:
             sens[3] = abs(model.velocity_jet(vstar, params.c,

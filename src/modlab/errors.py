@@ -67,10 +67,6 @@ class StencilLeftBranch(LimitFailure):
     """A finite-difference stencil point crossed a distinguished limit."""
 
 
-class LeftBranch(LimitFailure):
-    """Parameter update left the wave branch during a solve."""
-
-
 class NoWellMinimum(LimitFailure):
     """No nondegenerate potential minimum in the window."""
 
@@ -109,14 +105,6 @@ class QuadratureNotConverged(ToleranceFailure):
 
 class SingularThetaHessian(ToleranceFailure):
     """Action Hessian numerically singular where an inverse is needed."""
-
-
-class SingularJacobian(ToleranceFailure):
-    """Newton Jacobian singular in the coordinate-change solve."""
-
-
-class NoConvergence(ToleranceFailure):
-    """Iteration exhausted without meeting tolerance."""
 
 
 class EigenFailure(ToleranceFailure):

@@ -143,8 +143,7 @@ def _delta_mi_system(model: ModelSpec, U0: np.ndarray, k0: float, branch: str):
     return dmi, at0, a0, b0, w0
 
 
-def system_mi_polynomial(model: ModelSpec, v0: float, w2: float,
-                         u0: float = None) -> float:
+def system_mi_polynomial(model: ModelSpec, v0: float, w2: float) -> float:
     """Cubic-in-w2 reduction of the instability bracket (affine tau).
 
     ``w2`` stands for the squared-wavenumber combination
@@ -208,24 +207,6 @@ def _sign(x: float) -> int:
     return (x > 0) - (x < 0)
 
 
-def predicted_alpha_sign(model: ModelSpec, params: WaveParams) -> int:
-    """Sign law for the excess impulse of interior waves.
-
-    Covered classes: scalar (sign of b), two-field with constant tau
-    (sign of -c), two-field with tau = Id (sign of lambda_2 / b).
-    Returns 0 on the degenerate boundary of a law.
-    """
-    if model.kind == "scalar":
-        return _sign(model.b)
-    t0, t1 = model.tau
-    if t1 == 0.0:
-        return _sign(-params.c)
-    if t0 == 0.0 and t1 == 1.0:
-        return _sign(params.lam2 / model.b)
-    raise UncoveredClass(
-        "no sign law for tau outside {constant, identity}")
-
-
 # ----------------------------------------------------------------------------
 # Eulerian / mass-Lagrangian conjugation
 
@@ -236,8 +217,8 @@ def conjugate_model(model_E: ModelSpec) -> ModelSpec:
             or model_E.b != -1.0:
         raise UnsupportedConjugateFamily(
             "conjugation is defined for Eulerian models (tau = Id, b = -1)")
-    fL = model_E.f.compose_inverse_times_v()
-    kL = model_E.kappa.conjugate_capillarity()
+    fL = model_E.f.reflect(1)
+    kL = model_E.kappa.reflect(-5)
     try:
         return ModelSpec(kind="euler_korteweg", b=1.0, f=fL, kappa=kL,
                          tau=(1.0, 0.0), domain=(0.0, math.inf),

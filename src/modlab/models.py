@@ -187,16 +187,8 @@ class ModelSpec:
         gvv, gvvv, _ = reduced_jet(t, g, gv)
         return np.array([g, gv, gvv, gvvv])
 
-    def impulse_q(self, v: float, c: float = 0.0, lam2: float = 0.0) -> float:
-        """Reduced impulse q(v) = Q(U) along the profile constraint."""
-        self.check_domain(v)
-        if self.kind == "scalar":
-            return v * v / (2.0 * self.b)
-        g = self.velocity_jet(v, c, lam2)[0]
-        return v * g / self.b
-
     def impulse_jet(self, v: float, c: float = 0.0, lam2: float = 0.0) -> np.ndarray:
-        """(q, q', q'') of the reduced impulse."""
+        """(q, q', q'') of the reduced impulse q(v) = Q(U) along the profile."""
         if self.kind == "scalar":
             return np.array([v * v / (2.0 * self.b), v / self.b, 1.0 / self.b])
         g, gv, gvv, _ = self.velocity_jet(v, c, lam2)

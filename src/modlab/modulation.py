@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import ActionJet, FDConfig, action_hessian, rebracket
+from .action import ActionJet, FDConfig, action_hessian
 from .eigen import eig_small
-from .errors import (DegenerateOrbit, LeftBranch, NoConvergence,
-                     SingularJacobian, SingularThetaHessian)
+from .errors import DegenerateOrbit, SingularThetaHessian
 from .models import ModelSpec, WaveParams, structural_matrices
 from .profiles import OrbitBracket, find_turning_points
 
@@ -105,8 +104,7 @@ def whitham_matrix(model: ModelSpec, hessH_mat: np.ndarray) -> np.ndarray:
     return -structural_matrices(model).BB @ hessH_mat
 
 
-def spectrum_and_classification(W: np.ndarray, tol_im: float = TOL_IM,
-                                cond_cap: float = EIGVEC_COND_CAP):
+def spectrum_and_classification(W: np.ndarray):
     """Eigenpairs plus a hyperbolicity verdict with declared margins.
 
     elliptic: a complex pair clearly above the imaginary tolerance;
@@ -121,13 +119,13 @@ def spectrum_and_classification(W: np.ndarray, tol_im: float = TOL_IM,
         cond = float(np.linalg.cond(vecs))
     except np.linalg.LinAlgError:
         cond = math.inf
-    if im > tol_im * MARGIN_DECADE:
+    if im > TOL_IM * MARGIN_DECADE:
         cls = "elliptic"
-    elif im > tol_im / MARGIN_DECADE:
+    elif im > TOL_IM / MARGIN_DECADE:
         cls = "marginal"
-    elif cond <= cond_cap / MARGIN_DECADE:
+    elif cond <= EIGVEC_COND_CAP / MARGIN_DECADE:
         cls = "hyperbolic"
-    elif cond <= cond_cap * MARGIN_DECADE:
+    elif cond <= EIGVEC_COND_CAP * MARGIN_DECADE:
         cls = "marginal"
     else:
         cls = "weakly_hyperbolic"
@@ -164,54 +162,3 @@ def whitham_report(model: ModelSpec, params: WaveParams,
                          hessH_negative_signature=sigH,
                          theta_negative_signature=sigT,
                          eigvec_condition=cond)
-
-
-# ----------------------------------------------------------------------------
-# inverse chart
-
-
-def modvars_to_params(model: ModelSpec, target: ModVars,
-                      initial_guess: WaveParams,
-                      bracket: OrbitBracket | None = None,
-                      fd_config: FDConfig | None = None,
-                      tol: float = 1e-12, max_iter: int = 40):
-    """Newton solve for the wave parameters realizing given (k, alpha, M).
-
-    Returns (WaveParams, bracket, condition_number).  The Newton step
-    uses the chart Jacobian d(mu,c,lambda)/d(k,alpha,M) =
-    (hess Theta)^-1 A / k.
-    """
-    p = initial_guess
-    br = bracket if bracket is not None else find_turning_points(model, p)
-    cfg = fd_config or FDConfig()
-    tvec = target.as_vector()
-    scale = np.maximum(np.abs(tvec), 1.0)
-    cond = math.inf
-    for _ in range(max_iter):
-        jet = action_hessian(model, p, br, cfg)
-        mv = params_to_modvars(model, jet.grad)
-        res = tvec - mv.as_vector()
-        A = coupling_matrix_A(model, mv.k, mv.M)
-        try:
-            J = np.linalg.solve(jet.hess, A) / mv.k
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from None
-        if not np.all(np.isfinite(J)):
-            raise SingularJacobian("chart Jacobian not finite")
-        cond = float(np.linalg.cond(J))
-        if np.max(np.abs(res) / scale) < tol:
-            return p, br, cond
-        step = J @ res
-        # damped update, keeping the orbit trackable
-        lam = 1.0
-        for _ in range(8):
-            try:
-                pn = WaveParams.from_vector(p.as_vector() + lam * step)
-                brn = rebracket(model, pn, br)
-                break
-            except DegenerateOrbit:
-                lam *= 0.5
-        else:
-            raise LeftBranch("could not track the wave branch during Newton")
-        p, br = pn, brn
-    raise NoConvergence(f"modvars_to_params: no convergence in {max_iter} steps")

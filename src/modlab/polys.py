@@ -154,23 +154,13 @@ class Laurent:
             return val
         return val / np.asarray(v, dtype=float) ** self.shift if np.ndim(v) else val / v ** self.shift
 
-    def compose_inverse_times_v(self) -> "Laurent":
-        """v * p(1/v) as a Laurent polynomial (conjugation transform)."""
-        # p = sum c_j v^(j-s)  ->  v * p(1/v) = sum c_j v^(1-j+s)
+    def reflect(self, power: int) -> "Laurent":
+        """v**power * p(1/v) as a Laurent polynomial (conjugation transform)."""
+        # p = sum c_j v^(j-s)  ->  v^power * p(1/v) = sum c_j v^(power-j+s)
         terms = {}
         for j, cj in enumerate(self.coeffs):
             if cj != 0.0:
-                terms[1 - (j - self.shift)] = cj
-        if not terms:
-            terms = {0: 0.0}
-        return Laurent.from_terms(terms)
-
-    def conjugate_capillarity(self) -> "Laurent":
-        """v**-5 * p(1/v) as a Laurent polynomial."""
-        terms = {}
-        for j, cj in enumerate(self.coeffs):
-            if cj != 0.0:
-                terms[-5 - (j - self.shift)] = cj
+                terms[power - (j - self.shift)] = cj
         if not terms:
             terms = {0: 0.0}
         return Laurent.from_terms(terms)

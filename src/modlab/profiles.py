@@ -1,4 +1,4 @@
-"""Periodic traveling-wave profiles: turning points, period averages, samples.
+"""Periodic traveling-wave profiles: turning points and period averages.
 
 The profile ODE has the first integral ``kappa(v) v_x^2 / 2 + W(v) = mu``,
 so every period-averaged quantity is a line integral between consecutive
@@ -73,11 +73,6 @@ def _node_set(n: int) -> tuple:
             a.flags.writeable = False
         _node_cache[n] = entry
     return entry
-
-
-def gauss_nodes(n: int):
-    """The n-point Gauss-Legendre rule (x, w) on [-1, 1], cached."""
-    return _gauss_entry(n)[:2]
 
 
 @dataclass(frozen=True)
@@ -465,50 +460,3 @@ def _state_from_integrals(model: ModelSpec, params: WaveParams,
     meanLH = (0.5 * o.theta - o.int_E) / Xi
     return WaveState(Xi=Xi, k=1.0 / Xi, meanU=meanU, meanQ=meanQ, alpha=alpha,
                      meanH=meanH, meanLH=meanLH, quad_error=o.quad_error)
-
-
-# ----------------------------------------------------------------------------
-# profile reconstruction
-
-
-def profile_sample(model: ModelSpec, params: WaveParams,
-                   bracket: OrbitBracket, n: int) -> list:
-    """n samples (xi, U(xi)) over one full period.
-
-    The grid is monotone with v(0) = v2 and v(Xi/2) = v3; the second half
-    mirrors the first, so v(Xi - xi) = v(xi) exactly.
-    """
-    if n < 2:
-        raise ConfigError("need n >= 2 samples")
-    packed = _integrand_stack(model, params, bracket)
-    v2, v3 = bracket.v2, bracket.v3
-    m = n // 2 + 1
-    theta_grid = np.linspace(0.0, math.pi / 2.0, m)
-    x, w = gauss_nodes(24)
-
-    def jac(th):
-        s2 = np.sin(th) ** 2
-        v = v2 + (v3 - v2) * s2
-        vals = kernels.horner_batch(packed, np.atleast_1d(v))
-        Pv, denv, knv, kdv = vals[0], vals[1], vals[2], vals[3]
-        if bracket.v1 is not None:
-            Pv = Pv * (v - bracket.v1)
-        return 2.0 * np.sqrt(knv * denv / (2.0 * kdv * Pv))
-
-    xi = np.zeros(m)
-    for i in range(1, m):
-        a, b = theta_grid[i - 1], theta_grid[i]
-        tq = 0.5 * (b - a) * x + 0.5 * (a + b)
-        xi[i] = xi[i - 1] + 0.5 * (b - a) * float(w @ jac(tq))
-    half = xi[-1]
-    vhalf = v2 + (v3 - v2) * np.sin(theta_grid) ** 2
-    xs = list(xi) + [2.0 * half - t for t in xi[-2::-1]]
-    vs = list(vhalf) + list(vhalf[-2::-1])
-    out = []
-    for xi_i, v_i in zip(xs[:n], vs[:n]):
-        if model.kind == "scalar":
-            out.append((float(xi_i), np.array([v_i])))
-        else:
-            g = model.velocity_jet(v_i, params.c, params.lam2)[0]
-            out.append((float(xi_i), np.array([v_i, g])))
-    return out

@@ -38,14 +38,12 @@ class SweepRow:
     alpha: float
     M: np.ndarray
     Xi: float
-    theta: float
     eigenvalues: np.ndarray
     eig_residuals: np.ndarray
     eigenvectors: np.ndarray
     whitham: np.ndarray
     d2mu_theta: float
     limit_proj: float          # (S^-1 V)-projection of the action Hessian
-    quad_error: float
 
 
 @dataclass(frozen=True)
@@ -98,11 +96,11 @@ def poly_extrapolate(x: np.ndarray, y: np.ndarray, deg: int,
     return float(c[-1]), r2
 
 
-def _tail(table: SweepTable, frac: float = 0.5):
-    """Rows closest to the limit (smallest grid parameter)."""
+def _tail(table: SweepTable):
+    """The half of the rows closest to the limit (smallest grid parameter)."""
     g = table.column("grid_param")
     order = np.argsort(g)
-    keep = order[: max(3, int(math.ceil(len(g) * frac)))]
+    keep = order[: max(3, int(math.ceil(len(g) * 0.5)))]
     return sorted(keep)
 
 
@@ -134,10 +132,9 @@ def _sweep_point(model: ModelSpec, anchor, eps: float,
     grid_param = bracket.delta if regime == "harmonic" else bracket.rho
     return SweepRow(regime=regime, grid_param=float(grid_param), mu=mu,
                     k=mv.k, alpha=mv.alpha, M=mv.M, Xi=float(jet.grad[0]),
-                    theta=jet.theta,
                     eigenvalues=zs, eig_residuals=resid, eigenvectors=vecs,
                     whitham=W, d2mu_theta=float(jet.hess[0, 0]),
-                    limit_proj=proj, quad_error=jet.quad_error)
+                    limit_proj=proj)
 
 
 def sweep_table(model: ModelSpec, anchor, offsets,
@@ -274,7 +271,7 @@ def eigen_splitting_fit(model: ModelSpec, anchor,
     convergence rate in rho, and the 1/|log rho| eigenvector drift.
     ``table`` is the evaluated sweep of ``anchor``; it is not modified.
     """
-    idx = _tail(table, frac=0.5)
+    idx = _tail(table)
     if table.regime == "harmonic":
         hp: HarmonicPoint = table.anchor
         al = table.column("alpha")

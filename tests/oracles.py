@@ -14,8 +14,10 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.special import ellipe, ellipk
 
-from modlab.models import structural_matrices
-from modlab.modulation import ModVars, modvars_to_params, params_to_modvars
+from modlab.action import FDConfig, action_hessian, rebracket
+from modlab.errors import DegenerateOrbit, UncoveredClass
+from modlab.models import WaveParams, structural_matrices
+from modlab.modulation import ModVars, coupling_matrix_A, params_to_modvars
 from modlab.profiles import (DEFAULT_QUAD_ORDER, OrbitIntegrals,
                              _state_from_integrals, find_turning_points,
                              orbit_integrals)
@@ -164,6 +166,63 @@ def shooting_oracle(model, params, bracket, rtol=1e-12, atol=1e-13):
         [Iv, 2.0 * yf[7]])
     o = OrbitIntegrals(Xi=Xi, int_U=intU, int_Q=Iq, theta=2.0 * Iw, int_E=Ie)
     return _state_from_integrals(model, params, o), o.theta
+
+
+def modvars_to_params(model, target, initial_guess, bracket=None,
+                      fd_config=None, max_iter=40):
+    """Newton solve for the wave parameters realizing given (k, alpha, M).
+
+    Returns (WaveParams, bracket, condition_number).  The Newton step
+    uses the chart Jacobian d(mu,c,lambda)/d(k,alpha,M) =
+    (hess Theta)^-1 A / k and stops at relative residual 1e-12.
+    """
+    p = initial_guess
+    br = bracket if bracket is not None else find_turning_points(model, p)
+    cfg = fd_config or FDConfig()
+    tvec = target.as_vector()
+    scale = np.maximum(np.abs(tvec), 1.0)
+    for _ in range(max_iter):
+        jet = action_hessian(model, p, br, cfg)
+        mv = params_to_modvars(model, jet.grad)
+        res = tvec - mv.as_vector()
+        A = coupling_matrix_A(model, mv.k, mv.M)
+        J = np.linalg.solve(jet.hess, A) / mv.k
+        if not np.all(np.isfinite(J)):
+            raise RuntimeError("chart Jacobian not finite")
+        cond = float(np.linalg.cond(J))
+        if np.max(np.abs(res) / scale) < 1e-12:
+            return p, br, cond
+        step = J @ res
+        # damped update, keeping the orbit trackable
+        lam = 1.0
+        for _ in range(8):
+            try:
+                pn = WaveParams.from_vector(p.as_vector() + lam * step)
+                brn = rebracket(model, pn, br)
+                break
+            except DegenerateOrbit:
+                lam *= 0.5
+        else:
+            raise RuntimeError("could not track the wave branch during Newton")
+        p, br = pn, brn
+    raise RuntimeError(f"modvars_to_params: no convergence in {max_iter} steps")
+
+
+def predicted_alpha_sign(model, params):
+    """Sign law for the excess impulse of interior waves.
+
+    Covered classes: scalar (sign of b), two-field with constant tau
+    (sign of -c), two-field with tau = Id (sign of lambda_2 / b).
+    Returns 0 on the degenerate boundary of a law.
+    """
+    if model.kind == "scalar":
+        return int(np.sign(model.b))
+    t0, t1 = model.tau
+    if t1 == 0.0:
+        return int(np.sign(-params.c))
+    if t0 == 0.0 and t1 == 1.0:
+        return int(np.sign(params.lam2 / model.b))
+    raise UncoveredClass("no sign law for tau outside {constant, identity}")
 
 
 def chart_hamiltonian(model, mv, guess, bracket=None,

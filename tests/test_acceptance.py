@@ -32,8 +32,7 @@ from modlab.limits import (HarmonicPoint, SolitonPoint, frame_vectors,
                            harmonic_point, limiting_whitham_harmonic,
                            limiting_whitham_soliton, soliton_point,
                            toy_double_root)
-from modlab.miindex import (conjugation_check, critical_wavenumber, delta_mi,
-                            predicted_alpha_sign)
+from modlab.miindex import conjugation_check, critical_wavenumber, delta_mi
 from modlab.models import (ModelSpec, WaveParams, gkdv_model,
                            structural_matrices)
 from modlab.modulation import (coupling_matrix_A, hessianH,
@@ -45,7 +44,7 @@ from modlab.sweeps import asymptotic_sweep, eigen_splitting_fit, sweep_table
 
 from oracles import (averaged_identities, chart_hamiltonian,
                      cubic_well_elliptic, fd_hessian, kdv_soliton_facts,
-                     shooting_oracle)
+                     predicted_alpha_sign, shooting_oracle)
 
 TWO_PI = 2.0 * math.pi
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "modlab" / "configs"

@@ -252,14 +252,13 @@ class TestReadme:
 EXIT_CODES = {
     "ConfigError": 2, "DomainViolation": 2, "IOFailure": 2,
     "NoPeriodicOrbit": 3, "MultipleWells": 3,
-    "DegenerateOrbit": 4, "StencilLeftBranch": 4, "LeftBranch": 4,
+    "DegenerateOrbit": 4, "StencilLeftBranch": 4,
     "NoWellMinimum": 4, "DegenerateWell": 4, "NoSaddle": 4,
     "GroupVelocityResonance": 4, "SpeedResonance": 4,
     "InadmissibleWavenumber": 4, "UncoveredClass": 4,
     "UnsupportedConjugateFamily": 4,
     "QuadratureNotConverged": 5, "SingularThetaHessian": 5,
-    "SingularJacobian": 5, "NoConvergence": 5, "EigenFailure": 5,
-    "FitRejected": 5, "GridDegenerate": 5,
+    "EigenFailure": 5, "FitRejected": 5, "GridDegenerate": 5,
 }
 
 

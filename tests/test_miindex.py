@@ -8,11 +8,12 @@ from modlab.errors import (InadmissibleWavenumber, UncoveredClass,
 from modlab.limits import harmonic_point, limiting_whitham_harmonic
 from modlab.miindex import (conjugate_model, conjugate_wave_params,
                             conjugation_check, critical_wavenumber, delta_mi,
-                            naive_index, predicted_alpha_sign,
-                            system_mi_polynomial)
+                            naive_index, system_mi_polynomial)
 from modlab.models import ModelSpec, WaveParams, gkdv_model
 from modlab.sweeps import sweep_table
 from modlab.polys import Laurent
+
+from oracles import predicted_alpha_sign
 
 TWO_PI = 2.0 * math.pi
 

@@ -60,7 +60,7 @@ def test_envelope_identities(model_name, request):
         return model.potential_jet(v, WaveParams(0.0, c_, lam_), 0)[0]
 
     dc = (W(c + h, lam) - W(c - h, lam)) / (2 * h)
-    q = model.impulse_q(v, c, lam[-1] if model.N == 2 else 0.0)
+    q = model.impulse_jet(v, c, lam[-1] if model.N == 2 else 0.0)[0]
     assert dc == pytest.approx(-q, rel=1e-8, abs=1e-10)
     lam_p = list(lam)
     lam_m = list(lam)
@@ -104,11 +104,11 @@ def test_velocity_jet_scalar_raises(gkdv):
 
 
 def test_impulse_values(gkdv, ek_lagrangian):
-    assert gkdv.impulse_q(3.0) == pytest.approx(4.5)
+    assert gkdv.impulse_jet(3.0)[0] == pytest.approx(4.5)
     # system with v = 0: q = v g / b = 0
-    assert ek_lagrangian.impulse_q(0.0, 1.0, 0.0) == 0.0
+    assert ek_lagrangian.impulse_jet(0.0, 1.0, 0.0)[0] == 0.0
     # tau = 1, b = 1, c = 1, lam2 = 0, v = 2 -> q = 2 * (-2) / 1
-    assert ek_lagrangian.impulse_q(2.0, 1.0, 0.0) == pytest.approx(-4.0)
+    assert ek_lagrangian.impulse_jet(2.0, 1.0, 0.0)[0] == pytest.approx(-4.0)
 
 
 def test_structural_matrices_scalar(gkdv):

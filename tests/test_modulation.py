@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,14 +9,24 @@ from hypothesis import strategies as st
 from modlab.action import FDConfig, action_hessian
 from modlab.errors import DegenerateOrbit
 from modlab.models import WaveParams, gkdv_model, structural_matrices
+from modlab import modulation
 from modlab.modulation import (ModVars, coupling_matrix_A, hessianH,
-                               modvars_to_params, params_to_modvars,
-                               spectrum_and_classification, whitham_matrix,
-                               whitham_report)
+                               params_to_modvars, spectrum_and_classification,
+                               whitham_matrix, whitham_report)
 from modlab.profiles import averaged_state, find_turning_points, \
     orbit_integrals
 
-from oracles import averaged_identities, chart_hamiltonian, fd_hessian
+from oracles import (averaged_identities, chart_hamiltonian, fd_hessian,
+                     modvars_to_params)
+
+
+def _benchmark_reference():
+    """modbench/reference.py, which imports no modlab, loaded by its path."""
+    path = Path(__file__).resolve().parents[1] / "modbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("modbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestChartChange:
@@ -182,6 +195,20 @@ class TestWhithamSpectrum:
         if np.all(np.linalg.eigvalsh(rep.hessH) > 0):
             assert np.max(np.abs(rep.eigenvalues.imag)) < 1e-10
 
+    @pytest.mark.parametrize("mu, c, lam", [
+        (-0.5, 1.0, 0.0), (-0.2, 1.0, 0.0), (-0.6, 1.0, 0.0),
+        (-2.6667, 2.0, 0.0), (-6.0553, 2.0, 0.3), (0.4587, -1.0, 0.3)])
+    def test_gkdv_spectrum_is_whithams_kdv_speeds(self, gkdv, mu, c, lam):
+        # the three speeds of the cnoidal wave on the roots e1 < e2 < e3,
+        # relative to the largest (one speed can sit near zero)
+        params = WaveParams(mu, c, [lam])
+        br = find_turning_points(gkdv, params)
+        zs = whitham_report(gkdv, params, br).eigenvalues
+        speeds = _benchmark_reference().kdv_speeds(br.v1, br.v2, br.v3)
+        err = (np.max(np.abs(np.sort(zs.real) - speeds))
+               + np.max(np.abs(zs.imag))) / np.max(np.abs(speeds))
+        assert err <= 1e-8
+
     def test_classification_examples(self):
         zs, _, _, cls, _ = spectrum_and_classification(np.diag([1.0, 2.0, 3.0]))
         assert cls == "hyperbolic"
@@ -199,11 +226,12 @@ class TestWhithamSpectrum:
             np.array([[1.0, 1.0], [0.0, 1.0]]))
         assert cls == "weakly_hyperbolic"
 
-    def test_classification_stable_under_tolerance_halving(self, cnoidal):
+    def test_classification_stable_under_tolerance_halving(self, cnoidal,
+                                                          monkeypatch):
         model, params, br = cnoidal
         rep = whitham_report(model, params, br)
-        zs, _, _, cls, _ = spectrum_and_classification(rep.whitham,
-                                                       tol_im=0.5e-8)
+        monkeypatch.setattr(modulation, "TOL_IM", 0.5e-8)
+        zs, _, _, cls, _ = spectrum_and_classification(rep.whitham)
         assert cls == rep.classification
 
     def test_signatures_reported(self, cnoidal):

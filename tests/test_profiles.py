@@ -9,11 +9,10 @@ from modlab.errors import (ConfigError, DegenerateOrbit, MultipleWells,
                            NoPeriodicOrbit, QuadratureNotConverged)
 from modlab.models import WaveParams, gkdv_model
 from modlab.profiles import (averaged_state, bracket_near_limit,
-                             find_turning_points, gauss_nodes,
-                             orbit_integrals, profile_sample)
+                             find_turning_points, orbit_integrals)
 
-from oracles import cubic_well_elliptic, raw_action_quadrature, \
-    shooting_oracle
+from oracles import cubic_well_elliptic, predicted_alpha_sign, \
+    raw_action_quadrature, shooting_oracle
 
 CNOIDAL_ROOTS = (-0.8793852415718167, 1.3472963553338607, 2.5320888862379560)
 
@@ -87,8 +86,6 @@ class TestQuadratureSetup:
         assert np.array_equal(s2, np.sin(th) ** 2)
         assert np.array_equal(wq4, 4.0 * (fw * (math.pi / 4.0)))
         assert all(not a.flags.writeable for a in entry)
-        gx, gw = gauss_nodes(n)
-        assert gx is x and gw is w
 
     @pytest.mark.parametrize("n", [24, 96])
     @pytest.mark.parametrize("inner_root", [False, True])
@@ -200,46 +197,6 @@ class TestAveragedState:
         assert abs(hi.Xi - lo.Xi) / hi.Xi <= max(lo.quad_error, 1e-15)
 
 
-class TestProfileSample:
-    def test_endpoints_and_symmetry(self, cnoidal):
-        model, params, br = cnoidal
-        samples = profile_sample(model, params, br, 65)
-        xi = np.array([s[0] for s in samples])
-        v = np.array([s[1][0] for s in samples])
-        assert v[0] == br.v2
-        assert np.max(v) == pytest.approx(br.v3, abs=1e-14)
-        assert np.all(np.diff(xi) > 0.0)
-        st = averaged_state(model, params, br)
-        half = np.argmax(v)
-        assert xi[half] == pytest.approx(st.Xi / 2.0, rel=1e-9)
-        # mirror symmetry v(Xi - xi) = v(xi)
-        assert np.allclose(v, v[::-1], atol=1e-12)
-
-    def test_first_integral_on_samples(self, cnoidal):
-        model, params, br = cnoidal
-        for _, u in profile_sample(model, params, br, 33):
-            v = float(u[0])
-            w = model.potential_jet(v, params, 0)[0]
-            vxi2 = max(2.0 * (params.mu - w), 0.0)
-            resid = abs(0.5 * vxi2 + w - params.mu)
-            assert resid <= 1e-9
-
-    def test_sampled_mean_matches_average(self, cnoidal):
-        model, params, br = cnoidal
-        samples = profile_sample(model, params, br, 4097)
-        xi = np.array([s[0] for s in samples])
-        v = np.array([s[1][0] for s in samples])
-        mean_trap = np.trapezoid(v, xi) / (xi[-1] - xi[0])
-        st = averaged_state(model, params, br)
-        assert mean_trap == pytest.approx(st.meanU[0], rel=1e-6)
-
-
-    def test_sample_count_is_checked(self, cnoidal):
-        model, params, br = cnoidal
-        with pytest.raises(ConfigError):
-            profile_sample(model, params, br, 1)
-
-
 class TestShootingOracle:
     def test_agreement_with_quadrature(self, cnoidal):
         model, params, br = cnoidal
@@ -285,7 +242,6 @@ class TestSignLaws:
 
     def test_scalar_sign_of_b(self):
         from conftest import random_scalar_wave
-        from modlab.miindex import predicted_alpha_sign
         rng = np.random.default_rng(42)
         for _ in range(12):
             model, params = random_scalar_wave(rng)
@@ -295,7 +251,6 @@ class TestSignLaws:
 
     def test_lagrangian_sign_of_minus_c(self):
         from conftest import random_lagrangian_wave
-        from modlab.miindex import predicted_alpha_sign
         rng = np.random.default_rng(43)
         done = 0
         while done < 12:
@@ -313,7 +268,6 @@ class TestSignLaws:
 
     def test_eulerian_sign_of_lam2_over_b(self):
         from conftest import random_eulerian_wave
-        from modlab.miindex import predicted_alpha_sign
         rng = np.random.default_rng(44)
         done = 0
         while done < 12:
