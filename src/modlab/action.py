@@ -53,8 +53,6 @@ class ActionJet:
     theta: float
     grad: np.ndarray
     hess: np.ndarray
-    params: WaveParams
-    fd_step: np.ndarray
     symmetry_residual: float
     quad_error: float
     warnings: tuple = ()
@@ -150,5 +148,5 @@ def action_hessian(model: ModelSpec, params: WaveParams,
     sym = np.max(np.abs(H - H.T)) / scale if scale > 0 else 0.0
     H = 0.5 * (H + H.T)
     return ActionJet(theta=base.theta, grad=base.grad_theta, hess=H,
-                     params=params, fd_step=steps, symmetry_residual=sym,
-                     quad_error=base.quad_error, warnings=tuple(warnings))
+                     symmetry_residual=sym, quad_error=base.quad_error,
+                     warnings=tuple(warnings))

@@ -17,17 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import (ConfigError, DegenerateWell, GroupVelocityResonance,
-                     NoSaddle, NoWellMinimum, QuadratureNotConverged,
-                     SpeedResonance)
+                     NoSaddle, NoWellMinimum, SpeedResonance)
 from .models import ModelSpec, WaveParams, structural_matrices
 from .polys import padd, pder, pdeflate, pmul, pscale, trim
-from .profiles import _gauss_entry, _newton_refine, level_polynomial
+from .profiles import _newton_refine, homoclinic_integrals, level_polynomial
 
 RESONANCE_TOL = 1e-10
-# Gauss order of the coarse homoclinic pass (the fine pass doubles it)
-HOMOCLINIC_ORDER = 160
 
 
 # ----------------------------------------------------------------------------
@@ -248,53 +244,6 @@ def _lambda_at_endstate(model: ModelSpec, c: float, Us: np.ndarray) -> np.ndarra
     return -grad
 
 
-def _homoclinic_integrals(model: ModelSpec, params: WaveParams, vs: float,
-                          vS: float):
-    """(M, dcM) for the solitary orbit between the saddle vs and level vS."""
-    T, den = level_polynomial(model, params)
-    q, r1 = pdeflate(T, vs)
-    q, r2 = pdeflate(q, vs)
-    q, r3 = pdeflate(q, vS)
-    P = trim(-q)  # mu_s - W = (v - vs)^2 (vS - v) P(v) / D(v)
-    kn, kd = model.kappa_rational()
-    rows = kernels.pack_rows([P, den, kn, kd])
-
-    def one_pass(m):
-        # wq4 = 4 wq exactly, wq the weights of theta = (x + 1) pi / 4
-        _, _, s, cth, _, wq4 = _gauss_entry(m)
-        v = vS - (vS - vs) * s * s
-        vals = kernels.horner_batch(rows, v)
-        Pv, Dv, Knv, Kdv = vals
-        kap = Knv / Kdv
-        dv = 2.0 * (vS - vs) * s * cth
-        # action integrand sqrt(2 kappa (mu_s - W))
-        act = (v - vs) * np.sqrt(2.0 * kap * (vS - vs) * Pv / Dv) * s
-        Mval = 0.5 * float((wq4 * act * dv).sum())
-        # impulse-bracket integrand over the diverging arclength measure;
-        # the bracket's quadratic vanishing at vs cancels the divergence
-        meas = np.sqrt(kap * Dv / (2.0 * (vS - vs) * Pv)) / s
-        if model.kind == "scalar":
-            qb = (v - vs) / (2.0 * model.b)
-        else:
-            t0, t1 = model.tau
-            tau_v = t0 + t1 * v
-            cb = params.c / model.b
-            g = -(cb * v + params.lam2) / tau_v
-            gs = -(cb * vs + params.lam2) / (t0 + t1 * vs)
-            qb = (g - gs) / model.b
-        dcM = 0.5 * float((wq4 * qb * meas * dv).sum())
-        return Mval, dcM
-
-    c1 = one_pass(HOMOCLINIC_ORDER)
-    c2 = one_pass(2 * HOMOCLINIC_ORDER)
-    err = max(abs(c2[0] - c1[0]) / max(abs(c2[0]), 1e-300),
-              abs(c2[1] - c1[1]) / max(abs(c2[1]), 1e-300))
-    if err > 1e-9:
-        raise QuadratureNotConverged(
-            f"homoclinic integral error {err:.2e} above 1e-9")
-    return c2[0], c2[1], err
-
-
 def _homoclinic_orbit(model: ModelSpec, c: float, lam: np.ndarray, window,
                       near: float | None = None):
     """Saddle vs of W, outer root vS of mu_s - W and the homoclinic integrals.
@@ -327,7 +276,7 @@ def _homoclinic_orbit(model: ModelSpec, c: float, lam: np.ndarray, window,
     if not cands:
         raise NoSaddle("no outer turning level right of the saddle")
     vS = min(cands)
-    return params, vs, w2, vS, _homoclinic_integrals(model, params, vs, vS)
+    return params, vs, w2, vS, homoclinic_integrals(model, params, T, vs, vS)
 
 
 def soliton_point(model: ModelSpec, c: float, endstate,

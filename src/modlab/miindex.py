@@ -37,7 +37,6 @@ class MIReport:
     stability_verdict: str
     k0: float
     U0: np.ndarray
-    model_label: str
 
 
 def _harmonic_scalar_data(model: ModelSpec, v0: float, k0: float):
@@ -81,8 +80,7 @@ def delta_mi(model: ModelSpec, U0, k0: float, branch: str = "plus") -> MIReport:
     kc = critical_wavenumber(model, v0) if model.kind == "scalar" else None
     return MIReport(delta_mi=dmi, a_tilde0=at0, a0=a0, b0=b0, k_c=kc,
                     naive_index=naive, predicted_sign_alpha=sign_alpha,
-                    stability_verdict=verdict, k0=k0, U0=U0,
-                    model_label=model.label)
+                    stability_verdict=verdict, k0=k0, U0=U0)
 
 
 def scalar_index_bracket(model: ModelSpec, v0: float, k0: float):

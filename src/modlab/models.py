@@ -122,7 +122,8 @@ class ModelSpec:
         object.__setattr__(self, "_f_chain", _derivative_chain(self.f))
         object.__setattr__(self, "_kappa_chain", _derivative_chain(self.kappa))
         fixed, den = pscale(self.f.coeffs, -1.0), monomial_coeffs(self.f.shift)
-        rows = [*self.kappa_rational(), *self.energy_density_rational()]
+        rows = [self.kappa.coeffs, monomial_coeffs(self.kappa.shift),
+                self.f.coeffs, den]
         if self.kind == "euler_korteweg":
             t = np.array(self.tau, dtype=float)
             fixed, den = pmul(fixed, t), pmul(t, den)
@@ -244,9 +245,13 @@ class ModelSpec:
         The quadrature engine deflates known turning points out of
         ``mu*D - N`` so the orbit integrands never suffer endpoint
         cancellation.  N adds v**shift(f) times the (c, lambda) part,
-        formed on floats, to the model's fixed part.
+        formed on floats, to the model's fixed part.  Raises ConfigError
+        unless lambda has N components.
         """
         c, lam = params.c, params.lam
+        if len(lam) != self.N:
+            raise ConfigError(f"lambda must have {self.N} component(s), "
+                              f"got {lam.tolist()}")
         fixed, den = self._rational
         if self.kind == "scalar":
             part = [-0.0, -float(lam[0]), -(c / (2.0 * self.b))]
@@ -257,13 +262,6 @@ class ModelSpec:
             part = padd([x * 0.5 for x in gg],
                         [0.0 * t0, 0.0 * t1 + -lam1 * t0, -lam1 * t1]).tolist()
         return padd(fixed, [0.0] * self.f.shift + part), den
-
-    def kappa_rational(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.kappa.coeffs, monomial_coeffs(self.kappa.shift)
-
-    def energy_density_rational(self) -> tuple[np.ndarray, np.ndarray]:
-        """f(v) as a polynomial ratio (for averaged-energy integrands)."""
-        return self.f.coeffs, monomial_coeffs(self.f.shift)
 
     # -- state-space Hessians ------------------------------------------------
 

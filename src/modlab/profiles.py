@@ -9,8 +9,9 @@ turning points v2 < v3 of mu - W.  The engine below:
 * deflates the known roots out of T so integrands are evaluated without
   endpoint cancellation,
 * integrates with Gauss-Legendre after singularity-removing
-  substitutions (a trigonometric one generically; a hyperbolic/trig
-  split when an inner root v1 sits close on the soliton side),
+  substitutions (a trigonometric one generically and on the homoclinic
+  orbit of a soliton anchor; a hyperbolic/trig split when an inner root
+  v1 sits close on the soliton side),
 * estimates quadrature error by order doubling.
 """
 
@@ -33,27 +34,15 @@ DEFAULT_QUAD_ORDER = 96
 # relative order-doubling error above which orbit_integrals raises
 QUAD_RTOL = 1e-9
 
-# order n -> (x, w, s, c, s2, wq4): the Gauss-Legendre rule and, at its
-# nodes, sin, cos and sin^2 of theta = (x + 1) pi / 4 and the weights
-# 4 w pi / 4 of that substitution; every array read-only
-_leggauss_cache: dict = {}
-# order n -> (x + 1, w, s, c, s2, wq4) of orders n and 2n side by side
+# order n -> (x + 1, w, s, c, s2, wq4) of the Gauss-Legendre rules of orders
+# n and 2n side by side, with sin, cos and sin^2 of theta = (x + 1) pi / 4
+# at their nodes and the weights 4 w pi / 4 of that substitution
 _node_cache: dict = {}
 # the fine pass runs 2 * quad_order Gauss nodes, whose rule numpy builds from
 # an n x n companion matrix: 1024 caps it at 2048 nodes (32 MiB)
 MAX_QUAD_ORDER = 1024
-
-
-def _gauss_entry(n: int) -> tuple:
-    if n not in _leggauss_cache:
-        x, w = leggauss(n)
-        th = (x + 1.0) * (math.pi / 4.0)
-        s = np.sin(th)
-        entry = (x, w, s, np.cos(th), s ** 2, 4.0 * (w * (math.pi / 4.0)))
-        for a in entry:
-            a.flags.writeable = False
-        _leggauss_cache[n] = entry
-    return _leggauss_cache[n]
+# Gauss order of the coarse homoclinic pass (the fine pass doubles it)
+HOMOCLINIC_ORDER = 160
 
 
 def _node_set(n: int) -> tuple:
@@ -66,9 +55,11 @@ def _node_set(n: int) -> tuple:
         if type(n) is not int or not 1 <= n <= MAX_QUAD_ORDER:
             raise ConfigError(f"quad_order must be an integer in "
                               f"[1, {MAX_QUAD_ORDER}], got {n!r}")
-        lo, hi = _gauss_entry(n), _gauss_entry(2 * n)
-        x, *rest = (np.concatenate((a, b)) for a, b in zip(lo, hi))
-        entry = (x + 1.0, *rest)
+        x, w = (np.concatenate(a) for a in zip(leggauss(n), leggauss(2 * n)))
+        th = (x + 1.0) * (math.pi / 4.0)
+        s = np.sin(th)
+        entry = (x + 1.0, w, s, np.cos(th), s ** 2,
+                 4.0 * (w * (math.pi / 4.0)))
         for a in entry:
             a.flags.writeable = False
         _node_cache[n] = entry
@@ -345,18 +336,14 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
 
 
 def _integrand_stack(model: ModelSpec, params: WaveParams,
-                     bracket: OrbitBracket) -> np.ndarray:
+                     q: np.ndarray) -> np.ndarray:
     """Packed polynomial stack the hot kernel evaluates at the nodes.
 
-    Rows: the bracket's level polynomial (mu - W) D with its roots
-    divided out, then the model's rows (D, the kappa numerator and
-    denominator, the f numerator and denominator and, on two-field
+    Rows: -q, the level polynomial (mu - W) D with the orbit's turning
+    points divided out, then the model's rows (D, the kappa numerator
+    and denominator, the f numerator and denominator and, on two-field
     models, tau) and, on two-field models, G = -(lam2 + c v / b).
     """
-    q, _ = pdeflate(bracket.T, bracket.v2)
-    q, _ = pdeflate(q, bracket.v3)
-    if bracket.v1 is not None:
-        q, _ = pdeflate(q, bracket.v1)
     rows = model._integrand_rows
     k, dm = rows.shape
     d = max(len(q), dm)
@@ -382,8 +369,12 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
     """
     xp1, wgt, s, c, s2, wq4 = _node_set(quad_order)
     n = quad_order
-    packed = _integrand_stack(model, params, bracket)
     v2, v3, v1 = bracket.v2, bracket.v3, bracket.v1
+    q, _ = pdeflate(bracket.T, v2)
+    q, _ = pdeflate(q, v3)
+    if v1 is not None:
+        q, _ = pdeflate(q, v1)
+    packed = _integrand_stack(model, params, q)
     if v1 is None:
         # single trigonometric substitution over the whole well
         v = v2 + (v3 - v2) * s2
@@ -440,6 +431,49 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
             f"(order {quad_order})")
     return OrbitIntegrals(Xi=Xi, int_U=int_U, int_Q=Q, theta=theta, int_E=E,
                           quad_error=err)
+
+
+def homoclinic_integrals(model: ModelSpec, params: WaveParams, T: np.ndarray,
+                         vs: float, vS: float) -> tuple[float, float, float]:
+    """(M, dcM, error) of the solitary orbit from the saddle vs to vS.
+
+    ``T`` is the level polynomial at the saddle level mu_s, on which
+    mu_s - W = (v - vs)^2 (vS - v) P(v) / D(v).  As in orbit_integrals,
+    both Gauss orders run on one node set and one kernel call; the error
+    is their relative gap, and QuadratureNotConverged is raised above 1e-9.
+    """
+    _, _, s, cth, _, wq4 = _node_set(HOMOCLINIC_ORDER)
+    n = HOMOCLINIC_ORDER
+    q, _ = pdeflate(T, vs)
+    q, _ = pdeflate(q, vs)
+    q, _ = pdeflate(q, vS)
+    v = vS - (vS - vs) * s * s
+    vals = kernels.horner_batch(_integrand_stack(model, params, q), v)
+    Pv, Dv, Knv, Kdv = vals[:4]
+    kap = Knv / Kdv
+    dv = 2.0 * (vS - vs) * s * cth
+    # action integrand sqrt(2 kappa (mu_s - W))
+    act = (v - vs) * np.sqrt(2.0 * kap * (vS - vs) * Pv / Dv) * s
+    # impulse-bracket integrand over the diverging arclength measure;
+    # the bracket's quadratic vanishing at vs cancels the divergence
+    meas = np.sqrt(kap * Dv / (2.0 * (vS - vs) * Pv)) / s
+    if model.kind == "scalar":
+        qb = (v - vs) / (2.0 * model.b)
+    else:
+        t0, t1 = model.tau
+        gs = -(params.c / model.b * vs + params.lam2) / (t0 + t1 * vs)
+        qb = (vals[7] / vals[6] - gs) / model.b
+    # M and dcM of the order-n pass on [0, n), then of order 2n on [n, 3n)
+    fM, fq = wq4 * act * dv, wq4 * qb * meas * dv
+    (cM, cq), (M, dcM) = [(0.5 * float(fM[a:b].sum()),
+                           0.5 * float(fq[a:b].sum()))
+                          for a, b in ((0, n), (n, 3 * n))]
+    err = max(abs(M - cM) / max(abs(M), 1e-300),
+              abs(dcM - cq) / max(abs(dcM), 1e-300))
+    if err > 1e-9:
+        raise QuadratureNotConverged(
+            f"homoclinic integral error {err:.2e} above 1e-9")
+    return M, dcM, err
 
 
 def averaged_state(model: ModelSpec, params: WaveParams,

@@ -445,7 +445,7 @@ class TestConfigKeys:
             raise AssertionError(f"Gauss rule of order {n} computed")
 
         monkeypatch.setattr("modlab.profiles.leggauss", nodes)
-        monkeypatch.setattr("modlab.profiles._leggauss_cache", {})
+        monkeypatch.setattr("modlab.profiles._node_cache", {})
         argv = ["wave", "--config", GKDV, "--mu", "-0.5", "--c", "1",
                 "--quad-order", str(cli.MAX_QUAD_ORDER + 1)]
         assert main(argv) == 2

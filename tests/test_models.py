@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from modlab.errors import ConfigError, DomainViolation
+from modlab.limits import _soliton_point_at_lambda, harmonic_point
 from modlab.models import (ModelSpec, WaveParams, gkdv_model, model_from_dict,
                            structural_matrices)
+from modlab.modulation import whitham_report
 from modlab.polys import Laurent
+from modlab.profiles import find_turning_points
 
 
 def test_potential_scalar_example(gkdv):
@@ -200,6 +203,29 @@ def test_potential_rational_consistency(request):
             ratio = np.polynomial.polynomial.polyval(v, num) / \
                 np.polynomial.polynomial.polyval(v, den)
             assert ratio == pytest.approx(direct, rel=1e-13, abs=1e-13)
+
+
+# (mu, c) of a wave and a lambda of the wrong length, per model
+WRONG_LAMBDA = {"gkdv": (-0.5, 1.0, [0.0, 3.0]),
+                "nls_hydro": (0.3, 0.3, [-1.4])}
+LAMBDA_ENTRY_POINTS = {
+    "find_turning_points":
+        lambda m, mu, c, lam: find_turning_points(m, WaveParams(mu, c, lam)),
+    "harmonic_point": lambda m, mu, c, lam: harmonic_point(m, c, lam),
+    "soliton_point_lambda":
+        lambda m, mu, c, lam: _soliton_point_at_lambda(m, c, lam),
+    "whitham_report":
+        lambda m, mu, c, lam: whitham_report(m, WaveParams(mu, c, lam)),
+}
+
+
+@pytest.mark.parametrize("entry", LAMBDA_ENTRY_POINTS)
+@pytest.mark.parametrize("name", WRONG_LAMBDA)
+def test_wrong_lambda_length_is_a_config_error(request, name, entry):
+    # every bracket and anchor forms W through potential_rational
+    mu, c, lam = WRONG_LAMBDA[name]
+    with pytest.raises(ConfigError, match="lambda must have"):
+        LAMBDA_ENTRY_POINTS[entry](request.getfixturevalue(name), mu, c, lam)
 
 
 def test_jets_equal_fresh_derivatives(request):

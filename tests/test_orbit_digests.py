@@ -6,8 +6,11 @@ down to root ratio 1e-6) and runs ``orbit_integrals`` at two quadrature
 orders.  Its digest is the SHA-256 of the IEEE bytes of the bracket
 roots and of every ``OrbitIntegrals`` field, so a change that moves any
 bit of the two-field, no-v1 or near-limit paths fails here even where
-the README reports do not reach.  ``tests/data/orbit_digests.json``
-holds the digests and one ``QuadratureNotConverged`` message.  A change
+the README reports do not reach.  The soliton-anchor cases hash every
+numeric ``SolitonPoint`` field of gKdV families (lambda path) and
+Euler-Korteweg endstates, which covers the homoclinic integrals and
+their differences.  ``tests/data/orbit_digests.json`` holds the digests
+and one ``QuadratureNotConverged`` message.  A change
 that moves these bits on purpose (an accuracy improvement shown against
 an oracle) refreshes the copy with
 
@@ -16,6 +19,7 @@ an oracle) refreshes the copy with
 and says so in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -25,7 +29,8 @@ import numpy as np
 import pytest
 
 from modlab.errors import QuadratureNotConverged
-from modlab.limits import harmonic_point, soliton_point
+from modlab.limits import (_soliton_point_at_lambda, harmonic_point,
+                           soliton_point)
 from modlab.models import WaveParams, model_from_dict
 from modlab.profiles import (bracket_near_limit, find_turning_points,
                              orbit_integrals)
@@ -84,6 +89,27 @@ def digest(case: str, quad_order: int) -> str:
     return h.hexdigest()
 
 
+# soliton anchors: family/c/lambda=... or family/c/endstate=...
+ANCHORS = ([f"gkdv/{c:g}/lambda=0.1" for c in (0.5, 1, 2)]
+           + [f"ek_lagrangian/{c:g}/endstate=-1.2,0.3" for c in (0.8, 0.5)])
+
+
+def anchor_digest(case: str) -> str:
+    name, c, given = case.split("/")
+    path, vals = given.split("=")
+    x = [float(t) for t in vals.split(",")]
+    model = load_model(name)
+    if path == "lambda":
+        sp = _soliton_point_at_lambda(model, float(c), x)
+    else:
+        sp = soliton_point(model, float(c), x)
+    h = hashlib.sha256()
+    for f in dataclasses.fields(sp):
+        if f.name != "frame":
+            h.update(np.asarray(getattr(sp, f.name), dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 def not_converged_message() -> str:
     model, params, br = orbit("generic/gkdv/-")
     with pytest.raises(QuadratureNotConverged) as info:
@@ -94,6 +120,7 @@ def not_converged_message() -> str:
 def capture() -> dict:
     return {"digests": {f"{c}@{n}": digest(c, n)
                         for c in CASES for n in ORDERS},
+            "soliton_anchors": {c: anchor_digest(c) for c in ANCHORS},
             "not_converged": not_converged_message()}
 
 
@@ -104,6 +131,11 @@ STORED = json.loads(DATA.read_text()) if DATA.exists() else {}
 @pytest.mark.parametrize("case", CASES)
 def test_orbit_digest_unchanged(case, quad_order):
     assert digest(case, quad_order) == STORED["digests"][f"{case}@{quad_order}"]
+
+
+@pytest.mark.parametrize("case", ANCHORS)
+def test_soliton_anchor_digest_unchanged(case):
+    assert anchor_digest(case) == STORED["soliton_anchors"][case]
 
 
 def test_not_converged_message_unchanged():

@@ -113,6 +113,18 @@ def test_every_public_function_and_class_has_a_reader():
     assert unread == []
 
 
+def test_one_quadrature_engine():
+    # profiles alone builds Gauss rules and calls the Horner kernel, which
+    # kernels defines; an import of either name counts as a reference
+    users = set()
+    for name, tree in parsed_modules().items():
+        imported = {a.asname or a.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for a in node.names}
+        if {"leggauss", "horner_batch"} & (referenced(tree) | imported):
+            users.add(name)
+    assert users == {"profiles"}
+
+
 def test_every_leaf_error_is_raised_somewhere():
     modules = parsed_modules()
     classes = {node.name: [b.id for b in node.bases]

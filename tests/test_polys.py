@@ -122,7 +122,8 @@ def test_level_polynomial_bit_identical_to_array_form():
     rng = np.random.default_rng(31)
     for _ in range(CASES):
         model = random_model(rng)
-        params = WaveParams(value(rng), value(rng), [value(rng), value(rng)])
+        mu, c, lam = value(rng), value(rng), [value(rng), value(rng)]
+        params = WaveParams(mu, c, lam[:model.N])
         num, den = model.potential_rational(params)
         num_ref, den_ref = ref_potential_rational(model, params)
         assert same(num, num_ref) and same(den, den_ref)

@@ -7,6 +7,7 @@ from numpy.polynomial.legendre import leggauss
 from modlab import profiles
 from modlab.errors import (ConfigError, DegenerateOrbit, MultipleWells,
                            NoPeriodicOrbit, QuadratureNotConverged)
+from modlab.limits import soliton_point
 from modlab.models import WaveParams, gkdv_model
 from modlab.profiles import (averaged_state, bracket_near_limit,
                              find_turning_points, orbit_integrals)
@@ -76,15 +77,19 @@ class TestTurningPoints:
 class TestQuadratureSetup:
     @pytest.mark.parametrize("n", [24, 96, 192])
     def test_cached_trig_substitution_is_fresh_and_read_only(self, n):
-        entry = profiles._gauss_entry(n)
-        x, w, s, c, s2, wq4 = entry
-        fx, fw = leggauss(n)
-        th = (fx + 1.0) * (math.pi / 4.0)
-        assert np.array_equal(x, fx) and np.array_equal(w, fw)
-        assert np.array_equal(s, np.sin(th))
-        assert np.array_equal(c, np.cos(th))
-        assert np.array_equal(s2, np.sin(th) ** 2)
-        assert np.array_equal(wq4, 4.0 * (fw * (math.pi / 4.0)))
+        entry = profiles._node_set(n)
+        assert profiles._node_cache[n] is entry
+        xp1, w, s, c, s2, wq4 = entry
+        # the order-n rule on [0, n), the order-2n rule on [n, 3n)
+        for m, part in ((n, slice(0, n)), (2 * n, slice(n, 3 * n))):
+            fx, fw = leggauss(m)
+            th = (fx + 1.0) * (math.pi / 4.0)
+            assert np.array_equal(xp1[part], fx + 1.0)
+            assert np.array_equal(w[part], fw)
+            assert np.array_equal(s[part], np.sin(th))
+            assert np.array_equal(c[part], np.cos(th))
+            assert np.array_equal(s2[part], np.sin(th) ** 2)
+            assert np.array_equal(wq4[part], 4.0 * (fw * (math.pi / 4.0)))
         assert all(not a.flags.writeable for a in entry)
 
     @pytest.mark.parametrize("n", [24, 96])
@@ -107,6 +112,24 @@ class TestQuadratureSetup:
         monkeypatch.setattr(profiles.kernels, "horner_batch", counted)
         orbit_integrals(model, params, br, quad_order=n)
         assert nodes == ([n, 2 * n, n, 2 * n] if inner_root else [n, 2 * n])
+
+    @pytest.mark.parametrize("family, c, endstate", [
+        ("gkdv", 1.0, [0.0]), ("ek_lagrangian", 0.8, [-1.2, 0.3])])
+    def test_one_kernel_call_per_homoclinic_orbit(self, request, monkeypatch,
+                                                  family, c, endstate):
+        # both Gauss orders of a homoclinic orbit run on one node set: the
+        # anchor's orbit, two for dc2M and two per endstate entry for gradUM
+        model = request.getfixturevalue(family)
+        nodes = []
+        horner = profiles.kernels.horner_batch
+
+        def counted(coeffs, v):
+            nodes.append(len(v))
+            return horner(coeffs, v)
+
+        monkeypatch.setattr(profiles.kernels, "horner_batch", counted)
+        soliton_point(model, c, endstate)
+        assert nodes == [3 * profiles.HOMOCLINIC_ORDER] * (3 + 2 * model.N)
 
     @pytest.mark.parametrize("n", [0, 2.5, profiles.MAX_QUAD_ORDER + 1])
     def test_quad_order_out_of_range_is_a_config_error(self, cnoidal,
