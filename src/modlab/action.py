@@ -19,11 +19,13 @@ import numpy as np
 from .errors import (DegenerateOrbit, MultipleWells, NoPeriodicOrbit,
                      StencilLeftBranch)
 from .models import ModelSpec, WaveParams
-from .polys import pder, peval
+from .polys import pder
 from .profiles import (DEFAULT_QUAD_ORDER, OrbitBracket, _newton_refine,
                        bracket_near_limit, level_polynomial, orbit_integrals)
 
 REL_STEP = 1e-5
+# |mu - W| / max(1, |mu|) above which a tracked turning point is no root
+TRACK_RESIDUAL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,16 @@ def rebracket(model: ModelSpec, params: WaveParams,
         raise DegenerateOrbit("turning points crossed while tracking")
     if v1 is not None and not v1 < v2:
         raise DegenerateOrbit("inner root crossed while tracking")
-    return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=reference.regime_hint,
-                        root_residuals=(abs(peval(T, v2) / peval(den, v2)),
-                                        abs(peval(T, v3) / peval(den, v3))),
-                        T=T, den=den)
+    out = OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=reference.regime_hint,
+                       T=T, den=den)
+    # past a limit the tracked roots leave the real line, and Newton ends
+    # its step budget on a point that is no root
+    resid = max(out.root_residuals)
+    bound = TRACK_RESIDUAL * max(1.0, abs(params.mu))
+    if resid > bound:
+        raise DegenerateOrbit(f"tracked turning point is not a root: "
+                              f"residual {resid:.2e} above {bound:.2e}")
+    return out
 
 
 def action_hessian(model: ModelSpec, params: WaveParams,

@@ -21,7 +21,8 @@ from .errors import (ConfigError, DegenerateWell, GroupVelocityResonance,
                      NoSaddle, NoWellMinimum, SpeedResonance)
 from .models import ModelSpec, WaveParams, structural_matrices
 from .polys import padd, pder, pdeflate, pmul, pscale, trim
-from .profiles import _newton_refine, homoclinic_integrals, level_polynomial
+from .profiles import (_newton_refine, homoclinic_integrals, level_polynomial,
+                       _window_in_domain)
 
 RESONANCE_TOL = 1e-10
 
@@ -168,11 +169,6 @@ def _response_coefficients(K1: float, K2: float, w2: float, w3: float,
     return a0, b0
 
 
-def _window(model: ModelSpec, window):
-    lo, hi = window if window is not None else model.domain
-    return (lo if math.isfinite(lo) else -1e6, hi if math.isfinite(hi) else 1e6)
-
-
 def harmonic_point(model: ModelSpec, c: float, lam,
                    window=None) -> HarmonicPoint:
     """Locate the well minimum of the family (c, lambda) and its limit data.
@@ -183,7 +179,7 @@ def harmonic_point(model: ModelSpec, c: float, lam,
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     params = WaveParams(0.0, c, lam)
-    lo, hi = _window(model, window)
+    lo, hi = _window_in_domain(model, window)
     minima = [(x, w2) for x, w2 in _critical_points(model, params, (lo, hi))
               if w2 > 0.0]
     if not minima:
@@ -308,7 +304,7 @@ def _soliton_point_at_lambda(model: ModelSpec, c: float, lam,
     endstate U_s of this anchor.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    win = _window(model, window)
+    win = _window_in_domain(model, window)
     params, vs, w2, vS, (Mval, dcM, qerr) = _homoclinic_orbit(model, c, lam, win)
     if model.kind == "scalar":
         Us = np.array([vs])

@@ -54,11 +54,14 @@ def delta_mi(model: ModelSpec, U0, k0: float, branch: str = "plus") -> MIReport:
     """Instability index, edge coefficients and verdict at (U0, k0).
 
     Scalar models use the closed form of scalar_index_bracket, two-field
-    models the general bracket of _delta_mi_system; v0 must lie in the
-    model domain.  The verdict thresholds leave a marginal band of width
-    TOL_MI around zero.
+    models the general bracket of _delta_mi_system.  U0 must have N
+    entries and v0 must lie in the model domain.  The verdict thresholds
+    leave a marginal band of width TOL_MI around zero.
     """
     U0 = np.atleast_1d(np.asarray(U0, dtype=float))
+    if U0.shape != (model.N,):
+        raise ConfigError(f"U0 must have {model.N} component(s), "
+                          f"got {U0.tolist()}")
     v0 = float(U0[0])
     model.check_domain(v0)
     if model.kind == "scalar":

@@ -74,7 +74,6 @@ class OrbitBracket:
     v3: float
     v1: float | None = None
     regime_hint: str = "generic"
-    root_residuals: tuple = ()
     # the level polynomial T = mu D - N and D the roots were found on
     T: np.ndarray = field(kw_only=True, compare=False, repr=False)
     den: np.ndarray = field(kw_only=True, compare=False, repr=False)
@@ -90,6 +89,12 @@ class OrbitBracket:
         if self.v1 is None:
             return None
         return (self.v2 - self.v1) / (self.v3 - self.v2)
+
+    @property
+    def root_residuals(self) -> tuple:
+        """|mu - W| = |T / D| at v2, v3 and, when present, v1."""
+        return tuple(abs(peval(self.T, x) / peval(self.den, x))
+                     for x in (self.v2, self.v3, self.v1) if x is not None)
 
 
 @dataclass(frozen=True)
@@ -165,108 +170,91 @@ def _newton_refine(T: np.ndarray, Td: np.ndarray, x: float, lo: float,
     return x
 
 
-def _real_roots_in(T: np.ndarray, lo: float, hi: float, span: float) -> list:
-    """Refined real roots in the window as (root, cluster_count) pairs."""
+def _window_in_domain(model: ModelSpec, window=None) -> tuple[float, float]:
+    """The window (default: the domain) cut to the domain; open ends +-1e6."""
+    lo, hi = window if window is not None else model.domain
+    dlo, dhi = model.domain
+    lo, hi = max(lo, dlo), min(hi, dhi)
+    return (lo if math.isfinite(lo) else -1e6,
+            hi if math.isfinite(hi) else 1e6)
+
+
+def _real_roots_in(T: np.ndarray, lo: float, hi: float) -> list:
+    """Refined real roots of T in the window, sorted."""
     Tt = trim(T)
     if len(Tt) < 2:
         return []
-    raw = np.roots(Tt[::-1])
     Td = pder(Tt)
+    span = hi - lo
     out = []
-    for z in raw:
+    for z in np.roots(Tt[::-1]):
         if abs(z.imag) > 1e-5 * max(1.0, abs(z.real)):
             continue
         x = float(z.real)
-        if not (lo - 1e-12 * span <= x <= hi + 1e-12 * span):
-            continue
-        x = _newton_refine(Tt, Td, x, lo - 0.01 * span, hi + 0.01 * span, 1e-15)
-        out.append(x)
-    out.sort()
-    merged: list[tuple] = []
-    for x in out:
-        if merged and abs(x - merged[-1][0]) <= 1e-9 * span:
-            prev, cnt = merged[-1]
-            merged[-1] = (0.5 * (prev + x), cnt + 1)
-        else:
-            merged.append((x, 1))
-    return merged
+        if lo - 1e-12 * span <= x <= hi + 1e-12 * span:
+            out.append(_newton_refine(Tt, Td, x, lo - 0.01 * span,
+                                      hi + 0.01 * span, 1e-15))
+    return sorted(out)
 
 
 def find_turning_points(model: ModelSpec, params: WaveParams,
                         search_window: tuple | None = None) -> OrbitBracket:
     """Locate the turning points v2 < v3 (and v1 when present) at level mu.
 
+    The window (default: the model domain) only selects the roots of
+    mu - W that are looked at.  Two adjacent roots closer than
+    ``DEGENERACY_FRACTION`` times the spread of those roots (or the
+    largest root's magnitude, when that is larger) are one double root,
+    which is never a well.
+
     Raises
     ------
     NoPeriodicOrbit
         when mu - W has no sign change in the window.
     DegenerateOrbit
-        when two relevant roots collapse (harmonic or soliton edge).
+        when a double root leaves no well or touches the well (harmonic
+        or soliton edge).
     MultipleWells
         when the window contains more than one candidate well.
     """
-    lo, hi = search_window if search_window is not None else model.domain
-    dlo, dhi = model.domain
-    lo, hi = max(lo, dlo), min(hi, dhi)
-    if not math.isfinite(lo):
-        lo = -1e6
-    if not math.isfinite(hi):
-        hi = 1e6
+    lo, hi = _window_in_domain(model, search_window)
     T, den = level_polynomial(model, params)
-    span = hi - lo
-    clustered = _real_roots_in(T, lo, hi, span)
-    roots = [r for r, _ in clustered]
-    counts = {r: c for r, c in clustered}
-    if len(roots) < 2:
-        if any(c >= 2 for c in counts.values()):
-            raise DegenerateOrbit(
-                f"double root at level mu = {params.mu}; at a distinguished limit")
-        raise NoPeriodicOrbit(
-            f"level mu = {params.mu} cuts no well in ({lo}, {hi})")
-    wells = []
-    for a, b in zip(roots[:-1], roots[1:]):
+    roots = _real_roots_in(T, lo, hi)
+    # the spread of the roots and 0: at least the roots' size, as a window
+    # holding only the well's two roots has no other scale
+    tol = DEGENERACY_FRACTION * (max(roots + [0.0]) - min(roots + [0.0]))
+    wells, doubles = [], []
+    for i, (a, b) in enumerate(zip(roots[:-1], roots[1:])):
         mid = 0.5 * (a + b)
-        if peval(T, mid) > 0.0 and peval(den, mid) > 0.0:
-            wells.append((a, b))
-    if not wells:
-        if any(c >= 2 for c in counts.values()):
-            raise DegenerateOrbit(
-                f"double root at level mu = {params.mu}; at a distinguished limit")
-        raise NoPeriodicOrbit(
-            f"no well below level mu = {params.mu} in ({lo}, {hi})")
+        if b - a <= tol:
+            doubles.append(i)
+        elif peval(T, mid) > 0.0 and peval(den, mid) > 0.0:
+            wells.append(i)
     if len(wells) > 1:
         raise MultipleWells(
             f"{len(wells)} wells in ({lo}, {hi}); narrow the window")
-    v2, v3 = wells[0]
-    if counts[v2] >= 2 or counts[v3] >= 2:
+    if wells:
+        # the pairs below and above the well share a root with it
+        doubles = [j for j in doubles if abs(j - wells[0]) == 1]
+    if doubles:
+        a, b = roots[doubles[0]], roots[doubles[0] + 1]
         raise DegenerateOrbit(
-            f"multiple turning point on the well edge at mu = {params.mu}")
-    # degeneracy is judged against the root spread, not the search window
-    wspan = max(roots[-1] - roots[0], abs(v2) + abs(v3), 1e-30)
-    if v3 - v2 < DEGENERACY_FRACTION * wspan:
-        raise DegenerateOrbit(
-            f"turning points collapsed: v2 = {v2}, v3 = {v3}")
+            f"double root at level mu = {params.mu}: roots {a} and {b} are "
+            f"closer than {tol:.3g}")
+    if not wells:
+        raise NoPeriodicOrbit(
+            f"no well below level mu = {params.mu} in ({lo}, {hi})")
+    i = wells[0]
+    v2, v3 = roots[i], roots[i + 1]
     v1 = None
-    below = [r for r in roots if r < v2 - 1e-9 * wspan]
-    if below:
-        cand = max(below)
-        mid = 0.5 * (cand + v2)
-        if peval(T, mid) < 0.0:
-            v1 = cand
-            if v2 - v1 < DEGENERACY_FRACTION * wspan:
-                raise DegenerateOrbit(
-                    f"soliton-side roots collapsed: v1 = {v1}, v2 = {v2}")
-    dval = peval(den, np.array([v2, v3]))
-    resid = [abs(peval(T, v2) / dval[0]), abs(peval(T, v3) / dval[1])]
-    if v1 is not None:
-        resid.append(abs(peval(T, v1) / peval(den, v1)))
+    if i > 0 and peval(T, 0.5 * (roots[i - 1] + v2)) < 0.0:
+        v1 = roots[i - 1]
     hint = "generic"
-    if (v3 - v2) < 0.02 * wspan:
+    if (v3 - v2) < 0.02 * max(roots[-1] - roots[0], abs(v2) + abs(v3)):
         hint = "near_harmonic"
     elif v1 is not None and (v2 - v1) / (v3 - v2) < 0.02:
         hint = "near_soliton"
-    return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=hint,
-                        root_residuals=tuple(resid), T=T, den=den)
+    return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=hint, T=T, den=den)
 
 
 def _quotient_real_roots(q: np.ndarray) -> list:
@@ -326,9 +314,7 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
         hint = "near_soliton"
     else:
         raise ConfigError(f"unknown side {side!r}")
-    dvals = [abs(peval(T, x) / peval(den, x)) for x in (v2, v3)]
-    return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=hint,
-                        root_residuals=tuple(dvals), T=T, den=den)
+    return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=hint, T=T, den=den)
 
 
 # ----------------------------------------------------------------------------

@@ -101,6 +101,22 @@ class TestHessian:
         with pytest.raises(StencilLeftBranch):
             action_hessian(gkdv, p, br, FDConfig())
 
+    @pytest.mark.parametrize("mu", [-1e-5, -2.0 / 3.0 + 2e-7])
+    def test_stencil_point_that_is_no_root_leaves_the_branch(self, gkdv, mu):
+        # past a limit the tracked roots leave the real line: Newton ends on
+        # a point that is no root, which the residual gate rejects
+        p = WaveParams(mu, 1.0, [0.0])
+        br = find_turning_points(gkdv, p)
+        with pytest.raises(StencilLeftBranch, match="not a root"):
+            action_hessian(gkdv, p, br, FDConfig())
+
+    def test_rebracket_records_every_root_residual(self, cnoidal):
+        model, params, br = cnoidal
+        p = WaveParams(params.mu + 1e-5, params.c, params.lam)
+        tracked = action.rebracket(model, p, br)
+        assert tracked.v1 is not None and len(tracked.root_residuals) == 3
+        assert max(tracked.root_residuals) <= action.TRACK_RESIDUAL
+
     def test_soliton_conditioning_warning(self, gkdv):
         p = WaveParams(-1e-9, 1.0, [0.0])
         br = bracket_near_limit(gkdv, p, 0.0, "soliton")

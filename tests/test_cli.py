@@ -13,7 +13,8 @@ import pytest
 from modlab import cli, errors
 from modlab.cli import format_float, main, parse_grid, render_csv, render_json
 from modlab.errors import ConfigError
-from modlab.models import model_from_dict
+from modlab.models import WaveParams, model_from_dict
+from modlab.profiles import averaged_state, bracket_near_limit
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "src" / "modlab" / "configs"
@@ -83,6 +84,20 @@ class TestCommands:
         code, _, _ = run_cli(["wave", "--config", GKDV,
                               "--mu", str(-2.0 / 3.0), "--c", "1"])
         assert code == 4
+
+    def test_near_harmonic_wave_matches_the_near_limit_bracket(self):
+        # 2e-7 above the well bottom, above the root-spread cutoff
+        mu = -2.0 / 3.0 + 2e-7
+        code, out, err = run_cli(["wave", "--config", GKDV, f"--mu={mu!r}",
+                                  "--c", "1"])
+        assert code == 0, err
+        rep = json.loads(out)
+        model = model_from_dict(json.loads(Path(GKDV).read_text())["model"])
+        p = WaveParams(mu, 1.0, [0.0])
+        Xi = averaged_state(model, p,
+                            bracket_near_limit(model, p, 2.0, "harmonic")).Xi
+        assert rep["bracket"]["regime"] == "near_harmonic"
+        assert abs(rep["Xi"] - Xi) <= 1e-10 * Xi
 
     def test_invalid_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -298,10 +313,13 @@ class TestFailurePaths:
         (["wave", "--config", GKDV, "--mu", "-0.5", "--c", "1",
           "--precision", "5"], 2),
         (["wave", "--config", GKDV, "--c", "1"], 2),
+        (["wave", "--config", GKDV, "--mu=0", "--c", "1"], 4),
+        (["whitham", "--config", GKDV, "--mu=-1e-5", "--c", "1"], 4),
     ], ids=["lambda-not-a-number", "lambda-and-endstate",
             "mi-v0-outside-domain", "wave-no-orbit", "endstate-not-a-saddle",
             "branch-on-limit-harmonic", "quad-order-0", "precision-5",
-            "wave-without-mu"])
+            "wave-without-mu", "wave-at-soliton-level",
+            "whitham-stencil-past-soliton-level"])
     def test_failure_exits_without_traceback(self, argv, code):
         got, out, err = run_cli(argv)
         assert got == code, err

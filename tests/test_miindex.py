@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from modlab.errors import (InadmissibleWavenumber, UncoveredClass,
-                           UnsupportedConjugateFamily)
+from modlab.errors import (ConfigError, InadmissibleWavenumber,
+                           UncoveredClass, UnsupportedConjugateFamily)
 from modlab.limits import harmonic_point, limiting_whitham_harmonic
 from modlab.miindex import (conjugate_model, conjugate_wave_params,
                             conjugation_check, critical_wavenumber, delta_mi,
@@ -140,6 +140,14 @@ class TestNaiveIndex:
     def test_scalar_only(self, ek_lagrangian):
         with pytest.raises(UncoveredClass):
             naive_index(ek_lagrangian, 1.0, 0.3)
+
+
+@pytest.mark.parametrize("family, U0", [
+    ("gkdv", []), ("gkdv", [2.0, 0.3]), ("nls_hydro", [1.0]),
+    ("nls_hydro", [1.0, 0.3, 0.0])])
+def test_state_must_have_one_entry_per_field(request, family, U0):
+    with pytest.raises(ConfigError, match="component"):
+        delta_mi(request.getfixturevalue(family), U0, 0.3)
 
 
 class TestSystemIndex:

@@ -7,7 +7,7 @@ from numpy.polynomial.legendre import leggauss
 from modlab import profiles
 from modlab.errors import (ConfigError, DegenerateOrbit, MultipleWells,
                            NoPeriodicOrbit, QuadratureNotConverged)
-from modlab.limits import soliton_point
+from modlab.limits import harmonic_point, soliton_point
 from modlab.models import WaveParams, gkdv_model
 from modlab.profiles import (averaged_state, bracket_near_limit,
                              find_turning_points, orbit_integrals)
@@ -29,13 +29,39 @@ class TestTurningPoints:
         assert max(br.root_residuals) < 1e-12
 
     def test_degenerate_at_well_bottom(self, gkdv):
-        with pytest.raises(DegenerateOrbit):
-            find_turning_points(gkdv, WaveParams(-2.0 / 3.0, 1.0, [0.0]),
-                                (-5, 5))
+        # (0.5, 5) holds only the double root: its size, not its spread,
+        # scales the cutoff
+        for window in (None, (-5, 5), (0.5, 5.0)):
+            with pytest.raises(DegenerateOrbit):
+                find_turning_points(gkdv, WaveParams(-2.0 / 3.0, 1.0, [0.0]),
+                                    window)
 
     def test_degenerate_at_soliton_level(self, gkdv):
-        with pytest.raises(DegenerateOrbit):
-            find_turning_points(gkdv, WaveParams(0.0, 1.0, [0.0]), (-5, 5))
+        for window in (None, (-5, 5)):
+            with pytest.raises(DegenerateOrbit):
+                find_turning_points(gkdv, WaveParams(0.0, 1.0, [0.0]), window)
+
+    @pytest.mark.parametrize("family, c, lam, window, offset", [
+        pytest.param(f, c, lam, w, h, id=f"{f}/mu0+{h:g}")
+        for f, c, lam, w in (("gkdv", 1.0, [0.0], (-5.0, 5.0)),
+                             ("quartic", -0.5, [0.0], (-5.0, 12.0)),
+                             ("ek_lagrangian", 0.8, [0.4, -0.2], (-6.0, 6.0)),
+                             ("nls_hydro", 0.3, [-1.4, 0.45], (0.01, 5.0)))
+        for h in (1e-7, 1e-9)] + [pytest.param(
+            "gkdv", 1.0, [0.0], (-5.0, 5.0), None, id="gkdv/mu=-1e-8")])
+    def test_default_window_brackets_as_a_finite_one(self, request, family,
+                                                     c, lam, window, offset):
+        # the window only selects roots: on a window holding every root
+        # the default (the domain, open ends at +-1e6) gives the same bits.
+        # offset is mu - mu0; None is the gKdV soliton side at mu = -1e-8
+        model = request.getfixturevalue(family)
+        mu = (-1e-8 if offset is None
+              else harmonic_point(model, c, lam).mu0 + offset)
+        p = WaveParams(mu, c, lam)
+        br = find_turning_points(model, p)
+        assert br == find_turning_points(model, p, window)
+        assert br.regime_hint == ("near_harmonic" if offset else
+                                  "near_soliton")
 
     def test_no_orbit_above_soliton_level(self, gkdv):
         with pytest.raises(NoPeriodicOrbit):
