@@ -146,8 +146,9 @@ def parse_grid(spec: str) -> np.ndarray:
         a, b, n = float(a), float(b), int(n)
     except ValueError:
         raise err.ConfigError(f"bad grid spec {spec!r}; expected a:b:n") from None
-    if a <= 0 or b <= 0 or n < 3 or a == b:
-        raise err.ConfigError("grid endpoints must be positive and distinct")
+    if not (0 < a < math.inf and 0 < b < math.inf) or n < 3 or a == b:
+        raise err.ConfigError(
+            "grid endpoints must be finite, positive and distinct")
     if a < b:
         a, b = b, a
     return np.geomspace(a, b, n)
@@ -321,6 +322,12 @@ def sweep_runner(model, cfg, args):
 # entry point
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(x := float(text)):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
 def _file_path(text: str) -> str:
     if text == "-":
         raise argparse.ArgumentTypeError("a sweep writes two files, not -")
@@ -336,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", help="report path (default stdout)")
     quad.add_argument("--quad-order", type=int)
     lam = {"dest": "lam", "help": "comma-separated lambda components"}
-    line.add_argument("--c", type=float, default=0.0)
+    line.add_argument("--c", type=_finite, default=0.0)
     line.add_argument("--lambda", **lam)
-    anchor.add_argument("--c", type=float, default=0.0)
+    anchor.add_argument("--c", type=_finite, default=0.0)
     one = anchor.add_mutually_exclusive_group()
     one.add_argument("--lambda", **lam)
     one.add_argument("--endstate", help="comma-separated soliton endstate")
@@ -355,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = {name: sub.add_parser(name, parents=ps, allow_abbrev=False)
            for name, ps in parents.items()}
     for name in ("wave", "whitham", "conjugation"):
-        cmd[name].add_argument("--mu", type=float, required=True)
+        cmd[name].add_argument("--mu", type=_finite, required=True)
     sweep = cmd["sweep"]
     sweep.add_argument("--regime", required=True,
                        choices=("harmonic", "soliton"))
@@ -363,12 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True, type=_file_path,
                        help="CSV path; the fit report goes beside it")
     for flag, default in (("--v0", 1.0), ("--u0", None), ("--k0", 0.2)):
-        cmd["mi"].add_argument(flag, type=float, default=default)
+        cmd["mi"].add_argument(flag, type=_finite, default=default)
     cmd["mi"].add_argument("--branch", choices=("plus", "minus"),
                            default="plus")
     for flag, default in (("--eps", 0.01), ("--v", 0.0), ("--a-tilde", 1.0),
                           ("--delta", 1.0), ("--delta-prime", 0.0)):
-        cmd["toy"].add_argument(flag, type=float, default=default)
+        cmd["toy"].add_argument(flag, type=_finite, default=default)
     return ap
 
 

@@ -60,7 +60,7 @@ class MultipleWells(OrbitNotFound):
 
 
 class DegenerateOrbit(LimitFailure):
-    """Two turning points have collapsed (harmonic or soliton edge)."""
+    """Turning points collapsed (harmonic or soliton edge) or are no roots."""
 
 
 class StencilLeftBranch(LimitFailure):

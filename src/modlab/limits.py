@@ -20,9 +20,9 @@ import numpy as np
 from .errors import (ConfigError, DegenerateWell, GroupVelocityResonance,
                      NoSaddle, NoWellMinimum, SpeedResonance)
 from .models import ModelSpec, WaveParams, structural_matrices
-from .polys import padd, pder, pdeflate, pmul, pscale, trim
-from .profiles import (_newton_refine, homoclinic_integrals, level_polynomial,
-                       _window_in_domain)
+from .polys import padd, pder, pdeflate, pmul, pscale
+from .profiles import (_real_roots_in, _window_in_domain, homoclinic_integrals,
+                       level_polynomial)
 
 RESONANCE_TOL = 1e-10
 
@@ -134,20 +134,12 @@ def _critical_points(model: ModelSpec, params: WaveParams, window):
     """Roots of W' in the window with their curvature sign."""
     num, den = model.potential_rational(params)
     # W' = (num' den - num den') / den^2; roots from the numerator
-    wp = trim(padd(pmul(pder(num), den), pscale(pmul(num, pder(den)), -1.0)))
+    wp = padd(pmul(pder(num), den), pscale(pmul(num, pder(den)), -1.0))
     lo, hi = window
-    roots = []
-    if len(wp) >= 2:
-        for z in np.roots(wp[::-1]):
-            if abs(z.imag) > 1e-8 * max(1.0, abs(z.real)):
-                continue
-            x = float(z.real)
-            if lo < x < hi:
-                x = _newton_refine(wp, pder(wp), x, lo, hi, 1e-15)
-                roots.append(x)
     out = []
-    for x in sorted(roots):
-        if out and abs(x - out[-1][0]) < 1e-10 * max(1.0, abs(x)):
+    for x in _real_roots_in(wp, lo, hi):
+        if not lo < x < hi or (
+                out and abs(x - out[-1][0]) < 1e-10 * max(1.0, abs(x))):
             continue
         w2 = model.potential_jet(x, params, 2)[2]
         out.append((x, w2))
@@ -265,14 +257,12 @@ def _homoclinic_orbit(model: ModelSpec, c: float, lam: np.ndarray, window,
     T, _ = level_polynomial(model, params)
     q, _ = pdeflate(T, vs)
     q, _ = pdeflate(q, vs)
-    cands = [_newton_refine(T, pder(T), float(z.real), vs, hi, 1e-15)
-             for z in np.roots(trim(q)[::-1])
-             if abs(z.imag) < 1e-8 * max(1.0, abs(z.real)) and z.real > vs]
-    cands = [x for x in cands if x > vs + 1e-12 * max(1.0, abs(vs))]
+    cands = [x for x in _real_roots_in(T, vs, hi, q=q)
+             if x > vs + 1e-12 * max(1.0, abs(vs))]
     if not cands:
         raise NoSaddle("no outer turning level right of the saddle")
     vS = min(cands)
-    return params, vs, w2, vS, homoclinic_integrals(model, params, T, vs, vS)
+    return params, vs, w2, vS, homoclinic_integrals(model, params, q, vs, vS)
 
 
 def soliton_point(model: ModelSpec, c: float, endstate,

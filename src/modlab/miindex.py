@@ -54,10 +54,13 @@ def delta_mi(model: ModelSpec, U0, k0: float, branch: str = "plus") -> MIReport:
     """Instability index, edge coefficients and verdict at (U0, k0).
 
     Scalar models use the closed form of scalar_index_bracket, two-field
-    models the general bracket of _delta_mi_system.  U0 must have N
-    entries and v0 must lie in the model domain.  The verdict thresholds
-    leave a marginal band of width TOL_MI around zero.
+    models the general bracket of _delta_mi_system.  k0 must be finite
+    and positive, U0 must have N entries and v0 must lie in the model
+    domain.  The verdict thresholds leave a marginal band of width TOL_MI
+    around zero.
     """
+    if not (math.isfinite(k0) and k0 > 0.0):
+        raise ConfigError(f"k0 must be a finite positive number, got {k0}")
     U0 = np.atleast_1d(np.asarray(U0, dtype=float))
     if U0.shape != (model.N,):
         raise ConfigError(f"U0 must have {model.N} component(s), "

@@ -39,6 +39,9 @@ class WaveParams:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", np.atleast_1d(np.asarray(self.lam, dtype=float)))
+        if not all(map(math.isfinite, [self.mu, self.c, *self.lam.tolist()])):
+            raise ConfigError(f"wave parameters must be finite: mu = {self.mu}"
+                              f", c = {self.c}, lambda = {self.lam.tolist()}")
 
     @property
     def lam1(self) -> float:

@@ -30,6 +30,8 @@ from .models import ModelSpec, WaveParams
 from .polys import pdeflate, peval, pder, pshift, trim
 
 DEGENERACY_FRACTION = 1e-6
+# relative residual |T(x)| / sum |t_k| |x|^k above which x is no root of T
+ROOT_RESIDUAL = 1e-10
 DEFAULT_QUAD_ORDER = 96
 # relative order-doubling error above which orbit_integrals raises
 QUAD_RTOL = 1e-9
@@ -74,9 +76,8 @@ class OrbitBracket:
     v3: float
     v1: float | None = None
     regime_hint: str = "generic"
-    # the level polynomial T = mu D - N and D the roots were found on
+    # the level polynomial T = mu D - N the roots were found on
     T: np.ndarray = field(kw_only=True, compare=False, repr=False)
-    den: np.ndarray = field(kw_only=True, compare=False, repr=False)
 
     @property
     def delta(self) -> float:
@@ -90,11 +91,24 @@ class OrbitBracket:
             return None
         return (self.v2 - self.v1) / (self.v3 - self.v2)
 
+    def __post_init__(self):
+        for x, r in zip((self.v2, self.v3, self.v1), self.root_residuals):
+            if not r <= ROOT_RESIDUAL:
+                raise DegenerateOrbit(f"turning point {x!r} is not a root: "
+                                      f"residual {r:.2e} > {ROOT_RESIDUAL:g}")
+
     @property
     def root_residuals(self) -> tuple:
-        """|mu - W| = |T / D| at v2, v3 and, when present, v1."""
-        return tuple(abs(peval(self.T, x) / peval(self.den, x))
-                     for x in (self.v2, self.v3, self.v1) if x is not None)
+        """|T(x)| / sum |t_k| |x|^k, Horner's error scale, at v2, v3, v1."""
+        t = self.T.tolist()[::-1]
+        out = []
+        for x in (self.v2, self.v3, self.v1):
+            if x is not None:
+                p = s = 0.0
+                for tk in t:
+                    p, s = p * x + tk, s * abs(x) + abs(tk)
+                out.append(abs(p) / s if s else 0.0)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -179,21 +193,32 @@ def _window_in_domain(model: ModelSpec, window=None) -> tuple[float, float]:
             hi if math.isfinite(hi) else 1e6)
 
 
-def _real_roots_in(T: np.ndarray, lo: float, hi: float) -> list:
-    """Refined real roots of T in the window, sorted."""
+def _real_roots_in(T: np.ndarray, lo: float, hi: float, q=None,
+                   at: float = 0.0) -> list:
+    """Real roots of T in the window [lo, hi], sorted.
+
+    Seeds are the roots z of ``q`` (default T; or T with known roots
+    divided out) in the coordinate v - ``at``; a linear q is solved as
+    np.roots would, bit for bit.  A seed with |Im z| <= 1e-5 max(1, |Re z|)
+    is polished by Newton on T in the window widened by 1 %, and kept if
+    it stays that close: off a complex pair Newton walks away.
+    """
     Tt = trim(T)
-    if len(Tt) < 2:
+    qt = Tt if q is None else trim(q)
+    if len(qt) < 2:
         return []
+    seeds = [-qt[0] / qt[1]] if len(qt) == 2 else np.roots(qt[::-1])
     Td = pder(Tt)
     span = hi - lo
     out = []
-    for z in np.roots(Tt[::-1]):
-        if abs(z.imag) > 1e-5 * max(1.0, abs(z.real)):
-            continue
-        x = float(z.real)
-        if lo - 1e-12 * span <= x <= hi + 1e-12 * span:
-            out.append(_newton_refine(Tt, Td, x, lo - 0.01 * span,
-                                      hi + 0.01 * span, 1e-15))
+    for z in seeds:
+        tol = 1e-5 * max(1.0, abs(z.real))
+        x = at + float(z.real)
+        if abs(z.imag) <= tol and lo - 1e-12 * span <= x <= hi + 1e-12 * span:
+            r = _newton_refine(Tt, Td, x, lo - 0.01 * span, hi + 0.01 * span,
+                               1e-15)
+            if abs(r - x) <= tol:
+                out.append(r)
     return sorted(out)
 
 
@@ -254,22 +279,7 @@ def find_turning_points(model: ModelSpec, params: WaveParams,
         hint = "near_harmonic"
     elif v1 is not None and (v2 - v1) / (v3 - v2) < 0.02:
         hint = "near_soliton"
-    return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=hint, T=T, den=den)
-
-
-def _quotient_real_roots(q: np.ndarray) -> list:
-    """Real roots of the ascending polynomial q, as np.roots finds them.
-
-    A linear q has the root np.roots reads off its 1x1 companion matrix,
-    -q0 / q1, which is computed directly, bit for bit the same.
-    """
-    qt = trim(q)
-    if len(qt) == 2:
-        return [-qt[0] / qt[1]]
-    if len(qt) < 2:
-        return []
-    return [z.real for z in np.roots(qt[::-1])
-            if abs(z.imag) < 1e-7 * max(1.0, abs(z.real))]
+    return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=hint, T=T)
 
 
 def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
@@ -282,7 +292,7 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
     relative rounding even when it is 1e-10 of the window.  No degeneracy
     cutoff applies here; callers sweep knowingly close to the limit.
     """
-    T, den = level_polynomial(model, params)
+    T, _ = level_polynomial(model, params)
     Tc = trim(pshift(T, center))
     Td = pder(Tc)
     wj = model.potential_jet(center, params, order=2)
@@ -293,14 +303,10 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
     w0 = math.sqrt(2.0 * h / wj[2])
     wm = _newton_refine(Tc, Td, -w0, -4.0 * w0, 0.0, 1e-16)
     wp = _newton_refine(Tc, Td, +w0, 0.0, 4.0 * w0, 1e-16)
-    # far roots from the deflated quotient, polished on the unshifted form
+    # far roots in the domain from the quotient deflated in w, polished on T
     q, _ = pdeflate(Tc, wm)
     q, _ = pdeflate(q, wp)
-    far = []
-    Td_far = pder(T)
-    for z in _quotient_real_roots(q):
-        x = center + float(z)
-        far.append(_newton_refine(T, Td_far, x, x - 1.0, x + 1.0, 1e-15))
+    far = _real_roots_in(T, *_window_in_domain(model), q=q, at=center)
     if side == "harmonic":
         v2, v3 = center + wm, center + wp
         v1 = max([r for r in far if r < v2], default=None)
@@ -314,7 +320,7 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
         hint = "near_soliton"
     else:
         raise ConfigError(f"unknown side {side!r}")
-    return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=hint, T=T, den=den)
+    return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=hint, T=T)
 
 
 # ----------------------------------------------------------------------------
@@ -419,19 +425,17 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
                           quad_error=err)
 
 
-def homoclinic_integrals(model: ModelSpec, params: WaveParams, T: np.ndarray,
+def homoclinic_integrals(model: ModelSpec, params: WaveParams, q: np.ndarray,
                          vs: float, vS: float) -> tuple[float, float, float]:
     """(M, dcM, error) of the solitary orbit from the saddle vs to vS.
 
-    ``T`` is the level polynomial at the saddle level mu_s, on which
-    mu_s - W = (v - vs)^2 (vS - v) P(v) / D(v).  As in orbit_integrals,
-    both Gauss orders run on one node set and one kernel call; the error
-    is their relative gap, and QuadratureNotConverged is raised above 1e-9.
+    ``q`` is the saddle-level polynomial T / (v - vs)^2, where mu_s - W =
+    (v - vs)^2 (vS - v) P(v) / D(v).  As in orbit_integrals, both Gauss
+    orders run on one node set and one kernel call; the error is their
+    relative gap, and QuadratureNotConverged is raised above 1e-9.
     """
     _, _, s, cth, _, wq4 = _node_set(HOMOCLINIC_ORDER)
     n = HOMOCLINIC_ORDER
-    q, _ = pdeflate(T, vs)
-    q, _ = pdeflate(q, vs)
     q, _ = pdeflate(q, vS)
     v = vS - (vS - vs) * s * s
     vals = kernels.horner_batch(_integrand_stack(model, params, q), v)

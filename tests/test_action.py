@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modlab import action
+from modlab import action, profiles
 from modlab.action import FDConfig, action_hessian
 from modlab.errors import StencilLeftBranch
 from modlab.models import WaveParams
@@ -115,7 +115,7 @@ class TestHessian:
         p = WaveParams(params.mu + 1e-5, params.c, params.lam)
         tracked = action.rebracket(model, p, br)
         assert tracked.v1 is not None and len(tracked.root_residuals) == 3
-        assert max(tracked.root_residuals) <= action.TRACK_RESIDUAL
+        assert max(tracked.root_residuals) <= profiles.ROOT_RESIDUAL
 
     def test_soliton_conditioning_warning(self, gkdv):
         p = WaveParams(-1e-9, 1.0, [0.0])

@@ -315,15 +315,47 @@ class TestFailurePaths:
         (["wave", "--config", GKDV, "--c", "1"], 2),
         (["wave", "--config", GKDV, "--mu=0", "--c", "1"], 4),
         (["whitham", "--config", GKDV, "--mu=-1e-5", "--c", "1"], 4),
+        (["wave", "--config", GKDV, "--mu", "nan"], 2),
+        (["wave", "--config", GKDV, "--mu", "-0.5", "--c", "nan"], 2),
+        (["wave", "--config", GKDV, "--mu", "-0.5", "--lambda=nan"], 2),
+        (["whitham", "--config", GKDV, "--mu", "-0.5", "--c", "inf"], 2),
+        (["limit_harmonic", "--config", GKDV, "--c", "nan"], 2),
+        (["limit_soliton", "--config", GKDV, "--c", "nan"], 2),
+        (["limit_soliton", "--config", GKDV, "--endstate=nan"], 2),
+        (["mi", "--config", GKDV, "--k0", "-0.2"], 2),
+        (["mi", "--config", GKDV, "--k0", "0"], 2),
+        (["mi", "--config", GKDV, "--k0", "nan"], 2),
+        (["mi", "--config", GKDV, "--k0", "inf"], 2),
+        (["toy", "--config", GKDV, "--eps", "nan"], 2),
+        (["sweep", "--config", GKDV, "--regime", "soliton", "--c", "nan",
+          "--grid", "1e-6:1e-8:4", "--out", "s.csv"], 2),
+        (["sweep", "--config", GKDV, "--regime", "soliton", "--c", "1",
+          "--grid", "nan:1e-6:4", "--out", "s.csv"], 2),
     ], ids=["lambda-not-a-number", "lambda-and-endstate",
             "mi-v0-outside-domain", "wave-no-orbit", "endstate-not-a-saddle",
             "branch-on-limit-harmonic", "quad-order-0", "precision-5",
             "wave-without-mu", "wave-at-soliton-level",
-            "whitham-stencil-past-soliton-level"])
-    def test_failure_exits_without_traceback(self, argv, code):
-        got, out, err = run_cli(argv)
+            "whitham-stencil-past-soliton-level", "wave-mu-nan",
+            "wave-c-nan", "wave-lambda-nan", "whitham-c-inf",
+            "limit-harmonic-c-nan", "limit-soliton-c-nan",
+            "endstate-nan", "mi-k0-negative", "mi-k0-zero", "mi-k0-nan",
+            "mi-k0-inf", "toy-eps-nan", "sweep-c-nan", "sweep-grid-nan"])
+    def test_failure_exits_without_traceback(self, argv, code, tmp_path):
+        got, out, err = run_cli(argv, cwd=tmp_path)
         assert got == code, err
         assert not out and err and b"Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_past_the_opposite_limit_exits_4(self, tmp_path):
+        # mu0 + 1e-2 lies above the saddle level: the near-limit bracket
+        # holds no roots there and refuses to be built
+        code, out, err = run_cli([
+            "sweep", "--config", GKDV, "--regime", "harmonic", "--c", "0.5",
+            "--lambda=-0.1", "--grid", "1e-2:1e-5:6", "--out", "h.csv"],
+            cwd=tmp_path)
+        assert code == 4, err
+        assert b"not a root" in err and b"Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_branch_is_read_by_mi_only(self, tmp_path):
         dst = tmp_path / "h.csv"

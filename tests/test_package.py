@@ -125,6 +125,25 @@ def test_one_quadrature_engine():
     assert users == {"profiles"}
 
 
+def test_one_root_finder():
+    # np.roots runs in profiles._real_roots_in alone; an import of the
+    # name counts as a use
+    def uses_roots(tree):
+        return any(isinstance(node, ast.Attribute) and node.attr == "roots"
+                   or isinstance(node, ast.ImportFrom)
+                   and "roots" in {a.name for a in node.names}
+                   for node in ast.walk(tree))
+
+    modules = {name for name, tree in parsed_modules().items()
+               if uses_roots(tree)}
+    functions = {f"{name}.{node.name}"
+                 for name, tree in parsed_modules().items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and uses_roots(node)}
+    assert modules == {"profiles"}
+    assert functions == {"profiles._real_roots_in"}
+
+
 def test_every_leaf_error_is_raised_somewhere():
     modules = parsed_modules()
     classes = {node.name: [b.id for b in node.bases]

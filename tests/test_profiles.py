@@ -36,6 +36,14 @@ class TestTurningPoints:
                 find_turning_points(gkdv, WaveParams(-2.0 / 3.0, 1.0, [0.0]),
                                     window)
 
+    @pytest.mark.parametrize("below", [1e-12, 1e-11, 1e-10])
+    def test_no_orbit_just_below_well_bottom(self, gkdv, below):
+        # the near-real pair of mu - W walks away under Newton and is
+        # dropped; it must not land on the far root and read as a double
+        with pytest.raises(NoPeriodicOrbit):
+            find_turning_points(gkdv,
+                                WaveParams(-2.0 / 3.0 - below, 1.0, [0.0]))
+
     def test_degenerate_at_soliton_level(self, gkdv):
         for window in (None, (-5, 5)):
             with pytest.raises(DegenerateOrbit):
@@ -85,17 +93,62 @@ class TestTurningPoints:
         assert br.rho == pytest.approx((br.v2 - br.v1) / (br.v3 - br.v2))
 
 
+    @pytest.mark.parametrize("family, c, lam", [
+        ("gkdv", 0.5, [-0.1]), ("quartic", -0.2, [0.0]),
+        ("nls_hydro", 0.0, [-1.2, 0.7])])
+    def test_near_limit_bracket_past_the_opposite_limit(self, request,
+                                                         family, c, lam):
+        # mu0 + 1e-2 cuts no well: Newton ends on points that are no
+        # roots, and the bracket refuses them
+        model = request.getfixturevalue(family)
+        hp = harmonic_point(model, c, lam)
+        with pytest.raises(DegenerateOrbit, match="not a root"):
+            bracket_near_limit(model, WaveParams(hp.mu0 + 1e-2, c, lam),
+                               hp.v0, "harmonic")
+
+    @pytest.mark.parametrize("below", [1e-8, 1e-12])
+    def test_harmonic_bracket_near_the_soliton_level(self, gkdv, below):
+        # solved about the well bottom, the pair at the saddle is only
+        # good to the window's rounding, not to its own gap
+        p = WaveParams(-below, 1.0, [0.0])
+        with pytest.raises(DegenerateOrbit, match="not a root"):
+            bracket_near_limit(gkdv, p, 2.0, "harmonic")
+        br = bracket_near_limit(gkdv, p, 0.0, "soliton")
+        assert max(br.root_residuals) <= profiles.ROOT_RESIDUAL
+
+    @pytest.mark.parametrize("offset", [1e-2, 1e-4])
+    def test_far_roots_stay_in_the_domain(self, ek_eulerian, offset):
+        # on the domain (0, inf) the quotient's root near -3.69 is no
+        # turning point, as the generic bracket of the same wave agrees
+        c, lam = 0.2, [-2.0, 0.45]
+        hp = harmonic_point(ek_eulerian, c, lam)
+        p = WaveParams(hp.mu0 + offset, c, lam)
+        near = bracket_near_limit(ek_eulerian, p, hp.v0, "harmonic")
+        generic = find_turning_points(ek_eulerian, p)
+        assert near.v1 is None and generic.v1 is None
+        assert orbit_integrals(ek_eulerian, p, near).Xi == pytest.approx(
+            orbit_integrals(ek_eulerian, p, generic).Xi, rel=1e-14, abs=0.0)
+
     def test_near_limit_side_is_checked(self, gkdv):
         p = WaveParams(-2.0 / 3.0 + 1e-4, 1.0, [0.0])
         with pytest.raises(ConfigError):
             bracket_near_limit(gkdv, p, 2.0, "sideways")
 
-    def test_linear_far_root_equals_np_roots(self):
+    def test_linear_far_root_equals_np_roots(self, monkeypatch):
+        # the seed a linear quotient hands to Newton is np.roots' root
+        seeds = []
+
+        def record(T, Td, x, lo, hi, tol):
+            seeds.append(x)
+            return x
+
+        monkeypatch.setattr(profiles, "_newton_refine", record)
         rng = np.random.default_rng(23)
         for _ in range(2000):
             q = rng.standard_normal(2) * 10.0 ** rng.uniform(-8.0, 8.0, 2)
-            (got,) = profiles._quotient_real_roots(q)
-            (want,) = np.roots(q[::-1])
+            seeds.clear()
+            assert profiles._real_roots_in(q, -1e300, 1e300, q=q) == seeds
+            (got,), (want,) = seeds, np.roots(q[::-1])
             assert np.isreal(want) and got == want.real
             assert np.signbit(got) == np.signbit(want.real)
 
