@@ -81,6 +81,12 @@ def rebracket(model: ModelSpec, params: WaveParams,
                         regime_hint=reference.regime_hint, T=T)
 
 
+def _central_differences(f, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Jacobian of f at x by central differences, column j at step h_j."""
+    return np.column_stack([(f(x + e) - f(x - e)) / (2.0 * h)
+                            for h, e in zip(steps, np.diag(steps))])
+
+
 def action_hessian(model: ModelSpec, params: WaveParams,
                    bracket: OrbitBracket,
                    fd_config: FDConfig | None = None) -> ActionJet:
@@ -95,8 +101,9 @@ def action_hessian(model: ModelSpec, params: WaveParams,
     cfg = fd_config or FDConfig()
     base = orbit_integrals(model, params, bracket, cfg.quad_order)
     n = 2 + len(params.lam)
+    x0 = params.as_vector()
     rel = max(REL_STEP, base.quad_error ** (1.0 / 3.0))
-    steps = rel * np.maximum(1.0, np.abs(params.as_vector()))
+    steps = rel * np.maximum(1.0, np.abs(x0))
     warnings = []
     if cfg.limit is not None:
         side, vstar, level = cfg.limit
@@ -130,19 +137,9 @@ def action_hessian(model: ModelSpec, params: WaveParams,
                 f"stencil point {x} crossed a limit: {exc}") from exc
         return orbit_integrals(model, p, b, cfg.quad_order).grad_theta
 
-    x0 = params.as_vector()
-
-    def hess_with(hvec: np.ndarray) -> np.ndarray:
-        H = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = hvec[j]
-            H[:, j] = (grad_at(x0 + e) - grad_at(x0 - e)) / (2.0 * hvec[j])
-        return H
-
-    H = hess_with(steps)
+    H = _central_differences(grad_at, x0, steps)
     if cfg.richardson:
-        H2 = hess_with(0.5 * steps)
+        H2 = _central_differences(grad_at, x0, 0.5 * steps)
         H = (4.0 * H2 - H) / 3.0
     scale = np.max(np.abs(H))
     sym = np.max(np.abs(H - H.T)) / scale if scale > 0 else 0.0

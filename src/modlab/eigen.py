@@ -1,4 +1,4 @@
-"""Dense eigensolver for the (N+2) <= 4 modulation matrices.
+"""Dense eigensolver for every small (size <= 4) general eigenproblem.
 
 LAPACK (``numpy.linalg.eig``, the Hessenberg QR route of ``dgeev``)
 computes the eigenpairs; this module fixes their presentation so that

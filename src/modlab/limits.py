@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .action import REL_STEP, _central_differences
 from .errors import (ConfigError, DegenerateWell, GroupVelocityResonance,
                      NoSaddle, NoWellMinimum, SpeedResonance)
 from .models import ModelSpec, WaveParams, structural_matrices
+from .modulation import whitham_matrix
 from .polys import padd, pder, pdeflate, pmul, pscale
 from .profiles import (_real_roots_in, _window_in_domain, homoclinic_integrals,
                        level_polynomial)
@@ -303,18 +305,15 @@ def _soliton_point_at_lambda(model: ModelSpec, c: float, lam,
     lam_res = float(np.max(np.abs(_lambda_at_endstate(model, c, Us) - lam)))
     XiS = 2.0 * math.pi * math.sqrt(model.kappa_jet(vs, 0)[0] / (-w2))
 
-    def M_of(c_, Us_):
-        lam_ = _lambda_at_endstate(model, c_, Us_)
-        return _homoclinic_orbit(model, c_, lam_, win, near=vs)[-1]
+    # d2_c M and grad_U M from the Jacobian of (M, d_c M) over x = (c, U_s)
+    def moments(x):
+        lam_ = _lambda_at_endstate(model, x[0], x[1:])
+        return np.array(
+            _homoclinic_orbit(model, x[0], lam_, win, near=vs)[-1][:2])
 
-    hc = 1e-5 * max(1.0, abs(c))
-    dc2M = (M_of(c + hc, Us)[1] - M_of(c - hc, Us)[1]) / (2.0 * hc)
-    gradUM = np.zeros(model.N)
-    for j in range(model.N):
-        hU = 1e-5 * max(1.0, abs(Us[j]))
-        e = np.zeros(model.N)
-        e[j] = hU
-        gradUM[j] = (M_of(c, Us + e)[0] - M_of(c, Us - e)[0]) / (2.0 * hU)
+    x = np.concatenate(([c], Us))
+    J = _central_differences(moments, x, REL_STEP * np.maximum(1.0, np.abs(x)))
+    dc2M, gradUM = float(J[1, 0]), J[0, 1:]
     frame = frame_vectors(model, vs, c, float(lam[-1]))
     return SolitonPoint(vs=vs, vS=vS, mus=params.mu, cs=c, Us=Us, lambdas=lam,
                         XiS=XiS, boussinesq=Mval, dcM=dcM, dc2M=dc2M,
@@ -351,7 +350,7 @@ def limiting_whitham_harmonic(model: ModelSpec, hp: HarmonicPoint) -> dict:
     hessH[1, 2:] = -k0 * gc
     hessH[2:, 1] = -k0 * gc
     hessH[2:, 2:] = H2
-    Wlim = -sm.BB @ hessH
+    Wlim = whitham_matrix(model, hessH)
     Pt = np.eye(n)
     sol = np.linalg.solve(Mg, gc)
     Pt[0, 2:] = -k0 * (sm.Binv @ sol)
@@ -385,7 +384,7 @@ def limiting_whitham_soliton(model: ModelSpec, sp: SolitonPoint) -> dict:
     hessH[0, 2:] = gM
     hessH[2:, 0] = gM
     hessH[2:, 2:] = H2
-    Wlim = -sm.BB @ hessH
+    Wlim = whitham_matrix(model, hessH)
     Pt = np.eye(n)
     Pt[1, 2:] = np.linalg.solve(Mc, gM) @ sm.Binv
     Pt[2:, 0] = -np.linalg.solve(Mc, gM)

@@ -138,16 +138,22 @@ def _match_spectra(z1: np.ndarray, z2: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
+def _whitham_assembly(model: ModelSpec, params: WaveParams,
+                      bracket: OrbitBracket, fd_config: FDConfig | None):
+    """(action jet, (k, alpha, M), hessH, W) of the wave on ``bracket``."""
+    jet = action_hessian(model, params, bracket, fd_config)
+    mv = params_to_modvars(model, jet.grad)
+    H = hessianH(model, jet, mv, params.c)
+    return jet, mv, H, whitham_matrix(model, H)
+
+
 def whitham_report(model: ModelSpec, params: WaveParams,
                    bracket: OrbitBracket | None = None,
                    fd_config: FDConfig | None = None) -> WhithamReport:
     """Assemble the full modulation report at one wave."""
     if bracket is None:
         bracket = find_turning_points(model, params)
-    jet = action_hessian(model, params, bracket, fd_config)
-    mv = params_to_modvars(model, jet.grad)
-    H = hessianH(model, jet, mv, params.c)
-    W = whitham_matrix(model, H)
+    jet, mv, H, W = _whitham_assembly(model, params, bracket, fd_config)
     zs, vecs, resid, cls, cond = spectrum_and_classification(W)
     # the similar matrix in (mu, c, lambda), built apart from hessH
     char = (np.linalg.solve(jet.hess, structural_matrices(model).S) / mv.k

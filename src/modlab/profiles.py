@@ -33,7 +33,8 @@ DEGENERACY_FRACTION = 1e-6
 # relative residual |T(x)| / sum |t_k| |x|^k above which x is no root of T
 ROOT_RESIDUAL = 1e-10
 DEFAULT_QUAD_ORDER = 96
-# relative order-doubling error above which orbit_integrals raises
+# relative order-doubling error above which orbit_integrals and
+# homoclinic_integrals raise
 QUAD_RTOL = 1e-9
 
 # order n -> (x + 1, w, s, c, s2, wq4) of the Gauss-Legendre rules of orders
@@ -320,7 +321,22 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
         hint = "near_soliton"
     else:
         raise ConfigError(f"unknown side {side!r}")
-    return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=hint, T=T)
+    bracket = OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=hint, T=T)
+    if side == "harmonic":
+        # just above the saddle level Newton ends beside a complex pair,
+        # where T is small enough to pass the root check; the quotient
+        # then keeps the pair's reflection, a root next to wm or wp.  The
+        # Newton step |q / q'| to it reads <= 5e-6 of the well width there,
+        # and >= 7.5e-4 on wells up to 0.999999 of the way to the saddle
+        qd = pder(q)
+        for w in (wm, wp):
+            dq = peval(qd, w)
+            if dq != 0.0 and abs(peval(q, w) / dq) < 1e-4 * (wp - wm):
+                raise DegenerateOrbit(
+                    f"turning point {center + w!r} is a double root: another "
+                    f"root lies within 1e-4 x the gap {wp - wm:.3g}; "
+                    f"bracket it about the saddle")
+    return bracket
 
 
 # ----------------------------------------------------------------------------
@@ -357,7 +373,8 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
     the substitution and the integrand are formed once over all of them,
     and each (pass, segment) block is evaluated and summed on its own
     contiguous slice.  Raises QuadratureNotConverged when the
-    doubled-order estimate exceeds ``QUAD_RTOL`` relative to the period.
+    doubled-order estimate exceeds ``QUAD_RTOL`` relative to the period,
+    or when an integral is not finite.
     """
     xp1, wgt, s, c, s2, wq4 = _node_set(quad_order)
     n = quad_order
@@ -416,8 +433,9 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
     num = [abs(Xi - cXi), abs(Q - cQ), abs(theta - 2.0 * cW), abs(E - cE)]
     num += list(np.abs(int_U - np.array(cU)))
     scale = max(abs(Xi), abs(theta), 1e-300)
-    err = max(num) / scale
-    if err > QUAD_RTOL:
+    # np.max keeps a NaN, which the negated test below refuses
+    err = float(np.max(num)) / scale
+    if not err <= QUAD_RTOL:
         raise QuadratureNotConverged(
             f"quadrature error {err:.3e} above rtol {QUAD_RTOL:.1e} "
             f"(order {quad_order})")
@@ -432,7 +450,8 @@ def homoclinic_integrals(model: ModelSpec, params: WaveParams, q: np.ndarray,
     ``q`` is the saddle-level polynomial T / (v - vs)^2, where mu_s - W =
     (v - vs)^2 (vS - v) P(v) / D(v).  As in orbit_integrals, both Gauss
     orders run on one node set and one kernel call; the error is their
-    relative gap, and QuadratureNotConverged is raised above 1e-9.
+    relative gap, and QuadratureNotConverged is raised above ``QUAD_RTOL``
+    or when either integral is not finite.
     """
     _, _, s, cth, _, wq4 = _node_set(HOMOCLINIC_ORDER)
     n = HOMOCLINIC_ORDER
@@ -458,11 +477,11 @@ def homoclinic_integrals(model: ModelSpec, params: WaveParams, q: np.ndarray,
     (cM, cq), (M, dcM) = [(0.5 * float(fM[a:b].sum()),
                            0.5 * float(fq[a:b].sum()))
                           for a, b in ((0, n), (n, 3 * n))]
-    err = max(abs(M - cM) / max(abs(M), 1e-300),
-              abs(dcM - cq) / max(abs(dcM), 1e-300))
-    if err > 1e-9:
+    err = float(np.max([abs(M - cM) / max(abs(M), 1e-300),
+                        abs(dcM - cq) / max(abs(dcM), 1e-300)]))
+    if not err <= QUAD_RTOL:
         raise QuadratureNotConverged(
-            f"homoclinic integral error {err:.2e} above 1e-9")
+            f"homoclinic integral error {err:.2e} above rtol {QUAD_RTOL:.1e}")
     return M, dcM, err
 
 

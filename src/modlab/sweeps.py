@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import FDConfig, action_hessian
+from .action import FDConfig
+from .eigen import eig_small
 from .errors import FitRejected, GridDegenerate
 from .limits import (HarmonicPoint, SolitonPoint, limiting_whitham_harmonic,
                      limiting_whitham_soliton)
 from .models import ModelSpec, WaveParams, structural_matrices
-from .modulation import hessianH, params_to_modvars, whitham_matrix
-from .eigen import eig_small
+from .modulation import _whitham_assembly
 from .profiles import DEFAULT_QUAD_ORDER, bracket_near_limit
 
 R2_GATE = 0.999
@@ -120,10 +120,7 @@ def _sweep_point(model: ModelSpec, anchor, eps: float,
     cfg = FDConfig(quad_order=quad_order, limit=(regime, center, mu_limit))
     params = WaveParams(mu, c, lam)
     bracket = bracket_near_limit(model, params, center, regime)
-    jet = action_hessian(model, params, bracket, cfg)
-    mv = params_to_modvars(model, jet.grad)
-    H = hessianH(model, jet, mv, c)
-    W = whitham_matrix(model, H)
+    jet, mv, _, W = _whitham_assembly(model, params, bracket, cfg)
     zs, vecs, resid = eig_small(W)
     sm = structural_matrices(model)
     frame = anchor.frame
@@ -301,7 +298,7 @@ def eigen_splitting_fit(model: ModelSpec, anchor,
                                            rel_floor=3e-4)
         drift = []
         lw = limiting_whitham_harmonic(model, hp)
-        disp = np.sort(np.linalg.eigvals(lw["dispersionless"]).real)
+        disp = np.sort(eig_small(lw["dispersionless"])[0].real)
         for r in table.rows:
             _, rest = _pair_near(r.eigenvalues, hp.vg)
             drift.append(np.max(np.abs(np.sort(rest.real) - disp)))
@@ -321,10 +318,10 @@ def eigen_splitting_fit(model: ModelSpec, anchor,
     rho = table.column("grid_param")
     k = table.column("k")
     lw = limiting_whitham_soliton(model, sp)
-    zl, Vl = np.linalg.eig(lw["W_limit"])
+    zl, Vl, _ = eig_small(lw["W_limit"])
     # the eigenvectors with a definite limit are the dispersionless ones;
     # the splitting pair's vectors merge exponentially fast instead
-    disp = np.sort(np.linalg.eigvals(lw["dispersionless"]).real)
+    disp = np.sort(eig_small(lw["dispersionless"])[0].real)
     vlims = []
     for z in disp:
         jz = int(np.argmin(np.abs(zl - z)))

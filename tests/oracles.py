@@ -1,18 +1,19 @@
 """Independent oracles used by the test suite only.
 
-The closed forms, the raw adaptive quadratures and the shooting
-integrator go through scipy special functions or scipy's ODE solver,
-never through the package's own integration engine, so agreement
-between the two is a genuine cross-check.  The averaged-identity checker
-uses the engine's averages but tests them against exact relations that
-the engine does not impose.
+The closed forms (from ``modbench/reference.py``), the raw adaptive
+quadratures and the shooting integrator go through scipy special
+functions or scipy's ODE solver, never through the package's own
+integration engine, so agreement between the two is a genuine
+cross-check.  The averaged-identity checker uses the engine's averages
+but tests them against exact relations that the engine does not impose.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.special import ellipe, ellipk
 
 from modlab.action import FDConfig, action_hessian, rebracket
 from modlab.errors import DegenerateOrbit, UncoveredClass
@@ -23,31 +24,33 @@ from modlab.profiles import (DEFAULT_QUAD_ORDER, OrbitIntegrals,
                              orbit_integrals)
 
 
+def _load_reference():
+    """modbench/reference.py, which imports no modlab, loaded by its path."""
+    path = Path(__file__).resolve().parents[1] / "modbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("modbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the closed forms of the KdV well and soliton, shared with the benchmark
+REFERENCE = _load_reference()
+
+
 def cubic_well_elliptic(v1, v2, v3):
     """Closed forms for the cubic-potential orbit on (v2, v3).
 
     The level set is mu - W = (v - v1)(v - v2)(v3 - v)/6 with kappa = 1.
-    Returns dict with Xi, mean_v, mean_v2 (second moment) and theta.
+    Returns dict with Xi, mean_v, mean_v2 (second moment) and theta; all
+    but mean_v2 are ``reference.kdv_elliptic``'s.
     """
-    m = (v3 - v2) / (v3 - v1)
-    K = ellipk(m)
-    E = ellipe(m)
-    scale = np.sqrt(v3 - v1)
-    Xi = 4.0 * np.sqrt(3.0) * K / scale
-    # sn^2 moments over a quarter period
-    I0 = K
-    I1 = (K - E) / m
-    I2 = ((2.0 + m) * K - 2.0 * (1.0 + m) * E) / (3.0 * m * m)
-    I3 = (4.0 * (1.0 + m) * I2 - 3.0 * I1) / (5.0 * m)
-    s2 = I1 / I0
-    s4 = I2 / I0
-    mean_v = v3 - (v3 - v2) * s2
-    mean_v2 = (v3 * v3 - 2.0 * v3 * (v3 - v2) * s2 + (v3 - v2) ** 2 * s4)
-    # theta = (2/sqrt(3)) * integral sqrt((v-v1)(v-v2)(v3-v)) dv
-    #       = (4/sqrt(3)) (v3-v2)^2 sqrt(v3-v1) * <sn^2 cn^2 dn^2>_K
-    J = I1 - (1.0 + m) * I2 + m * I3
-    theta = (4.0 / np.sqrt(3.0)) * (v3 - v2) ** 2 * scale * J
-    return {"Xi": Xi, "mean_v": mean_v, "mean_v2": mean_v2, "theta": theta}
+    ell = REFERENCE.kdv_elliptic(v1, v2, v3)
+    # sn^2 and sn^4 means over a quarter period
+    _, _, (I0, I1, I2, _) = REFERENCE._sn_moments((v3 - v2) / (v3 - v1))
+    mean_v2 = (v3 * v3 - 2.0 * v3 * (v3 - v2) * I1 / I0
+               + (v3 - v2) ** 2 * I2 / I0)
+    return {"Xi": ell["Xi"], "mean_v": ell["mean"], "mean_v2": mean_v2,
+            "theta": ell["theta"]}
 
 
 def raw_action_quadrature(model, params, v2, v3):
@@ -76,11 +79,14 @@ def raw_period_quadrature(model, params, v2, v3):
 
 
 def kdv_soliton_facts(c):
-    """sech^2 solitary wave of f = -v^3/6 on endstate 0 at speed c."""
-    return {"moment": 24.0 / 5.0 * c ** 2.5,
-            "dcM": 12.0 * c ** 1.5,
-            "dc2M": 18.0 * np.sqrt(c),
-            "amplitude": 3.0 * c}
+    """sech^2 solitary wave of f = -v^3/6 on endstate 0 at speed c.
+
+    The moment M = (24/5) c^(5/2) beside ``reference.kdv_soliton``'s
+    d_c M and d2_c M.
+    """
+    facts = REFERENCE.kdv_soliton(c)
+    return {"moment": 24.0 / 5.0 * c ** 2.5, "dcM": facts["dcM"],
+            "dc2M": facts["dc2M"]}
 
 
 def fd_gradient(fn, x, h):

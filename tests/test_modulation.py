@@ -1,6 +1,3 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,17 +13,8 @@ from modlab.modulation import (ModVars, coupling_matrix_A, hessianH,
 from modlab.profiles import averaged_state, find_turning_points, \
     orbit_integrals
 
-from oracles import (averaged_identities, chart_hamiltonian, fd_hessian,
-                     modvars_to_params)
-
-
-def _benchmark_reference():
-    """modbench/reference.py, which imports no modlab, loaded by its path."""
-    path = Path(__file__).resolve().parents[1] / "modbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("modbench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from oracles import (REFERENCE, averaged_identities, chart_hamiltonian,
+                     fd_hessian, modvars_to_params)
 
 
 class TestChartChange:
@@ -204,7 +192,7 @@ class TestWhithamSpectrum:
         params = WaveParams(mu, c, [lam])
         br = find_turning_points(gkdv, params)
         zs = whitham_report(gkdv, params, br).eigenvalues
-        speeds = _benchmark_reference().kdv_speeds(br.v1, br.v2, br.v3)
+        speeds = REFERENCE.kdv_speeds(br.v1, br.v2, br.v3)
         err = (np.max(np.abs(np.sort(zs.real) - speeds))
                + np.max(np.abs(zs.imag))) / np.max(np.abs(speeds))
         assert err <= 1e-8

@@ -125,23 +125,44 @@ def test_one_quadrature_engine():
     assert users == {"profiles"}
 
 
-def test_one_root_finder():
-    # np.roots runs in profiles._real_roots_in alone; an import of the
-    # name counts as a use
-    def uses_roots(tree):
-        return any(isinstance(node, ast.Attribute) and node.attr == "roots"
+def users_of(names):
+    """Modules and functions that read any of ``names`` as an attribute or
+    import one of them by name."""
+    def uses(tree):
+        return any(isinstance(node, ast.Attribute) and node.attr in names
                    or isinstance(node, ast.ImportFrom)
-                   and "roots" in {a.name for a in node.names}
+                   and names & {a.name for a in node.names}
                    for node in ast.walk(tree))
 
-    modules = {name for name, tree in parsed_modules().items()
-               if uses_roots(tree)}
+    modules = {name for name, tree in parsed_modules().items() if uses(tree)}
     functions = {f"{name}.{node.name}"
                  for name, tree in parsed_modules().items()
                  for node in ast.walk(tree)
-                 if isinstance(node, ast.FunctionDef) and uses_roots(node)}
-    assert modules == {"profiles"}
-    assert functions == {"profiles._real_roots_in"}
+                 if isinstance(node, ast.FunctionDef) and uses(node)}
+    return modules, functions
+
+
+def test_one_root_finder():
+    # np.roots runs in profiles._real_roots_in alone
+    assert users_of({"roots"}) == ({"profiles"}, {"profiles._real_roots_in"})
+
+
+def test_one_eigen_path():
+    # LAPACK's general eigensolver runs in eigen.eig_small alone, which
+    # checks the residual of every pair it returns
+    assert users_of({"eig", "eigvals"}) == ({"eigen"}, {"eigen.eig_small"})
+
+
+def test_one_whitham_assembly():
+    # the chain action Hessian -> hessH runs in modulation._whitham_assembly
+    # alone, for whitham reports and sweep points alike
+    callers = {f"{name}.{node.name}"
+               for name, tree in parsed_modules().items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and {"action_hessian", "hessianH"} & {
+                   n.id for n in ast.walk(node) if isinstance(n, ast.Name)}}
+    assert callers == {"modulation._whitham_assembly"}
 
 
 def test_every_leaf_error_is_raised_somewhere():

@@ -7,8 +7,10 @@ from numpy.polynomial.legendre import leggauss
 from modlab import profiles
 from modlab.errors import (ConfigError, DegenerateOrbit, MultipleWells,
                            NoPeriodicOrbit, QuadratureNotConverged)
-from modlab.limits import harmonic_point, soliton_point
+from modlab.limits import (_homoclinic_orbit, _soliton_point_at_lambda,
+                           harmonic_point, soliton_point)
 from modlab.models import WaveParams, gkdv_model
+from modlab.polys import pdeflate
 from modlab.profiles import (averaged_state, bracket_near_limit,
                              find_turning_points, orbit_integrals)
 
@@ -105,6 +107,21 @@ class TestTurningPoints:
         with pytest.raises(DegenerateOrbit, match="not a root"):
             bracket_near_limit(model, WaveParams(hp.mu0 + 1e-2, c, lam),
                                hp.v0, "harmonic")
+
+    @pytest.mark.parametrize("family, c, lam, above", [
+        ("gkdv", 1.3, [0.2], 1e-12),
+        ("ek_lagrangian", 0.6, [0.3, -0.1], 1e-10),
+        ("ek_lagrangian", 0.8, [0.4, -0.2], 1e-11)])
+    def test_harmonic_bracket_above_the_soliton_level(self, request, family,
+                                                      c, lam, above):
+        # the level cuts no well: Newton ends beside the saddle's complex
+        # pair, where T passes the root check, and the quotient keeps a
+        # root beside that point
+        model = request.getfixturevalue(family)
+        mus = _soliton_point_at_lambda(model, c, lam).mus
+        with pytest.raises(DegenerateOrbit, match="double root"):
+            bracket_near_limit(model, WaveParams(mus + above, c, lam),
+                               harmonic_point(model, c, lam).v0, "harmonic")
 
     @pytest.mark.parametrize("below", [1e-8, 1e-12])
     def test_harmonic_bracket_near_the_soliton_level(self, gkdv, below):
@@ -291,6 +308,29 @@ class TestAveragedState:
         model, params, br = cnoidal
         with pytest.raises(QuadratureNotConverged):
             orbit_integrals(model, params, br, quad_order=4)
+
+    def test_nan_orbit_is_not_converged(self, gkdv):
+        # v2 sits on the saddle of a level 1e-12 above it: the residual
+        # passes the root check and every integrand is NaN
+        lam = [0.2]
+        p = WaveParams(_soliton_point_at_lambda(gkdv, 1.3, lam).mus + 1e-12,
+                       1.3, lam)
+        br = profiles.OrbitBracket(v2=-0.1456841652150085,
+                                   v3=4.191366458960511,
+                                   T=profiles.level_polynomial(gkdv, p)[0])
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(QuadratureNotConverged, match="nan"):
+            orbit_integrals(gkdv, p, br)
+
+    def test_nan_homoclinic_orbit_is_not_converged(self, gkdv):
+        # vS = vs leaves an orbit of zero length: M = 0, d_c M = NaN
+        params, vs, _, _, _ = _homoclinic_orbit(gkdv, 1.0, np.array([0.0]),
+                                                (-3.0, 5.0))
+        T, _ = profiles.level_polynomial(gkdv, params)
+        q = pdeflate(pdeflate(T, vs)[0], vs)[0]
+        with np.errstate(invalid="ignore", divide="ignore"), \
+                pytest.raises(QuadratureNotConverged, match="nan"):
+            profiles.homoclinic_integrals(gkdv, params, q, vs, vs)
 
     def test_order_refinement_within_estimate(self, cnoidal):
         model, params, br = cnoidal
