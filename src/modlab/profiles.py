@@ -292,6 +292,10 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
     coordinates w = v - center, which keeps their *gap* accurate to
     relative rounding even when it is 1e-10 of the window.  No degeneracy
     cutoff applies here; callers sweep knowingly close to the limit.
+    The bracket keeps the slope rule (T' > 0 at v2, T' < 0 at v3):
+    a harmonic turning point that breaks it is re-picked below the
+    saddle hump (``DegenerateOrbit`` if there is none), and a soliton
+    bracket that breaks it raises ``NoPeriodicOrbit``.
     """
     T, _ = level_polynomial(model, params)
     Tc = trim(pshift(T, center))
@@ -336,7 +340,29 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
                     f"turning point {center + w!r} is a double root: another "
                     f"root lies within 1e-4 x the gap {wp - wm:.3g}; "
                     f"bracket it about the saddle")
-    return bracket
+    # the slope rule: a bracket bounds a well only if T rises through v2
+    # and falls through v3
+    if side == "soliton":
+        if not peval(Td, wp) > 0.0 > peval(Td, v3 - center):
+            raise NoPeriodicOrbit(
+                f"level mu = {params.mu} cuts no well beyond the saddle")
+        return bracket
+    rises, falls = peval(Td, wm) > 0.0, peval(Td, wp) < 0.0
+    if rises and falls:
+        return bracket
+    # Newton that ends on the wrong slope ran over the saddle hump: the
+    # turning point is the far root nearest the well bottom, if any
+    if not rises:
+        v2 = max((r for r in far if v2 < r < center), default=None)
+    if not falls:
+        v3 = min((r for r in far if center < r < v3), default=None)
+    if v2 is None or v3 is None:
+        raise DegenerateOrbit(
+            f"level mu = {params.mu} cuts no well about {center}: no root "
+            f"between the well bottom and the saddle hump")
+    # a Newton end point left of a re-picked v2 is a root, so it may be v1
+    v1 = max([r for r in far + [center + wm] if r < v2], default=None)
+    return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=hint, T=T)
 
 
 # ----------------------------------------------------------------------------

@@ -109,11 +109,11 @@ def _sweep_point(model: ModelSpec, anchor, eps: float,
     if isinstance(anchor, HarmonicPoint):
         regime, center, mu_limit = "harmonic", anchor.v0, anchor.mu0
         mu = anchor.mu0 + eps
-        c, lam = anchor.c, anchor.lam
+        c, lam, U = anchor.c, anchor.lam, anchor.U0
     else:
         regime, center, mu_limit = "soliton", anchor.vs, anchor.mus
         mu = anchor.mus - eps
-        c, lam = anchor.cs, anchor.lambdas
+        c, lam, U = anchor.cs, anchor.lambdas, anchor.Us
     # steps shrink with the gap, so the leading h^2 truncation of the
     # blowing-up soliton-side entries is a constant relative bias;
     # Richardson removes it
@@ -122,9 +122,9 @@ def _sweep_point(model: ModelSpec, anchor, eps: float,
     bracket = bracket_near_limit(model, params, center, regime)
     jet, mv, _, W = _whitham_assembly(model, params, bracket, cfg)
     zs, vecs, resid = eig_small(W)
-    sm = structural_matrices(model)
-    frame = anchor.frame
-    sv = sm.Sinv @ frame.V
+    # the frame vector V = (1, q, U) at the anchor's state
+    q = model.impulse_jet(center, c, float(lam[-1]))[0]
+    sv = structural_matrices(model).Sinv @ np.concatenate(([1.0, q], U))
     proj = float(sv @ jet.hess @ sv)
     grid_param = bracket.delta if regime == "harmonic" else bracket.rho
     return SweepRow(regime=regime, grid_param=float(grid_param), mu=mu,

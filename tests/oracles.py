@@ -6,10 +6,13 @@ functions or scipy's ODE solver, never through the package's own
 integration engine, so agreement between the two is a genuine
 cross-check.  The averaged-identity checker uses the engine's averages
 but tests them against exact relations that the engine does not impose.
+The limit frames and the harmonic third derivative are the paper's
+closed forms, which the package does not carry.
 """
 
 import importlib.util
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -282,3 +285,65 @@ def averaged_identities(model, params, bracket=None,
     res_daH = abs(daH + mv.k * c) / max(1.0, abs(mv.k * c))
     return {"dkH": res_dkH, "daH": res_daH, "dMH": res_dMH,
             "impulse_virial": res_virial, "legendre": res_legendre}
+
+
+@dataclass(frozen=True)
+class LimitFrame:
+    """Frame vectors at a reference state and their derived matrices."""
+
+    V: np.ndarray
+    W: np.ndarray
+    Z: np.ndarray
+    T: np.ndarray
+    E: np.ndarray
+    F: np.ndarray
+    P: np.ndarray
+    D: np.ndarray
+    sigma: float
+    w: float
+    zeta: float
+
+
+def frame_vectors(model, v, c=0.0, lam2=0.0):
+    """Frame at an arbitrary admissible state v (limit points included)."""
+    sm = structural_matrices(model)
+    b = model.b
+    if model.kind == "scalar":
+        q, qv, qvv = model.impulse_jet(v)
+        V = np.array([1.0, q, v])
+        W = np.array([0.0, qv, 1.0])
+        Z = np.array([0.0, qvv, 0.0])
+        T = np.zeros(3)
+        E = np.array([1.0, 0.0, 0.0])
+        F = np.array([0.0, -1.0, 0.0])
+        P = np.column_stack([sm.Sinv @ F, sm.Sinv @ V, sm.Sinv @ W])
+        sigma, w, zeta = 0.0, 1.0 / b, 0.0
+    else:
+        g, gv, gvv, _ = model.velocity_jet(v, c, lam2)
+        q, qv, qvv = model.impulse_jet(v, c, lam2)
+        tau0 = model.tau_jet(v, 0)[0]
+        rt = math.sqrt(tau0)
+        V = np.array([1.0, q, v, g])
+        W = np.array([0.0, qv, 1.0, gv])
+        Z = np.array([0.0, qvv, 0.0, gvv])
+        T = np.array([0.0, v / b, 0.0, 1.0]) / rt
+        E = np.array([1.0, 0.0, 0.0, 0.0])
+        F = np.array([0.0, -1.0, 0.0, 0.0])
+        P = np.column_stack([sm.Sinv @ F, sm.Sinv @ V, sm.Sinv @ T, sm.Sinv @ W])
+        sigma = 1.0 / (b * rt)
+        w = 2.0 * gv / b
+        zeta = gvv / b
+    D = P.T @ sm.S @ P
+    return LimitFrame(V=V, W=W, Z=Z, T=T, E=E, F=F, P=P, D=D,
+                      sigma=sigma, w=w, zeta=zeta)
+
+
+def d3_kka_H(model, hp):
+    """Closed form of d^3 H / dk^2 dalpha at the harmonic anchor ``hp``."""
+    b, k0, v0 = model.b, hp.k0, hp.v0
+    w2 = model.potential_jet(v0, WaveParams(0.0, hp.c, hp.lam), 2)[2]
+    if model.kind == "scalar":
+        return 6.0 * b * w2 / k0
+    gv = model.velocity_jet(v0, hp.c, float(hp.lam[1]))[1]
+    tau0 = model.tau_jet(v0, 0)[0]
+    return b * w2 * (-w2 + 3.0 * tau0 * gv * gv) / (k0 * tau0 * gv ** 3)

@@ -28,10 +28,9 @@ import numpy as np
 import pytest
 
 from modlab.action import FDConfig, action_hessian
-from modlab.limits import (HarmonicPoint, SolitonPoint, frame_vectors,
-                           harmonic_point, limiting_whitham_harmonic,
-                           limiting_whitham_soliton, soliton_point,
-                           toy_double_root)
+from modlab.limits import (HarmonicPoint, SolitonPoint, harmonic_point,
+                           limiting_whitham_harmonic, limiting_whitham_soliton,
+                           soliton_point, toy_double_root)
 from modlab.miindex import conjugation_check, critical_wavenumber, delta_mi
 from modlab.models import (ModelSpec, WaveParams, gkdv_model,
                            structural_matrices)
@@ -43,8 +42,8 @@ from modlab.profiles import (averaged_state, find_turning_points,
 from modlab.sweeps import asymptotic_sweep, eigen_splitting_fit, sweep_table
 
 from oracles import (averaged_identities, chart_hamiltonian,
-                     cubic_well_elliptic, fd_hessian, kdv_soliton_facts,
-                     predicted_alpha_sign, shooting_oracle)
+                     cubic_well_elliptic, fd_hessian, frame_vectors,
+                     kdv_soliton_facts, predicted_alpha_sign, shooting_oracle)
 
 TWO_PI = 2.0 * math.pi
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "modlab" / "configs"
@@ -151,8 +150,7 @@ def test_criterion_01_algebra_suite():
                 a0=float(rng.standard_normal()),
                 b0=float(rng.standard_normal()), w0=1.0,
                 grad_c0=rng.standard_normal(1),
-                d3_kka_H=float(rng.standard_normal()),
-                frame=None, dispersionless_hyperbolic=True)
+                dispersionless_hyperbolic=True)
             if abs(-model.hamiltonian_hessian(hp.U0)[0, 0] - hp.vg) < 1e-2:
                 continue
             lw = limiting_whitham_harmonic(model, hp)
@@ -163,8 +161,7 @@ def test_criterion_01_algebra_suite():
                 cs=float(rng.uniform(0.3, 2.0)),
                 Us=np.array([rng.uniform(0.2, 2.0)]),
                 lambdas=np.zeros(1), XiS=TWO_PI, boussinesq=1.0,
-                dcM=1.0, dc2M=1.0, gradUM=rng.standard_normal(1),
-                frame=None)
+                dcM=1.0, dc2M=1.0, gradUM=rng.standard_normal(1))
             if abs(-model.hamiltonian_hessian(sp.Us)[0, 0] - sp.cs) < 1e-2:
                 continue
             lws = limiting_whitham_soliton(model, sp)

@@ -5,13 +5,13 @@ import pytest
 
 from modlab.errors import ConfigError, NoSaddle, NoWellMinimum
 from modlab.limits import (HarmonicPoint, _soliton_point_at_lambda,
-                           frame_vectors, harmonic_point,
-                           limiting_whitham_harmonic, limiting_whitham_soliton,
-                           soliton_point, toy_double_root)
+                           harmonic_point, limiting_whitham_harmonic,
+                           limiting_whitham_soliton, soliton_point,
+                           toy_double_root)
 from modlab.models import ModelSpec, WaveParams, structural_matrices
 from modlab.polys import Laurent
 
-from oracles import kdv_soliton_facts
+from oracles import frame_vectors, kdv_soliton_facts
 
 TWO_PI = 2.0 * math.pi
 
@@ -289,7 +289,6 @@ class TestLimitingMatrices:
     def test_randomized_block_reductions(self):
         """Similarity reductions hold for arbitrary synthetic limit data."""
         rng = np.random.default_rng(12)
-        from modlab.limits import LimitFrame
         model = ModelSpec(kind="scalar", b=1.0,
                           f=Laurent.make([0.0, 0.0, 0.0, -1.0 / 6.0]),
                           kappa=Laurent.make([1.0]))
@@ -303,8 +302,7 @@ class TestLimitingMatrices:
                 a0=float(rng.standard_normal()),
                 b0=float(rng.standard_normal()), w0=1.0,
                 grad_c0=rng.standard_normal(1),
-                d3_kka_H=float(rng.standard_normal()),
-                frame=None, dispersionless_hyperbolic=True)
+                dispersionless_hyperbolic=True)
             H2 = model.hamiltonian_hessian(hp.U0)
             if abs(-H2[0, 0] - hp.vg) < 1e-3:
                 continue

@@ -13,7 +13,7 @@ from modlab.models import ModelSpec, WaveParams, gkdv_model
 from modlab.sweeps import sweep_table
 from modlab.polys import Laurent
 
-from oracles import predicted_alpha_sign
+from oracles import d3_kka_H, predicted_alpha_sign
 
 TWO_PI = 2.0 * math.pi
 
@@ -118,7 +118,7 @@ class TestScalarIndex:
         hp = harmonic_point(gkdv, 1.0, [0.0], (0.5, 5.0))
         lw = limiting_whitham_harmonic(gkdv, hp)
         rep = delta_mi(gkdv, [hp.v0], hp.k0)
-        assembled = -lw["a_tilde0"] * hp.d3_kka_H
+        assembled = -lw["a_tilde0"] * d3_kka_H(gkdv, hp)
         assert rep.delta_mi == pytest.approx(assembled, rel=1e-10)
         assert rep.a_tilde0 == pytest.approx(lw["a_tilde0"], rel=1e-10)
 

@@ -165,6 +165,43 @@ def test_one_whitham_assembly():
     assert callers == {"modulation._whitham_assembly"}
 
 
+# diagnostics a --diagnostics report will print, and the per-point data
+# of a splitting fit, which only the tests read
+UNREAD_FIELDS = {"ActionJet.symmetry_residual", "ActionJet.warnings",
+                 "SplitReport.per_point"}
+
+
+def test_every_dataclass_field_has_a_reader():
+    # a field counts as read where src/ or modbench/ reads it as an
+    # attribute, or names it to SweepTable.column
+    trees = list(parsed_modules().values()) + [
+        ast.parse(p.read_text(encoding="utf-8"))
+        for p in sorted((ROOT / "modbench").glob("*.py"))]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "column" and node.args \
+                    and isinstance(node.args[0], ast.Constant):
+                read.add(node.args[0].value)
+    fields = {f"{node.name}.{st.target.id}"
+              for tree in parsed_modules().values()
+              for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and any(
+                  getattr(d.func if isinstance(d, ast.Call) else d, "id",
+                          None) == "dataclass" for d in node.decorator_list)
+              for st in node.body
+              if isinstance(st, ast.AnnAssign)
+              and isinstance(st.target, ast.Name)}
+    assert len(fields) > 100
+    unread = {f for f in fields if f.split(".")[1] not in read}
+    assert unread == UNREAD_FIELDS
+
+
 def test_every_leaf_error_is_raised_somewhere():
     modules = parsed_modules()
     classes = {node.name: [b.id for b in node.bases]

@@ -7,8 +7,9 @@ from numpy.polynomial.legendre import leggauss
 from modlab import profiles
 from modlab.errors import (ConfigError, DegenerateOrbit, MultipleWells,
                            NoPeriodicOrbit, QuadratureNotConverged)
-from modlab.limits import (_homoclinic_orbit, _soliton_point_at_lambda,
-                           harmonic_point, soliton_point)
+from modlab.limits import (_critical_points, _homoclinic_orbit,
+                           _soliton_point_at_lambda, harmonic_point,
+                           soliton_point)
 from modlab.models import WaveParams, gkdv_model
 from modlab.polys import pdeflate
 from modlab.profiles import (averaged_state, bracket_near_limit,
@@ -18,6 +19,22 @@ from oracles import cubic_well_elliptic, predicted_alpha_sign, \
     raw_action_quadrature, shooting_oracle
 
 CNOIDAL_ROOTS = (-0.8793852415718167, 1.3472963553338607, 2.5320888862379560)
+
+
+def saddle_level(model, c, lam):
+    """Level of the one saddle of W, on either side of the well (the
+    soliton anchor needs the well right of the saddle)."""
+    p = WaveParams(0.0, c, lam)
+    (vs, _), = [t for t in _critical_points(
+        model, p, profiles._window_in_domain(model)) if t[1] < 0.0]
+    return model.potential_jet(vs, p, 0)[0]
+
+
+@pytest.fixture(scope="module")
+def quintic():
+    # its saddle lies left of the well
+    return gkdv_model(f_coeffs=(0.0, 0.0, 0.0, 0.0, -1.0 / 24.0,
+                                -1.0 / 240.0), label="quintic")
 
 
 class TestTurningPoints:
@@ -122,6 +139,60 @@ class TestTurningPoints:
         with pytest.raises(DegenerateOrbit, match="double root"):
             bracket_near_limit(model, WaveParams(mus + above, c, lam),
                                harmonic_point(model, c, lam).v0, "harmonic")
+
+    @pytest.mark.parametrize("family, c, lam, frac", [
+        pytest.param(f, c, lam, x, id=f"{f}/c={c}/{x}")
+        for f, c, lam, fracs in (
+            ("nls_hydro", 0.0, [-1.4, 0.5], (0.95, 0.99, 1 - 1e-4, 1 - 1e-8)),
+            ("nls_hydro", 0.3, [-1.4, 0.5], (0.95, 0.99, 1 - 1e-4, 1 - 1e-8)),
+            ("quintic", -0.5, [-0.75], (0.9, 0.99, 1 - 1e-4)))
+        for x in fracs])
+    def test_harmonic_bracket_stays_below_the_saddle_hump(self, request,
+                                                          family, c, lam,
+                                                          frac):
+        # Newton from +-w0 runs over the saddle hump (right of the well on
+        # nls_hydro, left on quintic) and ends on a root where T has the
+        # wrong slope; the slope rule re-picks that turning point as the
+        # far root nearest the well bottom
+        model = request.getfixturevalue(family)
+        hp = harmonic_point(model, c, lam)
+        mus = saddle_level(model, c, lam)
+        p = WaveParams(hp.mu0 + frac * (mus - hp.mu0), c, lam)
+        near = bracket_near_limit(model, p, hp.v0, "harmonic")
+        generic = find_turning_points(model, p)
+        width = generic.v3 - generic.v2
+        assert (near.v1 is None) == (generic.v1 is None)
+        for a, b in zip((near.v1, near.v2, near.v3),
+                        (generic.v1, generic.v2, generic.v3)):
+            assert a == b or abs(a - b) <= 1e-12 * width
+        assert orbit_integrals(model, p, near).Xi == pytest.approx(
+            orbit_integrals(model, p, generic).Xi, rel=1e-8, abs=0.0)
+
+    def test_harmonic_bracket_above_the_saddle_with_no_well_root(self,
+                                                                 nls_hydro):
+        # T rises through the Newton end point beside the saddle, and no
+        # far root lies between it and the well bottom
+        c, lam = 0.0, [-1.2, 0.7]
+        p = WaveParams(saddle_level(nls_hydro, c, lam) + 1e-11, c, lam)
+        with pytest.raises(DegenerateOrbit, match="cuts no well"):
+            bracket_near_limit(nls_hydro, p,
+                               harmonic_point(nls_hydro, c, lam).v0,
+                               "harmonic")
+
+    @pytest.mark.parametrize("family, c, lam, window, below", [
+        pytest.param(f, c, lam, w, h, id=f"{f}/mu0-{h:g}")
+        for f, c, lam, w, h in (("quartic", -0.5, [0.05], (-5.0, 5.0), 1e-15),
+                                ("quartic", -0.5, [0.05], (-5.0, 5.0), 1e-14),
+                                ("gkdv", 1.0, [0.0], None, 1e-12))])
+    def test_soliton_bracket_below_the_well_bottom(self, request, family, c,
+                                                   lam, window, below):
+        # the level cuts no well: Newton ends by the well bottom, where T
+        # does not rise, though the residual passes the root check
+        model = request.getfixturevalue(family)
+        vs = _soliton_point_at_lambda(model, c, lam, window).vs
+        p = WaveParams(harmonic_point(model, c, lam).mu0 - below, c, lam)
+        with pytest.raises(NoPeriodicOrbit, match="cuts no well"):
+            bracket_near_limit(model, p, vs, "soliton")
 
     @pytest.mark.parametrize("below", [1e-8, 1e-12])
     def test_harmonic_bracket_near_the_soliton_level(self, gkdv, below):

@@ -1,16 +1,21 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from modlab.cli import load_config
 from modlab.errors import GridDegenerate
 from modlab.limits import harmonic_point, soliton_point
 from modlab.miindex import delta_mi
-from modlab.models import WaveParams, gkdv_model
+from modlab.models import WaveParams, gkdv_model, model_from_dict
 from modlab.sweeps import (asymptotic_sweep, eigen_splitting_fit, linear_fit,
                            poly_extrapolate, sweep_table)
 
+from oracles import d3_kka_H
+
 TWO_PI = 2.0 * math.pi
+CONFIGS = Path(__file__).resolve().parents[1] / "src" / "modlab" / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +120,29 @@ class TestSolitonSweep:
         assert np.isfinite(fit.fits["E_dot_Xs"])
 
 
+class TestSolitonTheoremTwoField:
+    """The shipped ek_lagrangian config at endstate (-1.2, 0.3), on both
+    sides of the soliton theorem: the sign of d2_c M decides whether the
+    near-soliton pair is real.  The V-projection reads the velocity entry
+    g of V = (1, q, v, g), which no scalar family reaches."""
+
+    @pytest.mark.parametrize("c, d2cM", [(0.8, 24.43), (0.5, -4.678)])
+    def test_sign_of_d2cM_decides_the_pair(self, c, d2cM):
+        model = model_from_dict(
+            load_config(str(CONFIGS / "ek_lagrangian.json"))["model"])
+        sp = soliton_point(model, c, [-1.2, 0.3])
+        assert sp.dc2M == pytest.approx(d2cM, rel=1e-3)
+        table, fit = asymptotic_sweep(model, sp, np.geomspace(1e-4, 1e-8, 6))
+        assert fit.fits["d2cM_projection"] == pytest.approx(sp.dc2M,
+                                                            rel=1e-5)
+        for row in table.rows:
+            zs = row.eigenvalues
+            pair = zs[np.argsort(np.abs(zs - sp.cs))[:2]]
+            # a real pair when d2_c M > 0, a conjugate pair (>= 1.1e-3 i
+            # on this grid) when d2_c M < 0
+            assert (np.max(np.abs(pair.imag)) > 1e-3) == (d2cM < 0.0)
+
+
 @pytest.fixture(scope="module")
 def harmonic_split_run(gkdv, harmonic_anchor):
     offsets = np.geomspace(0.02, 6e-3, 7) ** 2 / 2.0
@@ -146,7 +174,7 @@ class TestSplittingHarmonic:
     def test_eigvec_coefficient(self, harmonic_split_run, gkdv, harmonic_anchor):
         split_run = harmonic_split_run
         rep = delta_mi(gkdv, [harmonic_anchor.v0], harmonic_anchor.k0)
-        want = harmonic_anchor.d3_kka_H / math.sqrt(rep.delta_mi)
+        want = d3_kka_H(gkdv, harmonic_anchor) / math.sqrt(rep.delta_mi)
         assert split_run.fits["eigvec_coefficient"] == pytest.approx(
             want, rel=0.05)
 
