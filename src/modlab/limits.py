@@ -5,9 +5,12 @@ minimum of the potential (harmonic wavetrains), wavelength -> infinity at
 a saddle level (solitary waves).  This module computes the limit points
 with their closed-form data, the explicit limiting modulation matrices
 on both boundaries, and the two-by-two toy model that isolates the
-double-characteristic splitting mechanism.  The frame-vector identities
-that organize the action asymptotics are checked in the test oracles;
-the sweeps read only the projection direction S^-1 V, V = (1, q, U).
+double-characteristic splitting mechanism.  The well minimum and the
+saddle are looked for in the model domain, the one search window;
+narrow it with ``dataclasses.replace(model, domain=...)``.  The
+frame-vector identities that organize the action asymptotics are
+checked in the test oracles; the sweeps read only the projection
+direction S^-1 V, V = (1, q, U).
 """
 
 from __future__ import annotations
@@ -74,12 +77,12 @@ class SolitonPoint:
     quad_error: float = 0.0
 
 
-def _critical_points(model: ModelSpec, params: WaveParams, window):
-    """Roots of W' in the window with their curvature sign."""
+def _critical_points(model: ModelSpec, params: WaveParams):
+    """Roots of W' in the search window with their curvature sign."""
     num, den = model.potential_rational(params)
     # W' = (num' den - num den') / den^2; roots from the numerator
     wp = padd(pmul(pder(num), den), pscale(pmul(num, pder(den)), -1.0))
-    lo, hi = window
+    lo, hi = _window_in_domain(model)
     out = []
     for x in _real_roots_in(wp, lo, hi):
         if not lo < x < hi or (
@@ -105,8 +108,7 @@ def _response_coefficients(K1: float, K2: float, w2: float, w3: float,
     return a0, b0
 
 
-def harmonic_point(model: ModelSpec, c: float, lam,
-                   window=None) -> HarmonicPoint:
+def harmonic_point(model: ModelSpec, c: float, lam) -> HarmonicPoint:
     """Locate the well minimum of the family (c, lambda) and its limit data.
 
     Raises NoWellMinimum / DegenerateWell; for two-field models the
@@ -115,8 +117,8 @@ def harmonic_point(model: ModelSpec, c: float, lam,
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     params = WaveParams(0.0, c, lam)
-    lo, hi = _window_in_domain(model, window)
-    minima = [(x, w2) for x, w2 in _critical_points(model, params, (lo, hi))
+    lo, hi = _window_in_domain(model)
+    minima = [(x, w2) for x, w2 in _critical_points(model, params)
               if w2 > 0.0]
     if not minima:
         raise NoWellMinimum(f"no well minimum of W in ({lo}, {hi})")
@@ -172,17 +174,18 @@ def _lambda_at_endstate(model: ModelSpec, c: float, Us: np.ndarray) -> np.ndarra
     return -grad
 
 
-def _homoclinic_orbit(model: ModelSpec, c: float, lam: np.ndarray, window,
+def _homoclinic_orbit(model: ModelSpec, c: float, lam: np.ndarray,
                       near: float | None = None):
     """Saddle vs of W, outer root vS of mu_s - W and the homoclinic integrals.
 
     Returns (params at mu_s, vs, W''(vs), vS, (M, dcM, quad_error)) for the
-    family (c, lambda).  The saddle must be unique in the window unless
-    ``near`` is given, in which case the saddle closest to it is taken.
+    family (c, lambda).  The saddle must be unique in the search window
+    unless ``near`` is given, in which case the saddle closest to it is
+    taken.
     """
-    lo, hi = window
+    lo, hi = _window_in_domain(model)
     params = WaveParams(0.0, c, lam)
-    saddles = [(x, w2) for x, w2 in _critical_points(model, params, (lo, hi))
+    saddles = [(x, w2) for x, w2 in _critical_points(model, params)
                if w2 < 0.0]
     if not saddles:
         raise NoSaddle(f"no saddle of W in ({lo}, {hi})")
@@ -205,8 +208,7 @@ def _homoclinic_orbit(model: ModelSpec, c: float, lam: np.ndarray, window,
     return params, vs, w2, vS, homoclinic_integrals(model, params, q, vs, vS)
 
 
-def soliton_point(model: ModelSpec, c: float, endstate,
-                  window=None) -> SolitonPoint:
+def soliton_point(model: ModelSpec, c: float, endstate) -> SolitonPoint:
     """Saddle point of W with its homoclinic orbit data at a fixed endstate.
 
     ``endstate`` is the solitary wave's endstate U_s (length N); the
@@ -218,24 +220,21 @@ def soliton_point(model: ModelSpec, c: float, endstate,
     Us = np.atleast_1d(np.asarray(endstate, dtype=float))
     if Us.shape[0] != model.N:
         raise ConfigError(f"endstate must have {model.N} component(s)")
-    sp = _soliton_point_at_lambda(model, c, _lambda_at_endstate(model, c, Us),
-                                  window)
+    sp = _soliton_point_at_lambda(model, c, _lambda_at_endstate(model, c, Us))
     if np.any(np.abs(sp.Us - Us) > 1e-9 * np.maximum(1.0, np.abs(Us))):
         raise NoSaddle(f"endstate {Us.tolist()} is not the saddle of its "
                        f"family (saddle at Us = {sp.Us.tolist()})")
     return sp
 
 
-def _soliton_point_at_lambda(model: ModelSpec, c: float, lam,
-                             window=None) -> SolitonPoint:
+def _soliton_point_at_lambda(model: ModelSpec, c: float, lam) -> SolitonPoint:
     """Soliton anchor of the family (c, lambda).
 
     The c- and endstate-derivatives of the moment are taken at the fixed
     endstate U_s of this anchor.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    win = _window_in_domain(model, window)
-    params, vs, w2, vS, (Mval, dcM, qerr) = _homoclinic_orbit(model, c, lam, win)
+    params, vs, w2, vS, (Mval, dcM, qerr) = _homoclinic_orbit(model, c, lam)
     if model.kind == "scalar":
         Us = np.array([vs])
     else:
@@ -247,7 +246,7 @@ def _soliton_point_at_lambda(model: ModelSpec, c: float, lam,
     def moments(x):
         lam_ = _lambda_at_endstate(model, x[0], x[1:])
         return np.array(
-            _homoclinic_orbit(model, x[0], lam_, win, near=vs)[-1][:2])
+            _homoclinic_orbit(model, x[0], lam_, near=vs)[-1][:2])
 
     x = np.concatenate(([c], Us))
     J = _central_differences(moments, x, REL_STEP * np.maximum(1.0, np.abs(x)))
@@ -344,10 +343,7 @@ def toy_double_root(eps: float, v: float, a_tilde: float, delta: float,
     splits along the real axis (hyperbolic), leaves it (elliptic), or
     stays defective (weakly hyperbolic).
     """
-    Bc = a_tilde + eps * delta_prime
-    Cc = eps * delta
-    disc = Bc * Cc
-    sq = cmath.sqrt(disc)
+    sq = cmath.sqrt((a_tilde + eps * delta_prime) * (eps * delta))
     z1, z2 = v + sq, v - sq
     if a_tilde == 0.0:
         if delta == 0.0 and delta_prime == 0.0:
@@ -365,17 +361,9 @@ def toy_double_root(eps: float, v: float, a_tilde: float, delta: float,
             cls = "elliptic"
         else:
             cls = "weakly_hyperbolic"
-    if Bc != 0.0:
-        vecs = np.array([[1.0, 1.0],
-                         [sq / Bc, -sq / Bc]], dtype=complex)
-    elif Cc != 0.0:
-        vecs = np.array([[sq / Cc, -sq / Cc],
-                         [1.0, 1.0]], dtype=complex)
-    else:
-        vecs = np.eye(2, dtype=complex)
     expansion = None
     if a_tilde != 0.0 and delta * a_tilde > 0.0 and eps > 0.0:
         lead = math.sqrt(eps * delta * a_tilde)
         expansion = max(abs(z1 - (v + lead)), abs(z2 - (v - lead)))
-    return {"eigenvalues": np.array([z1, z2]), "eigenvectors": vecs,
-            "classification": cls, "expansion_residual": expansion}
+    return {"eigenvalues": np.array([z1, z2]), "classification": cls,
+            "expansion_residual": expansion}

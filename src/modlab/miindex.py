@@ -281,5 +281,4 @@ def conjugation_check(model_E: ModelSpec, params_E: WaveParams,
     return {"alpha_over_k": res_ratio, "v0_product": res_v0,
             "k0_dictionary": res_k0, "mi_polynomial": res_poly,
             "mi_polynomial_exponent": expo,
-            "ratio_E": ratio_E, "ratio_L": ratio_L,
-            "poly_E": PE, "poly_L": PL, "v0_L": hpL.v0}
+            "ratio_E": ratio_E, "ratio_L": ratio_L}

@@ -298,9 +298,10 @@ class ModelSpec:
         return np.array([float(U[1]) / self.b, float(U[0]) / self.b])
 
 
-def _derivative_chain(fn: Laurent, order: int = 4) -> tuple:
+def _derivative_chain(fn: Laurent) -> tuple:
+    """(fn, fn', ..., fn^(4))."""
     chain = [fn]
-    for _ in range(order):
+    for _ in range(4):
         chain.append(chain[-1].derivative())
     return tuple(chain)
 

@@ -33,14 +33,6 @@ class ModVars:
     alpha: float
     M: np.ndarray
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(([self.k, self.alpha], self.M))
-
-    @staticmethod
-    def from_vector(x) -> "ModVars":
-        x = np.asarray(x, dtype=float)
-        return ModVars(float(x[0]), float(x[1]), x[2:].copy())
-
 
 @dataclass(frozen=True)
 class WhithamReport:

@@ -52,13 +52,11 @@ def pmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return trim(np.convolve(a, b))
 
 
-def pder(a: np.ndarray, order: int = 1) -> np.ndarray:
+def pder(a: np.ndarray) -> np.ndarray:
     c = a.tolist()
-    for _ in range(order):
-        if len(c) == 1:
-            return np.zeros(1)
-        c = [c[k] * k for k in range(1, len(c))]
-    return np.array(trim(c))
+    if len(c) == 1:
+        return np.zeros(1)
+    return np.array(trim([c[k] * k for k in range(1, len(c))]))
 
 
 def peval(a: np.ndarray, v):
@@ -136,17 +134,13 @@ class Laurent:
     def is_poly(self) -> bool:
         return self.shift == 0
 
-    def derivative(self, order: int = 1) -> "Laurent":
-        cur = self
-        for _ in range(order):
-            if cur.shift == 0:
-                cur = Laurent(pder(cur.coeffs), 0)
-            else:
-                # d/dv [p/v^s] = (p' v - s p) / v^(s+1)
-                num = padd(pmul(pder(cur.coeffs), np.array([0.0, 1.0])),
-                           pscale(cur.coeffs, -cur.shift))
-                cur = Laurent.make(num, cur.shift + 1)
-        return cur
+    def derivative(self) -> "Laurent":
+        if self.shift == 0:
+            return Laurent(pder(self.coeffs), 0)
+        # d/dv [p/v^s] = (p' v - s p) / v^(s+1)
+        num = padd(pmul(pder(self.coeffs), np.array([0.0, 1.0])),
+                   pscale(self.coeffs, -self.shift))
+        return Laurent.make(num, self.shift + 1)
 
     def __call__(self, v):
         val = peval(self.coeffs, v)

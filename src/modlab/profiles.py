@@ -5,7 +5,8 @@ so every period-averaged quantity is a line integral between consecutive
 turning points v2 < v3 of mu - W.  The engine below:
 
 * locates and refines turning points on the exact polynomial form
-  ``T = mu*D - N`` of ``(mu - W)*D``,
+  ``T = mu*D - N`` of ``(mu - W)*D``, in the model domain: the one
+  search window, narrowed with ``dataclasses.replace(model, domain=...)``,
 * deflates the known roots out of T so integrands are evaluated without
   endpoint cancellation,
 * integrates with Gauss-Legendre after singularity-removing
@@ -185,11 +186,9 @@ def _newton_refine(T: np.ndarray, Td: np.ndarray, x: float, lo: float,
     return x
 
 
-def _window_in_domain(model: ModelSpec, window=None) -> tuple[float, float]:
-    """The window (default: the domain) cut to the domain; open ends +-1e6."""
-    lo, hi = window if window is not None else model.domain
-    dlo, dhi = model.domain
-    lo, hi = max(lo, dlo), min(hi, dhi)
+def _window_in_domain(model: ModelSpec) -> tuple[float, float]:
+    """The search window: the model domain, open ends cut at +-1e6."""
+    lo, hi = model.domain
     return (lo if math.isfinite(lo) else -1e6,
             hi if math.isfinite(hi) else 1e6)
 
@@ -223,15 +222,14 @@ def _real_roots_in(T: np.ndarray, lo: float, hi: float, q=None,
     return sorted(out)
 
 
-def find_turning_points(model: ModelSpec, params: WaveParams,
-                        search_window: tuple | None = None) -> OrbitBracket:
+def find_turning_points(model: ModelSpec, params: WaveParams) -> OrbitBracket:
     """Locate the turning points v2 < v3 (and v1 when present) at level mu.
 
-    The window (default: the model domain) only selects the roots of
-    mu - W that are looked at.  Two adjacent roots closer than
-    ``DEGENERACY_FRACTION`` times the spread of those roots (or the
-    largest root's magnitude, when that is larger) are one double root,
-    which is never a well.
+    The model domain is the search window: it only selects the roots of
+    mu - W that are looked at, and picks one well of several when
+    narrowed.  Two adjacent roots closer than ``DEGENERACY_FRACTION``
+    times the spread of those roots (or the largest root's magnitude,
+    when that is larger) are one double root, which is never a well.
 
     Raises
     ------
@@ -243,7 +241,7 @@ def find_turning_points(model: ModelSpec, params: WaveParams,
     MultipleWells
         when the window contains more than one candidate well.
     """
-    lo, hi = _window_in_domain(model, search_window)
+    lo, hi = _window_in_domain(model)
     T, den = level_polynomial(model, params)
     roots = _real_roots_in(T, lo, hi)
     # the spread of the roots and 0: at least the roots' size, as a window

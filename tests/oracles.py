@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import eigvals
 
 from modlab.action import FDConfig, action_hessian, rebracket
 from modlab.errors import DegenerateOrbit, UncoveredClass
@@ -121,6 +122,13 @@ def fd_hessian(fn, x, h):
     return H
 
 
+def _profile_acceleration(model, params, v, vp):
+    """v'' from the profile ODE kappa v'' + kappa' v'^2 / 2 + W'(v) = 0."""
+    kj = model.kappa_jet(v, 1)
+    w1 = model.potential_jet(v, params, order=1)[1]
+    return -(0.5 * kj[1] * vp * vp + w1) / kj[0]
+
+
 def shooting_oracle(model, params, bracket, rtol=1e-12, atol=1e-13):
     """Integrate the profile ODE with an event at the upper turning point.
 
@@ -134,9 +142,7 @@ def shooting_oracle(model, params, bracket, rtol=1e-12, atol=1e-13):
 
     def rhs(_, y):
         v, vp = y[0], y[1]
-        kj = model.kappa_jet(v, 1)
-        w1 = w_jet(v)[1]
-        vpp = -(0.5 * kj[1] * vp * vp + w1) / kj[0]
+        vpp = _profile_acceleration(model, params, v, vp)
         if model.kind == "scalar":
             q = v * v / (2.0 * model.b)
             e = float(model.f(v))
@@ -177,6 +183,80 @@ def shooting_oracle(model, params, bracket, rtol=1e-12, atol=1e-13):
     return _state_from_integrals(model, params, o), o.theta
 
 
+def profile_samples(model, params, bracket, n):
+    """(Xi, v): the period and the profile at x_j = j Xi / n, j < n.
+
+    The shooting oracle's ODE runs from v(0) = v2 to the upper turning
+    point, half a period; its dense output gives the first half of the
+    samples and the second half mirrors it, v(Xi - x) = v(x).
+    """
+    def rhs(_, y):
+        return [y[1], _profile_acceleration(model, params, y[0], y[1])]
+
+    def turn(_, y):
+        return y[1]
+
+    turn.terminal = True
+    turn.direction = -1
+    sol = solve_ivp(rhs, (0.0, 1e4), [bracket.v2, 0.0], method="DOP853",
+                    rtol=1e-13, atol=1e-14, events=turn, dense_output=True)
+    if not sol.t_events[0].size:
+        raise RuntimeError("turning-point event never fired")
+    half = sol.t_events[0][0]
+    x = np.arange(n) * (2.0 * half / n)
+    return 2.0 * half, sol.sol(np.minimum(x, 2.0 * half - x))[0]
+
+
+def hill_small_spectrum(model, params, bracket, nus):
+    """The three Floquet eigenvalues nearest 0 of the linearised PDE.
+
+    Scalar models with constant kappa.  In the frame of the wave,
+    v_t = b (delta H / delta v)_x linearises to L = b d_x (-kappa d_x^2
+    + q), q = f''(v) + c / b, with the profile sampled by
+    ``profile_samples``.  The Floquet-Fourier-Hill method (Deconinck &
+    Kutz, J. Comput. Phys. 219, 2006) writes L on e^{i nu x} times the
+    Fourier modes n of the period, |n| <= m, as lambda w = i K H w, with
+    K = diag(nu + 2 pi n / Xi) and H = b (kappa K^2 + Toeplitz(q_hat)).
+    QZ solves H w = (lambda / i) K^-1 w, which keeps the k^3 scale of
+    i K H, and its rounding, out of the small eigenvalues.  m is the last
+    mode where |q_hat| exceeds 1e-13 of its largest entry, above the
+    1e-14 noise that the sampled profile leaves.
+
+    Returns an array of shape (len(nus), 3): for each nu, the lambda
+    nearest 0, in the (Re, Im) order of lambda / (i nu).
+    """
+    if model.kind != "scalar" or len(model.kappa.coeffs) > 1 \
+            or not model.kappa.is_poly:
+        raise UncoveredClass("the Hill oracle needs a scalar model with "
+                             "constant kappa")
+    b, kappa = model.b, float(model.kappa.coeffs[0])
+    samples = 512
+    Xi, v = profile_samples(model, params, bracket, samples)
+    q_hat = np.fft.fft([b * model.f_jet(x, 2)[2] + params.c for x in v])
+    q_hat /= samples
+    mag = np.abs(q_hat[:samples // 2])
+    m = int(np.nonzero(mag > 1e-13 * mag.max())[0][-1])
+    n = np.arange(-m, m + 1)
+    toeplitz = q_hat[(n[:, None] - n[None, :]) % samples]
+    out = []
+    for nu in nus:
+        k = nu + 2.0 * math.pi * n / Xi
+        w = eigvals(np.diag(b * kappa * k * k) + toeplitz, np.diag(1.0 / k))
+        w = w[np.argsort(np.abs(w))[:3]] / nu
+        out.append(1j * nu * w[np.lexsort((w.imag, w.real))])
+    return np.array(out)
+
+
+def modvars_vector(mv):
+    """The modulation variables (k, alpha, M) as one vector."""
+    return np.concatenate(([mv.k, mv.alpha], mv.M))
+
+
+def modvars_from_vector(x):
+    x = np.asarray(x, dtype=float)
+    return ModVars(float(x[0]), float(x[1]), x[2:].copy())
+
+
 def modvars_to_params(model, target, initial_guess, bracket=None,
                       fd_config=None, max_iter=40):
     """Newton solve for the wave parameters realizing given (k, alpha, M).
@@ -188,12 +268,12 @@ def modvars_to_params(model, target, initial_guess, bracket=None,
     p = initial_guess
     br = bracket if bracket is not None else find_turning_points(model, p)
     cfg = fd_config or FDConfig()
-    tvec = target.as_vector()
+    tvec = modvars_vector(target)
     scale = np.maximum(np.abs(tvec), 1.0)
     for _ in range(max_iter):
         jet = action_hessian(model, p, br, cfg)
         mv = params_to_modvars(model, jet.grad)
-        res = tvec - mv.as_vector()
+        res = tvec - modvars_vector(mv)
         A = coupling_matrix_A(model, mv.k, mv.M)
         J = np.linalg.solve(jet.hess, A) / mv.k
         if not np.all(np.isfinite(J)):

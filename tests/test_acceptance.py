@@ -31,7 +31,8 @@ from modlab.action import FDConfig, action_hessian
 from modlab.limits import (HarmonicPoint, SolitonPoint, harmonic_point,
                            limiting_whitham_harmonic, limiting_whitham_soliton,
                            soliton_point, toy_double_root)
-from modlab.miindex import conjugation_check, critical_wavenumber, delta_mi
+from modlab.miindex import (conjugate_model, conjugate_wave_params,
+                            conjugation_check, critical_wavenumber, delta_mi)
 from modlab.models import (ModelSpec, WaveParams, gkdv_model,
                            structural_matrices)
 from modlab.modulation import (coupling_matrix_A, hessianH,
@@ -41,9 +42,11 @@ from modlab.profiles import (averaged_state, find_turning_points,
                              orbit_integrals)
 from modlab.sweeps import asymptotic_sweep, eigen_splitting_fit, sweep_table
 
+from conftest import narrowed
 from oracles import (averaged_identities, chart_hamiltonian,
                      cubic_well_elliptic, fd_hessian, frame_vectors,
-                     kdv_soliton_facts, predicted_alpha_sign, shooting_oracle)
+                     kdv_soliton_facts, modvars_from_vector, modvars_vector,
+                     predicted_alpha_sign, shooting_oracle)
 
 TWO_PI = 2.0 * math.pi
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "modlab" / "configs"
@@ -61,8 +64,8 @@ def criterion(n, label):
 
 @pytest.fixture(scope="module")
 def anchors(gkdv):
-    hp = harmonic_point(gkdv, 1.0, [0.0], (0.5, 5.0))
-    sp = soliton_point(gkdv, 1.0, [0.0], (-3.0, 5.0))
+    hp = harmonic_point(narrowed(gkdv, (0.5, 5.0)), 1.0, [0.0])
+    sp = soliton_point(narrowed(gkdv, (-3.0, 5.0)), 1.0, [0.0])
     return hp, sp
 
 
@@ -219,11 +222,10 @@ def test_criterion_03_gradient_hessian_checks(cnoidal):
         H = hessianH(model, jet, mv, params.c)
 
         def H_of(x):
-            from modlab.modulation import ModVars
-            return chart_hamiltonian(model, ModVars.from_vector(x), params,
+            return chart_hamiltonian(model, modvars_from_vector(x), params,
                                      br)
 
-        fd = fd_hessian(H_of, mv.as_vector(), 2e-4)
+        fd = fd_hessian(H_of, modvars_vector(mv), 2e-4)
         assert np.max(np.abs(H - fd)) / np.max(np.abs(H)) <= 1e-3
 
 
@@ -374,7 +376,7 @@ def _measured_edge_split(model, v0, k0):
     c = -model.b * (fj[2] + w2)
     lam = -fj[1] - c * v0 / model.b
     r = 0.5 * math.sqrt(w2)
-    hp = harmonic_point(model, c, [lam], (v0 - r, v0 + r))
+    hp = harmonic_point(narrowed(model, (v0 - r, v0 + r)), c, [lam])
     assert hp.v0 == pytest.approx(v0, abs=1e-9)
     assert hp.k0 == pytest.approx(k0, rel=1e-9)
     table = sweep_table(model, hp, w2 * EDGE_OFFSETS)
@@ -495,7 +497,8 @@ def test_criterion_08_sign_laws():
                     continue
                 model, params = out
                 try:
-                    br = find_turning_points(model, params, windows[key])
+                    br = find_turning_points(narrowed(model, windows[key]),
+                                             params)
                     st = averaged_state(model, params, br)
                 except (NoPeriodicOrbit, MultipleWells, DegenerateOrbit):
                     continue
@@ -589,7 +592,12 @@ def test_criterion_10b_conjugation_polynomial_quoted_power(conjugation_pair):
                 f"{res['mi_polynomial']:.3e}; measured exponent = "
                 f"{res['mi_polynomial_exponent']:.9f}")
             exponents.append(res["mi_polynomial_exponent"])
-            v0_L.append(res["v0_L"])
+            # the Lagrangian well bottom of the matched harmonic point
+            hpE = harmonic_point(model_E, params_E.c, params_E.lam)
+            pL0 = conjugate_wave_params(WaveParams(hpE.mu0, params_E.c,
+                                                   params_E.lam))
+            v0_L.append(harmonic_point(conjugate_model(model_E), pL0.c,
+                                       pL0.lam).v0)
         # distinct reference states, so one exponent for all is a law
         assert np.min(np.diff(np.sort(v0_L))) >= 0.05
         assert max(exponents) - min(exponents) <= 1e-8

@@ -8,6 +8,7 @@ from modlab.models import WaveParams
 from modlab.profiles import (averaged_state, bracket_near_limit,
                              find_turning_points, orbit_integrals)
 
+from conftest import narrowed
 from oracles import fd_gradient
 
 
@@ -126,7 +127,7 @@ class TestHessian:
 
     def test_system_hessian_symmetry(self, ek_lagrangian):
         p = WaveParams(0.2, 0.8, [0.4, -0.2])
-        br = find_turning_points(ek_lagrangian, p, (-6.0, 6.0))
+        br = find_turning_points(narrowed(ek_lagrangian, (-6.0, 6.0)), p)
         jet = action_hessian(ek_lagrangian, p, br)
         assert jet.symmetry_residual <= 1e-5
         assert jet.hess.shape == (4, 4)
@@ -149,7 +150,7 @@ class TestActionLimits:
     def test_action_approaches_solitary_moment(self, gkdv):
         from modlab.limits import soliton_point
         from modlab.profiles import bracket_near_limit
-        sp = soliton_point(gkdv, 1.0, [0.0], (-3.0, 5.0))
+        sp = soliton_point(narrowed(gkdv, (-3.0, 5.0)), 1.0, [0.0])
         p = WaveParams(-1e-12, 1.0, [0.0])
         br = bracket_near_limit(gkdv, p, 0.0, "soliton")
         th = orbit_integrals(gkdv, p, br).theta

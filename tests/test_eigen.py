@@ -6,6 +6,8 @@ from modlab.limits import harmonic_point, soliton_point
 from modlab.models import WaveParams
 from modlab.sweeps import sweep_table
 
+from conftest import narrowed
+
 
 def test_known_spectra():
     zs, _, _ = eig_small(np.diag([1.0, 2.0, 3.0]))
@@ -63,8 +65,8 @@ def test_sweep_spectra_against_mpmath_oracle(gkdv):
     on them; roots of the Faddeev-LeVerrier characteristic polynomial
     lose up to 6e-14 max|W|."""
     mp = pytest.importorskip("mpmath")
-    sp = soliton_point(gkdv, 1.0, [0.0], (-3.0, 5.0))
-    hp = harmonic_point(gkdv, 1.0, [0.0], (0.5, 5.0))
+    sp = soliton_point(narrowed(gkdv, (-3.0, 5.0)), 1.0, [0.0])
+    hp = harmonic_point(narrowed(gkdv, (0.5, 5.0)), 1.0, [0.0])
     w2 = gkdv.potential_jet(hp.v0, WaveParams(hp.mu0, 1.0, [0.0]), 2)[2]
     # mu_s - mu = (9/8) rho^2 and mu - mu0 = W''(v0) delta^2 / 2 to
     # leading order

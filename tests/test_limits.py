@@ -11,6 +11,7 @@ from modlab.limits import (HarmonicPoint, _soliton_point_at_lambda,
 from modlab.models import ModelSpec, WaveParams, structural_matrices
 from modlab.polys import Laurent
 
+from conftest import narrowed
 from oracles import frame_vectors, kdv_soliton_facts
 
 TWO_PI = 2.0 * math.pi
@@ -35,7 +36,7 @@ def frame_cancellations(model, fr):
 
 class TestHarmonicPoint:
     def test_gkdv_closed_forms(self, gkdv):
-        hp = harmonic_point(gkdv, 1.0, [0.0], (0.5, 5.0))
+        hp = harmonic_point(narrowed(gkdv, (0.5, 5.0)), 1.0, [0.0])
         assert hp.v0 == pytest.approx(2.0, abs=1e-13)
         assert hp.mu0 == pytest.approx(-2.0 / 3.0, abs=1e-13)
         assert hp.k0 == pytest.approx(1.0 / TWO_PI, rel=1e-13)
@@ -48,10 +49,11 @@ class TestHarmonicPoint:
 
     def test_no_well_error(self, gkdv):
         with pytest.raises(NoWellMinimum):
-            harmonic_point(gkdv, 1.0, [0.0], (3.0, 5.0))
+            harmonic_point(narrowed(gkdv, (3.0, 5.0)), 1.0, [0.0])
 
     def test_system_point_consistency(self, ek_lagrangian):
-        hp = harmonic_point(ek_lagrangian, 0.8, [0.4, -0.2], (-4.0, 6.0))
+        hp = harmonic_point(narrowed(ek_lagrangian, (-4.0, 6.0)), 0.8,
+                            [0.4, -0.2])
         # the defining quadratic must hold at (c0 = c, k0)
         sm = structural_matrices(ek_lagrangian)
         H2 = ek_lagrangian.hamiltonian_hessian(hp.U0)
@@ -62,7 +64,8 @@ class TestHarmonicPoint:
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_grad_c0_matches_fd(self, ek_lagrangian):
-        hp = harmonic_point(ek_lagrangian, 0.8, [0.4, -0.2], (-4.0, 6.0))
+        hp = harmonic_point(narrowed(ek_lagrangian, (-4.0, 6.0)), 0.8,
+                            [0.4, -0.2])
         sm = structural_matrices(ek_lagrangian)
         k0 = hp.k0
 
@@ -185,7 +188,7 @@ class TestFrames:
 
 class TestSolitonPoint:
     def test_kdv_sech2_facts(self, gkdv):
-        sp = soliton_point(gkdv, 1.0, [0.0], (-3.0, 5.0))
+        sp = soliton_point(narrowed(gkdv, (-3.0, 5.0)), 1.0, [0.0])
         facts = kdv_soliton_facts(1.0)
         assert sp.vs == pytest.approx(0.0, abs=1e-12)
         assert sp.vS == pytest.approx(3.0, abs=1e-10)
@@ -198,19 +201,20 @@ class TestSolitonPoint:
         assert sp.dcM > 0.0
 
     def test_lambda_reconstruction(self, gkdv):
-        sp = soliton_point(gkdv, 1.0, [0.0], (-3.0, 5.0))
+        sp = soliton_point(narrowed(gkdv, (-3.0, 5.0)), 1.0, [0.0])
         assert sp.lambda_residual < 1e-12
 
     def test_speed_family_scaling(self, gkdv):
         # d_c M = 12 c^{3/2} along the endstate-zero family
-        sp = soliton_point(gkdv, 1.44, [0.0], (-3.0, 7.0))
+        sp = soliton_point(narrowed(gkdv, (-3.0, 7.0)), 1.44, [0.0])
         assert sp.dcM == pytest.approx(12.0 * 1.44 ** 1.5, rel=1e-9)
 
     def test_dcM_against_fd_of_moment(self, gkdv):
-        sp = soliton_point(gkdv, 1.0, [0.0], (-3.0, 5.0))
+        sp = soliton_point(narrowed(gkdv, (-3.0, 5.0)), 1.0, [0.0])
         h = 1e-5
-        up = soliton_point(gkdv, 1.0 + h, [0.0], (-3.0, 5.0)).boussinesq
-        dn = soliton_point(gkdv, 1.0 - h, [0.0], (-3.0, 5.0)).boussinesq
+        m = narrowed(gkdv, (-3.0, 5.0))
+        up = soliton_point(m, 1.0 + h, [0.0]).boussinesq
+        dn = soliton_point(m, 1.0 - h, [0.0]).boussinesq
         assert (up - dn) / (2 * h) == pytest.approx(sp.dcM, rel=1e-5)
 
     def test_lambda_family_anchor(self, gkdv):
@@ -228,7 +232,7 @@ class TestSolitonPoint:
 
     def test_no_saddle_error(self, gkdv):
         with pytest.raises(NoSaddle):
-            soliton_point(gkdv, 1.0, [0.0], (1.0, 1.8))
+            soliton_point(narrowed(gkdv, (1.0, 1.8)), 1.0, [0.0])
         # endstate 1.5 is the well bottom of its family (lambda = -0.375),
         # whose saddle sits at 0.5: the endstate is not replaced
         with pytest.raises(NoSaddle):
@@ -252,7 +256,7 @@ class TestSolitonPoint:
 
 class TestLimitingMatrices:
     def test_harmonic_limit_gkdv(self, gkdv):
-        hp = harmonic_point(gkdv, 1.0, [0.0], (0.5, 5.0))
+        hp = harmonic_point(narrowed(gkdv, (0.5, 5.0)), 1.0, [0.0])
         lw = limiting_whitham_harmonic(gkdv, hp)
         assert lw["a_tilde0"] == pytest.approx(-1.0 / (6.0 * TWO_PI ** 2),
                                                rel=1e-12)
@@ -265,7 +269,7 @@ class TestLimitingMatrices:
         assert rank == 2
 
     def test_soliton_limit_gkdv(self, gkdv):
-        sp = soliton_point(gkdv, 1.0, [0.0], (-3.0, 5.0))
+        sp = soliton_point(narrowed(gkdv, (-3.0, 5.0)), 1.0, [0.0])
         lw = limiting_whitham_soliton(gkdv, sp)
         assert lw["block_residual"] < 1e-10
         zs = np.sort(np.linalg.eigvals(lw["W_limit"]).real)
@@ -278,7 +282,8 @@ class TestLimitingMatrices:
         assert rank == 1
 
     def test_limit_spectra_structure_system(self, ek_lagrangian):
-        hp = harmonic_point(ek_lagrangian, 0.8, [0.4, -0.2], (-4.0, 6.0))
+        hp = harmonic_point(narrowed(ek_lagrangian, (-4.0, 6.0)), 0.8,
+                            [0.4, -0.2])
         lw = limiting_whitham_harmonic(ek_lagrangian, hp)
         assert lw["block_residual"] < 1e-9
         zs = np.sort(np.linalg.eigvals(lw["W_limit"]).real)
@@ -354,8 +359,8 @@ class TestDispersionlessFlag:
                 continue
             model, params = out
             try:
-                hp = harmonic_point(model, params.c, params.lam,
-                                    (-6.0, 8.0))
+                hp = harmonic_point(narrowed(model, (-6.0, 8.0)), params.c,
+                                    params.lam)
             except NoWellMinimum:
                 continue
             sm = structural_matrices(model)

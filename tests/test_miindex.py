@@ -13,6 +13,7 @@ from modlab.models import ModelSpec, WaveParams, gkdv_model
 from modlab.sweeps import sweep_table
 from modlab.polys import Laurent
 
+from conftest import narrowed
 from oracles import d3_kka_H, predicted_alpha_sign
 
 TWO_PI = 2.0 * math.pi
@@ -103,7 +104,8 @@ class TestScalarIndex:
         fj = m.f_jet(v0, 2)
         c = -(fj[2] + w2)
         r = 0.5 * math.sqrt(w2)
-        hp = harmonic_point(m, c, [-fj[1] - c * v0], (v0 - r, v0 + r))
+        hp = harmonic_point(narrowed(m, (v0 - r, v0 + r)), c,
+                            [-fj[1] - c * v0])
         assert hp.k0 == pytest.approx(k0, rel=1e-9)
         table = sweep_table(m, hp, w2 * np.array([1e-4, 3e-5, 1e-5]))
         for row in table.rows:
@@ -115,7 +117,7 @@ class TestScalarIndex:
 
     def test_consistency_with_limit_assembly(self, gkdv):
         # closed form against the limiting-matrix Schur-complement path
-        hp = harmonic_point(gkdv, 1.0, [0.0], (0.5, 5.0))
+        hp = harmonic_point(narrowed(gkdv, (0.5, 5.0)), 1.0, [0.0])
         lw = limiting_whitham_harmonic(gkdv, hp)
         rep = delta_mi(gkdv, [hp.v0], hp.k0)
         assembled = -lw["a_tilde0"] * d3_kka_H(gkdv, hp)

@@ -13,8 +13,10 @@ from modlab.modulation import (ModVars, coupling_matrix_A, hessianH,
 from modlab.profiles import averaged_state, find_turning_points, \
     orbit_integrals
 
+from conftest import narrowed
 from oracles import (REFERENCE, averaged_identities, chart_hamiltonian,
-                     fd_hessian, modvars_to_params)
+                     fd_hessian, modvars_from_vector, modvars_to_params,
+                     modvars_vector)
 
 
 class TestChartChange:
@@ -62,7 +64,8 @@ class TestChartChange:
         p2, br2, _ = modvars_to_params(model, target, params, bracket=br)
         mv2 = params_to_modvars(model, orbit_integrals(model, p2,
                                                        br2).grad_theta)
-        assert np.max(np.abs(mv2.as_vector() - target.as_vector())) < 1e-10
+        assert np.max(np.abs(modvars_vector(mv2)
+                             - modvars_vector(target))) < 1e-10
 
     def test_condition_number_grows_toward_soliton(self, gkdv):
         from modlab.profiles import bracket_near_limit
@@ -128,10 +131,10 @@ class TestHessianH:
         H = hessianH(model, jet, mv, params.c)
 
         def H_of(x):
-            return chart_hamiltonian(model, ModVars.from_vector(x), params,
+            return chart_hamiltonian(model, modvars_from_vector(x), params,
                                      br)
 
-        fd = fd_hessian(H_of, mv.as_vector(), 2e-4)
+        fd = fd_hessian(H_of, modvars_vector(mv), 2e-4)
         scale = np.max(np.abs(H))
         assert np.max(np.abs(H - fd)) / scale < 1e-3
 
@@ -241,7 +244,7 @@ class TestAveragedIdentities:
 
     def test_residual_levels_system(self, ek_lagrangian):
         p = WaveParams(0.2, 0.8, [0.4, -0.2])
-        br = find_turning_points(ek_lagrangian, p, (-6.0, 6.0))
+        br = find_turning_points(narrowed(ek_lagrangian, (-6.0, 6.0)), p)
         res = averaged_identities(ek_lagrangian, p, br)
         assert res["dMH"] <= 1e-12
         assert res["impulse_virial"] <= 1e-12
@@ -251,14 +254,14 @@ class TestAveragedIdentities:
 class TestLimitClassification:
     def test_harmonic_limit_matrix_is_weakly_hyperbolic(self, gkdv):
         from modlab.limits import harmonic_point, limiting_whitham_harmonic
-        hp = harmonic_point(gkdv, 1.0, [0.0], (0.5, 5.0))
+        hp = harmonic_point(narrowed(gkdv, (0.5, 5.0)), 1.0, [0.0])
         lw = limiting_whitham_harmonic(gkdv, hp)
         _, _, _, cls, _ = spectrum_and_classification(lw["W_limit"])
         assert cls == "weakly_hyperbolic"
 
     def test_soliton_limit_matrix_is_hyperbolic(self, gkdv):
         from modlab.limits import limiting_whitham_soliton, soliton_point
-        sp = soliton_point(gkdv, 1.0, [0.0], (-3.0, 5.0))
+        sp = soliton_point(narrowed(gkdv, (-3.0, 5.0)), 1.0, [0.0])
         lw = limiting_whitham_soliton(gkdv, sp)
         _, _, _, cls, _ = spectrum_and_classification(lw["W_limit"])
         assert cls == "hyperbolic"

@@ -215,3 +215,57 @@ def test_every_leaf_error_is_raised_somewhere():
             if isinstance(node, ast.Raise) and node.exc is not None:
                 raised |= referenced(node.exc)
     assert leaves and leaves - raised == set()
+
+
+def _called_as(tree):
+    """Local names bound to a function, ``render = render_csv if csv else
+    render_json``, mapped to the function names they stand for."""
+    def names(node):
+        if isinstance(node, ast.Name):
+            return {node.id}
+        if isinstance(node, ast.IfExp):
+            return names(node.body) | names(node.orelse)
+        return set()
+
+    alias = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            alias.setdefault(node.targets[0].id, set()).update(
+                names(node.value))
+    return alias
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # a call in src/ or modbench/ sets a parameter by keyword or by
+    # position (methods count positions after self); gkdv_model, the
+    # README's model constructor, is exempt: its arguments are the model
+    trees = list(parsed_modules().values()) + [
+        ast.parse(p.read_text(encoding="utf-8"))
+        for p in sorted((ROOT / "modbench").glob("*.py"))]
+    passed = {}
+    for tree in trees:
+        alias = _called_as(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            for fn in {name} | alias.get(name, set()):
+                passed.setdefault(fn, set()).update(
+                    [*range(len(node.args)), *(k.arg for k in node.keywords)])
+    unset = []
+    for module, tree in parsed_modules().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "gkdv_model":
+                continue
+            a = fn.args
+            pos = [x.arg for x in a.posonlyargs + a.args]
+            first = len(pos) - len(a.defaults)
+            shift = 1 if pos and pos[0] in ("self", "cls") else 0
+            params = [(p, i - shift) for i, p in enumerate(pos) if i >= first]
+            params += [(x.arg, None) for x, d in zip(a.kwonlyargs,
+                                                     a.kw_defaults) if d]
+            got = passed.get(fn.name, set())
+            unset += [f"{module}.{fn.name}({p})" for p, i in params
+                      if p not in got and i not in got]
+    assert unset == []

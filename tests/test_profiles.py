@@ -15,6 +15,7 @@ from modlab.polys import pdeflate
 from modlab.profiles import (averaged_state, bracket_near_limit,
                              find_turning_points, orbit_integrals)
 
+from conftest import narrowed
 from oracles import cubic_well_elliptic, predicted_alpha_sign, \
     raw_action_quadrature, shooting_oracle
 
@@ -25,8 +26,7 @@ def saddle_level(model, c, lam):
     """Level of the one saddle of W, on either side of the well (the
     soliton anchor needs the well right of the saddle)."""
     p = WaveParams(0.0, c, lam)
-    (vs, _), = [t for t in _critical_points(
-        model, p, profiles._window_in_domain(model)) if t[1] < 0.0]
+    (vs, _), = [t for t in _critical_points(model, p) if t[1] < 0.0]
     return model.potential_jet(vs, p, 0)[0]
 
 
@@ -50,10 +50,9 @@ class TestTurningPoints:
     def test_degenerate_at_well_bottom(self, gkdv):
         # (0.5, 5) holds only the double root: its size, not its spread,
         # scales the cutoff
-        for window in (None, (-5, 5), (0.5, 5.0)):
+        for m in (gkdv, narrowed(gkdv, (-5, 5)), narrowed(gkdv, (0.5, 5.0))):
             with pytest.raises(DegenerateOrbit):
-                find_turning_points(gkdv, WaveParams(-2.0 / 3.0, 1.0, [0.0]),
-                                    window)
+                find_turning_points(m, WaveParams(-2.0 / 3.0, 1.0, [0.0]))
 
     @pytest.mark.parametrize("below", [1e-12, 1e-11, 1e-10])
     def test_no_orbit_just_below_well_bottom(self, gkdv, below):
@@ -64,9 +63,9 @@ class TestTurningPoints:
                                 WaveParams(-2.0 / 3.0 - below, 1.0, [0.0]))
 
     def test_degenerate_at_soliton_level(self, gkdv):
-        for window in (None, (-5, 5)):
+        for m in (gkdv, narrowed(gkdv, (-5, 5))):
             with pytest.raises(DegenerateOrbit):
-                find_turning_points(gkdv, WaveParams(0.0, 1.0, [0.0]), window)
+                find_turning_points(m, WaveParams(0.0, 1.0, [0.0]))
 
     @pytest.mark.parametrize("family, c, lam, window, offset", [
         pytest.param(f, c, lam, w, h, id=f"{f}/mu0+{h:g}")
@@ -78,21 +77,22 @@ class TestTurningPoints:
             "gkdv", 1.0, [0.0], (-5.0, 5.0), None, id="gkdv/mu=-1e-8")])
     def test_default_window_brackets_as_a_finite_one(self, request, family,
                                                      c, lam, window, offset):
-        # the window only selects roots: on a window holding every root
-        # the default (the domain, open ends at +-1e6) gives the same bits.
+        # the domain only selects roots: narrowed to a window holding every
+        # root it gives the bits of the default (open ends at +-1e6).
         # offset is mu - mu0; None is the gKdV soliton side at mu = -1e-8
         model = request.getfixturevalue(family)
         mu = (-1e-8 if offset is None
               else harmonic_point(model, c, lam).mu0 + offset)
         p = WaveParams(mu, c, lam)
         br = find_turning_points(model, p)
-        assert br == find_turning_points(model, p, window)
+        assert br == find_turning_points(narrowed(model, window), p)
         assert br.regime_hint == ("near_harmonic" if offset else
                                   "near_soliton")
 
     def test_no_orbit_above_soliton_level(self, gkdv):
         with pytest.raises(NoPeriodicOrbit):
-            find_turning_points(gkdv, WaveParams(0.5, 1.0, [0.0]), (-5, 5))
+            find_turning_points(narrowed(gkdv, (-5, 5)),
+                                WaveParams(0.5, 1.0, [0.0]))
 
     def test_multiple_wells_detected(self, quartic):
         # double-well region of the quartic family
@@ -100,7 +100,7 @@ class TestTurningPoints:
                        label="dw")
         p = WaveParams(-0.1, -1.0, [0.0])
         with pytest.raises((MultipleWells, NoPeriodicOrbit)):
-            find_turning_points(m, p, (-4.0, 4.0))
+            find_turning_points(narrowed(m, (-4.0, 4.0)), p)
 
     def test_near_limit_bracket_precision(self, gkdv):
         p = WaveParams(-1e-18, 1.0, [0.0])
@@ -183,13 +183,13 @@ class TestTurningPoints:
         pytest.param(f, c, lam, w, h, id=f"{f}/mu0-{h:g}")
         for f, c, lam, w, h in (("quartic", -0.5, [0.05], (-5.0, 5.0), 1e-15),
                                 ("quartic", -0.5, [0.05], (-5.0, 5.0), 1e-14),
-                                ("gkdv", 1.0, [0.0], None, 1e-12))])
+                                ("gkdv", 1.0, [0.0], (-1e6, 1e6), 1e-12))])
     def test_soliton_bracket_below_the_well_bottom(self, request, family, c,
                                                    lam, window, below):
         # the level cuts no well: Newton ends by the well bottom, where T
         # does not rise, though the residual passes the root check
         model = request.getfixturevalue(family)
-        vs = _soliton_point_at_lambda(model, c, lam, window).vs
+        vs = _soliton_point_at_lambda(narrowed(model, window), c, lam).vs
         p = WaveParams(harmonic_point(model, c, lam).mu0 - below, c, lam)
         with pytest.raises(NoPeriodicOrbit, match="cuts no well"):
             bracket_near_limit(model, p, vs, "soliton")
@@ -267,7 +267,7 @@ class TestQuadratureSetup:
         # (pass, segment) block, order n then 2n on each segment
         model, params, br = cnoidal
         if not inner_root:
-            br = find_turning_points(model, params, (0.0, 5.0))
+            br = find_turning_points(narrowed(model, (0.0, 5.0)), params)
         assert (br.v1 is not None) == inner_root
         nodes = []
         horner = profiles.kernels.horner_batch
@@ -372,7 +372,8 @@ class TestAveragedState:
             mu = rng.uniform(-0.64, -0.05)
             st = averaged_state(
                 gkdv, WaveParams(mu, 1.0, [0.0]),
-                find_turning_points(gkdv, WaveParams(mu, 1.0, [0.0]), (-5, 5)))
+                find_turning_points(narrowed(gkdv, (-5, 5)),
+                                    WaveParams(mu, 1.0, [0.0])))
             assert st.alpha > 0.0
 
     def test_quadrature_error_reporting(self, cnoidal):
@@ -395,8 +396,8 @@ class TestAveragedState:
 
     def test_nan_homoclinic_orbit_is_not_converged(self, gkdv):
         # vS = vs leaves an orbit of zero length: M = 0, d_c M = NaN
-        params, vs, _, _, _ = _homoclinic_orbit(gkdv, 1.0, np.array([0.0]),
-                                                (-3.0, 5.0))
+        params, vs, _, _, _ = _homoclinic_orbit(narrowed(gkdv, (-3.0, 5.0)),
+                                                1.0, np.array([0.0]))
         T, _ = profiles.level_polynomial(gkdv, params)
         q = pdeflate(pdeflate(T, vs)[0], vs)[0]
         with np.errstate(invalid="ignore", divide="ignore"), \
@@ -423,7 +424,7 @@ class TestShootingOracle:
 
     def test_agreement_system_case(self, ek_lagrangian):
         p = WaveParams(0.2, 0.8, [0.4, -0.2])
-        br = find_turning_points(ek_lagrangian, p, (-6.0, 6.0))
+        br = find_turning_points(narrowed(ek_lagrangian, (-6.0, 6.0)), p)
         st = averaged_state(ek_lagrangian, p, br)
         sh, _ = shooting_oracle(ek_lagrangian, p, br)
         assert abs(sh.Xi - st.Xi) / st.Xi < 1e-8
@@ -458,7 +459,7 @@ class TestSignLaws:
         rng = np.random.default_rng(42)
         for _ in range(12):
             model, params = random_scalar_wave(rng)
-            br = find_turning_points(model, params, (-8.0, 8.0))
+            br = find_turning_points(narrowed(model, (-8.0, 8.0)), params)
             st = averaged_state(model, params, br)
             assert np.sign(st.alpha) == predicted_alpha_sign(model, params)
 
@@ -472,7 +473,7 @@ class TestSignLaws:
                 continue
             model, params = out
             try:
-                br = find_turning_points(model, params, (-8.0, 10.0))
+                br = find_turning_points(narrowed(model, (-8.0, 10.0)), params)
             except (NoPeriodicOrbit, MultipleWells, DegenerateOrbit):
                 continue
             st = averaged_state(model, params, br)
@@ -489,7 +490,7 @@ class TestSignLaws:
                 continue
             model, params = out
             try:
-                br = find_turning_points(model, params, (1e-3, 60.0))
+                br = find_turning_points(narrowed(model, (1e-3, 60.0)), params)
             except (NoPeriodicOrbit, MultipleWells, DegenerateOrbit):
                 continue
             st = averaged_state(model, params, br)

@@ -12,6 +12,7 @@ from modlab.models import WaveParams, gkdv_model, model_from_dict
 from modlab.sweeps import (asymptotic_sweep, eigen_splitting_fit, linear_fit,
                            poly_extrapolate, sweep_table)
 
+from conftest import narrowed
 from oracles import d3_kka_H
 
 TWO_PI = 2.0 * math.pi
@@ -20,12 +21,12 @@ CONFIGS = Path(__file__).resolve().parents[1] / "src" / "modlab" / "configs"
 
 @pytest.fixture(scope="module")
 def harmonic_anchor(gkdv):
-    return harmonic_point(gkdv, 1.0, [0.0], (0.5, 5.0))
+    return harmonic_point(narrowed(gkdv, (0.5, 5.0)), 1.0, [0.0])
 
 
 @pytest.fixture(scope="module")
 def soliton_anchor(gkdv):
-    return soliton_point(gkdv, 1.0, [0.0], (-3.0, 5.0))
+    return soliton_point(narrowed(gkdv, (-3.0, 5.0)), 1.0, [0.0])
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +287,7 @@ class TestUnstableFamily:
         from modlab.models import gkdv_model
         m = gkdv_model(f_coeffs=(0.0, 0.0, 0.0, -1.0 / 6.0, -1.0 / 48.0),
                        label="neg_quartic")
-        hp = harmonic_point(m, -0.75, [4.0 / 3.0], (0.5, 1.5))
+        hp = harmonic_point(narrowed(m, (0.5, 1.5)), -0.75, [4.0 / 3.0])
         assert hp.v0 == pytest.approx(1.0, abs=1e-10)
         kc = critical_wavenumber(m, hp.v0)
         assert hp.k0 > kc
