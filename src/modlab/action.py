@@ -48,9 +48,8 @@ class FDConfig:
 
 @dataclass(frozen=True)
 class ActionJet:
-    """Action value with first and second derivatives and diagnostics."""
+    """Action gradient and Hessian with diagnostics."""
 
-    theta: float
     grad: np.ndarray
     hess: np.ndarray
     symmetry_residual: float
@@ -144,6 +143,5 @@ def action_hessian(model: ModelSpec, params: WaveParams,
     scale = np.max(np.abs(H))
     sym = np.max(np.abs(H - H.T)) / scale if scale > 0 else 0.0
     H = 0.5 * (H + H.T)
-    return ActionJet(theta=base.theta, grad=base.grad_theta, hess=H,
-                     symmetry_residual=sym, quad_error=base.quad_error,
-                     warnings=tuple(warnings))
+    return ActionJet(grad=base.grad_theta, hess=H, symmetry_residual=sym,
+                     quad_error=base.quad_error, warnings=tuple(warnings))

@@ -26,8 +26,8 @@ from .limits import _soliton_point_at_lambda, harmonic_point, \
 from .miindex import conjugation_check, delta_mi
 from .models import WaveParams, check_keys, model_from_dict
 from .modulation import params_to_modvars, whitham_report
-from .profiles import (MAX_QUAD_ORDER, averaged_state, find_turning_points,
-                       orbit_integrals)
+from .profiles import (DEFAULT_QUAD_ORDER, MAX_QUAD_ORDER, averaged_state,
+                       find_turning_points, orbit_integrals)
 from .sweeps import asymptotic_sweep, eigen_splitting_fit
 
 # ----------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def render_csv(rows, precision: int = 17) -> str:
 # configuration
 
 
-DEFAULT_NUMERIC = {"quad_order": 96, "precision": 17}
+DEFAULT_NUMERIC = {"quad_order": DEFAULT_QUAD_ORDER, "precision": 17}
 
 
 def load_config(path: str, overrides: dict | None = None) -> dict:

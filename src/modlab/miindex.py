@@ -20,6 +20,7 @@ from .errors import (ConfigError, InadmissibleWavenumber, UncoveredClass,
                      UnsupportedConjugateFamily)
 from .limits import _response_coefficients, harmonic_point
 from .models import ModelSpec, WaveParams, reduced_jet
+from .profiles import DEFAULT_QUAD_ORDER, averaged_state, find_turning_points
 
 TOL_MI = 1e-10
 TWO_PI_SQ = (2.0 * math.pi) ** 2
@@ -238,7 +239,7 @@ def conjugate_wave_params(params_E: WaveParams) -> WaveParams:
 
 
 def conjugation_check(model_E: ModelSpec, params_E: WaveParams,
-                      quad_order: int = 96) -> dict:
+                      quad_order: int = DEFAULT_QUAD_ORDER) -> dict:
     """Residual report for the Eulerian / Lagrangian correspondence.
 
     Matches the wave of ``params_E`` with its mass-Lagrangian partner and
@@ -252,8 +253,6 @@ def conjugation_check(model_E: ModelSpec, params_E: WaveParams,
     power (v_L)_0^-11 does not hold for that normalization: it leaves a
     residual of about 1 on every pair.
     """
-    from .profiles import averaged_state, find_turning_points
-
     model_L = conjugate_model(model_E)
     params_L = conjugate_wave_params(params_E)
     brE = find_turning_points(model_E, params_E)

@@ -144,7 +144,7 @@ class ModelSpec:
         if not fn.is_poly and a < 0.0:
             raise ConfigError(f"{name} has negative powers; domain must stay positive")
         probe = np.linspace(a + 1e-9 * (b - a), b - 1e-9 * (b - a), 257)
-        if np.any(fn(probe) <= 0.0):
+        if any(fn(x) <= 0.0 for x in probe.tolist()):
             raise ConfigError(f"{name} not positive on the declared domain")
 
     # -- basic structure ---------------------------------------------------
@@ -400,16 +400,14 @@ def _number(val, name: str) -> float:
 
 
 def _coeffs(val, name: str) -> np.ndarray:
-    vals = val if isinstance(val, list) else [val]
-    if not vals or not all(_is_number(x) for x in vals):
+    if not isinstance(val, list) or not val \
+            or not all(_is_number(x) for x in val):
         raise ConfigError(f"{name} coefficients must be a non-empty list of "
                           f"finite numbers, got {val!r}")
-    return np.array(vals, dtype=float)
+    return np.array(val, dtype=float)
 
 
 def _parse_function(spec, name: str) -> Laurent:
-    if not isinstance(spec, dict):
-        return Laurent.make(_coeffs(spec, name))
     key, val = _spec_entry(spec, name, ("poly", "laurent", "inv4v"))
     if key == "inv4v":
         return Laurent.from_terms({-1: 0.25})
@@ -459,7 +457,7 @@ def model_from_dict(cfg: dict) -> ModelSpec:
         kind = cfg["kind"]
         b = _number(cfg["b"], "b")
         f = _parse_function(cfg["f"], "f")
-        kappa = _parse_function(cfg.get("kappa", [1.0]), "kappa")
+        kappa = _parse_function(cfg.get("kappa", {"poly": [1.0]}), "kappa")
     except KeyError as exc:
         raise ConfigError(f"model block missing field {exc}") from None
     tau = None

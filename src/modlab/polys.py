@@ -8,9 +8,10 @@ polynomials are ascending float64 coefficient arrays ``c[0] + c[1] v +
 
 The deflation helpers factor known roots out of a polynomial exactly
 (synthetic division), which is what keeps the orbit quadrature free of
-endpoint cancellation.  The shift, deflation and derivative loops run on
-Python floats: the IEEE operations of the float64 array form, in the
-same order, without its per-element array overhead.
+endpoint cancellation.  The shift, deflation, derivative and evaluation
+loops run on Python floats: the IEEE operations of the float64 array
+form, in the same order, without its per-element array overhead.
+Evaluation takes floats only; the array Horner is kernels.horner_batch.
 """
 
 from __future__ import annotations
@@ -59,23 +60,14 @@ def pder(a: np.ndarray) -> np.ndarray:
     return np.array(trim([c[k] * k for k in range(1, len(c))]))
 
 
-def peval(a: np.ndarray, v):
-    """Horner evaluation (scalar or array argument).
-
-    A float argument (np.float64 included) runs the same recurrence on
-    Python floats, which gives the same IEEE results as the 0-d array path
-    without its per-step array overhead.
-    """
-    if isinstance(v, float):
-        c = a.tolist()
-        acc = c[-1]
-        for k in range(len(c) - 2, -1, -1):
-            acc = acc * v + c[k]
-        return float(acc)
-    acc = np.full_like(np.asarray(v, dtype=float), a[-1], dtype=float)
-    for k in range(len(a) - 2, -1, -1):
-        acc = acc * v + a[k]
-    return acc if acc.ndim else float(acc)
+def peval(a: np.ndarray, v: float) -> float:
+    """Horner evaluation on floats only: ``v`` is one float (np.float64
+    included), and the recurrence runs on Python floats."""
+    c = a.tolist()
+    acc = c[-1]
+    for k in range(len(c) - 2, -1, -1):
+        acc = acc * v + c[k]
+    return float(acc)
 
 
 def pshift(a: np.ndarray, x0: float) -> np.ndarray:
@@ -146,7 +138,7 @@ class Laurent:
         val = peval(self.coeffs, v)
         if self.shift == 0:
             return val
-        return val / np.asarray(v, dtype=float) ** self.shift if np.ndim(v) else val / v ** self.shift
+        return val / v ** self.shift
 
     def reflect(self, power: int) -> "Laurent":
         """v**power * p(1/v) as a Laurent polynomial (conjugation transform)."""

@@ -11,7 +11,7 @@ sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,9 +58,8 @@ class SweepTable:
 
 @dataclass(frozen=True)
 class FitReport:
-    regime: str
-    fits: dict = field(default_factory=dict)
-    r2: dict = field(default_factory=dict)
+    fits: dict
+    r2: dict
 
 
 def linear_fit(x: np.ndarray, y: np.ndarray):
@@ -104,34 +103,20 @@ def _tail(table: SweepTable):
     return sorted(keep)
 
 
-def _sweep_point(model: ModelSpec, anchor, eps: float,
-                 quad_order: int) -> SweepRow:
-    if isinstance(anchor, HarmonicPoint):
-        regime, center, mu_limit = "harmonic", anchor.v0, anchor.mu0
-        mu = anchor.mu0 + eps
-        c, lam, U = anchor.c, anchor.lam, anchor.U0
-    else:
-        regime, center, mu_limit = "soliton", anchor.vs, anchor.mus
-        mu = anchor.mus - eps
-        c, lam, U = anchor.cs, anchor.lambdas, anchor.Us
-    # steps shrink with the gap, so the leading h^2 truncation of the
-    # blowing-up soliton-side entries is a constant relative bias;
-    # Richardson removes it
-    cfg = FDConfig(quad_order=quad_order, limit=(regime, center, mu_limit))
-    params = WaveParams(mu, c, lam)
+def _sweep_point(model: ModelSpec, params: WaveParams, cfg: FDConfig,
+                 sv: np.ndarray) -> SweepRow:
+    """One grid point; ``cfg.limit`` is the anchor's (side, state, level)
+    and ``sv`` is S^-1 V for its frame vector V."""
+    regime, center, _ = cfg.limit
     bracket = bracket_near_limit(model, params, center, regime)
     jet, mv, _, W = _whitham_assembly(model, params, bracket, cfg)
     zs, vecs, resid = eig_small(W)
-    # the frame vector V = (1, q, U) at the anchor's state
-    q = model.impulse_jet(center, c, float(lam[-1]))[0]
-    sv = structural_matrices(model).Sinv @ np.concatenate(([1.0, q], U))
-    proj = float(sv @ jet.hess @ sv)
     grid_param = bracket.delta if regime == "harmonic" else bracket.rho
-    return SweepRow(regime=regime, grid_param=float(grid_param), mu=mu,
+    return SweepRow(regime=regime, grid_param=float(grid_param), mu=params.mu,
                     k=mv.k, alpha=mv.alpha, M=mv.M, Xi=float(jet.grad[0]),
                     eigenvalues=zs, eig_residuals=resid, eigenvectors=vecs,
                     whitham=W, d2mu_theta=float(jet.hess[0, 0]),
-                    limit_proj=proj)
+                    limit_proj=float(sv @ jet.hess @ sv))
 
 
 def sweep_table(model: ModelSpec, anchor, offsets,
@@ -142,8 +127,22 @@ def sweep_table(model: ModelSpec, anchor, offsets,
             or np.any(np.diff(offsets) >= 0.0):
         raise GridDegenerate(
             "offsets must be a strictly decreasing positive grid (>= 3 points)")
-    rows = [_sweep_point(model, anchor, e, quad_order) for e in offsets]
-    regime = "harmonic" if isinstance(anchor, HarmonicPoint) else "soliton"
+    if isinstance(anchor, HarmonicPoint):
+        regime, center, level = "harmonic", anchor.v0, anchor.mu0
+        c, lam, U = anchor.c, anchor.lam, anchor.U0
+        mus = level + offsets
+    else:
+        regime, center, level = "soliton", anchor.vs, anchor.mus
+        c, lam, U = anchor.cs, anchor.lambdas, anchor.Us
+        mus = level - offsets
+    # steps shrink with the gap, so the leading h^2 truncation of the
+    # blowing-up soliton-side entries is a constant relative bias;
+    # Richardson removes it
+    cfg = FDConfig(quad_order=quad_order, limit=(regime, center, level))
+    # the frame vector V = (1, q, U) at the anchor's state
+    q = model.impulse_jet(center, c, float(lam[-1]))[0]
+    sv = structural_matrices(model).Sinv @ np.concatenate(([1.0, q], U))
+    rows = [_sweep_point(model, WaveParams(mu, c, lam), cfg, sv) for mu in mus]
     return SweepTable(regime=regime, rows=tuple(rows), anchor=anchor)
 
 
@@ -187,7 +186,7 @@ def _fit_harmonic(model: ModelSpec, table: SweepTable) -> FitReport:
     }
     r2 = {"k_rate": r2_rate, "alpha": r2_A, "Xi": r2_B, "mean": r2_M,
           "whitham_limit": r2_w}
-    return FitReport(regime="harmonic", fits=fits, r2=r2)
+    return FitReport(fits=fits, r2=r2)
 
 
 def _fit_soliton(model: ModelSpec, table: SweepTable) -> FitReport:
@@ -221,7 +220,7 @@ def _fit_soliton(model: ModelSpec, table: SweepTable) -> FitReport:
     }
     r2 = {"Xi_slope": r2_slope, "alpha": r2_alpha, "hs": r2_hs,
           "d2cM_projection": r2_proj}
-    return FitReport(regime="soliton", fits=fits, r2=r2)
+    return FitReport(fits=fits, r2=r2)
 
 
 def asymptotic_sweep(model: ModelSpec, anchor, offsets,
@@ -245,7 +244,6 @@ def asymptotic_sweep(model: ModelSpec, anchor, offsets,
 
 @dataclass(frozen=True)
 class SplitReport:
-    regime: str
     fits: dict
     r2: dict
     per_point: dict
@@ -311,8 +309,7 @@ def eigen_splitting_fit(model: ModelSpec, anchor,
               "drift": r2_dr}
         per_point = {"delta": d, "alpha": al, "splitting": splits,
                      "ratio": ratio, "comp2": comp2}
-        return SplitReport(regime="harmonic", fits=fits, r2=r2,
-                           per_point=per_point)
+        return SplitReport(fits=fits, r2=r2, per_point=per_point)
 
     sp: SolitonPoint = table.anchor
     rho = table.column("grid_param")
@@ -353,5 +350,4 @@ def eigen_splitting_fit(model: ModelSpec, anchor,
           "eigvec_angle": r2_ang}
     per_point = {"rho": rho, "k": k, "splitting": splits, "angle": angles,
                  "coefficient": coeff}
-    return SplitReport(regime="soliton", fits=fits, r2=r2,
-                       per_point=per_point)
+    return SplitReport(fits=fits, r2=r2, per_point=per_point)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigvals
+from scipy.special import beta
 
 from modlab.action import FDConfig, action_hessian, rebracket
 from modlab.errors import DegenerateOrbit, UncoveredClass
@@ -91,6 +92,20 @@ def kdv_soliton_facts(c):
     facts = REFERENCE.kdv_soliton(c)
     return {"moment": 24.0 / 5.0 * c ** 2.5, "dcM": facts["dcM"],
             "dc2M": facts["dc2M"]}
+
+
+def power_soliton_moment(p, c):
+    """Closed-form soliton moment of the gKdV power family on endstate 0.
+
+    f = -v^(p+2) / ((p+1)(p+2)) with kappa = b = 1.  Returns (M, d_c M,
+    d2_c M) for M(c) = (2/p) B(2/p, 3/2) ((p+1)(p+2)/2)^(2/p) c^(1/2+2/p),
+    so d2_c M carries the factor (2/p + 1/2)(2/p - 1/2): positive for
+    p < 4, zero at p = 4 and negative for p > 4.
+    """
+    a = 2.0 / p
+    M = a * beta(a, 1.5) * ((p + 1) * (p + 2) / 2.0) ** a * c ** (0.5 + a)
+    dcM = (0.5 + a) * M / c
+    return M, dcM, (a - 0.5) * dcM / c
 
 
 def fd_gradient(fn, x, h):

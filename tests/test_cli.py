@@ -480,7 +480,7 @@ class TestConfigKeys:
     def test_bad_numeric_block_is_a_config_error(self, numeric, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": {"kind": "scalar", "b": 1.0,
-                                              "f": [0.0]},
+                                              "f": {"poly": [0.0]}},
                                     "numeric": numeric}))
         with pytest.raises(ConfigError):
             cli.load_config(str(path))
@@ -509,9 +509,11 @@ class TestConfigKeys:
         {"f": {"laurent": {"x": 1.0}}}, {"kappa": {"poly": []}},
         {"tau": {"const": "1.0"}}, {"b": float("nan")}, {"b": True},
         {"f": {"poly": [0.0, 0.0, float("inf")]}},
+        {"f": [0.0, 0.0, 0.5]}, {"kappa": 1.0}, {"f": {"poly": 0.5}},
     ], ids=["b-text", "domain-one-entry", "tau-affine-three",
             "f-poly-text", "b-list", "domain-reversed", "laurent-exponent",
-            "kappa-empty", "tau-const-text", "b-nan", "b-bool", "f-inf"])
+            "kappa-empty", "tau-const-text", "b-nan", "b-bool", "f-inf",
+            "f-bare-list", "kappa-bare-number", "f-poly-number"])
     def test_malformed_model_value_exits_2(self, change, tmp_path, capsys):
         cfg = json.loads((CONFIGS / "nls_hydro.json").read_text())
         cfg["model"].update(change)

@@ -9,11 +9,11 @@ from modlab.errors import GridDegenerate
 from modlab.limits import harmonic_point, soliton_point
 from modlab.miindex import delta_mi
 from modlab.models import WaveParams, gkdv_model, model_from_dict
-from modlab.sweeps import (asymptotic_sweep, eigen_splitting_fit, linear_fit,
-                           poly_extrapolate, sweep_table)
+from modlab.sweeps import (_pair_near, asymptotic_sweep, eigen_splitting_fit,
+                           linear_fit, poly_extrapolate, sweep_table)
 
 from conftest import narrowed
-from oracles import d3_kka_H
+from oracles import d3_kka_H, power_soliton_moment
 
 TWO_PI = 2.0 * math.pi
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "modlab" / "configs"
@@ -142,6 +142,48 @@ class TestSolitonTheoremTwoField:
             # a real pair when d2_c M > 0, a conjugate pair (>= 1.1e-3 i
             # on this grid) when d2_c M < 0
             assert (np.max(np.abs(pair.imag)) > 1e-3) == (d2cM < 0.0)
+
+
+def power_model(p):
+    """gKdV power family f = -v^(p+2) / ((p+1)(p+2)), kappa = b = 1."""
+    top = -1.0 / ((p + 1) * (p + 2))
+    return gkdv_model(f_coeffs=(0.0,) * (p + 2) + (top,), label=f"gkdv_p{p}")
+
+
+class TestSolitonTheoremPowerFamily:
+    """The soliton theorem on the gKdV power family at endstate 0, against
+    the closed-form moment: d2_c M > 0 for p < 4, = 0 at p = 4 and < 0
+    for p > 4, and the pair nearest c_s is real or conjugate to match.
+    At p = 4 only d2_c M = 0 is gated: near c_s the two nearest
+    eigenvalues differ in real part there, so they are no plain pair."""
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_anchor_meets_the_closed_form(self, p, c):
+        sp = soliton_point(power_model(p), c, [0.0])
+        M, dcM, dc2M = power_soliton_moment(p, c)
+        assert abs(sp.boussinesq - M) <= 1e-12 * M
+        assert abs(sp.dcM - dcM) <= 1e-12 * dcM
+        if p == 4:
+            assert dc2M == 0.0 and abs(sp.dc2M) <= 1e-12
+        else:
+            assert abs(sp.dc2M - dc2M) <= 1e-9 * abs(dc2M)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_sign_of_d2cM_decides_the_pair(self, p, c):
+        model = power_model(p)
+        sp = soliton_point(model, c, [0.0])
+        rhos = np.array([1e-2, 1e-3, 1e-4])
+        table = sweep_table(model, sp, 1.125 * c * rhos ** 2)
+        for row in table.rows:
+            pair, _ = _pair_near(row.eigenvalues, sp.cs)
+            if power_soliton_moment(p, c)[2] > 0.0:
+                assert np.all(pair.imag == 0.0)
+            else:
+                # |Im| runs from 0.44 at rho = 1e-2 down to 2.5e-3
+                assert pair[1] == np.conj(pair[0])
+                assert np.min(np.abs(pair.imag)) >= 1e-3
 
 
 @pytest.fixture(scope="module")
