@@ -19,13 +19,12 @@ import sys
 import numpy as np
 
 from . import errors as err
-from .action import FDConfig
 from .limits import _soliton_point_at_lambda, harmonic_point, \
     limiting_whitham_harmonic, limiting_whitham_soliton, soliton_point, \
     toy_double_root
 from .miindex import conjugation_check, delta_mi
 from .models import WaveParams, check_keys, model_from_dict
-from .modulation import params_to_modvars, whitham_report
+from .modulation import whitham_report
 from .profiles import (DEFAULT_QUAD_ORDER, MAX_QUAD_ORDER, averaged_state,
                        find_turning_points, orbit_integrals)
 from .sweeps import asymptotic_sweep, eigen_splitting_fit
@@ -113,8 +112,8 @@ def render_csv(rows, precision: int = 17) -> str:
 DEFAULT_NUMERIC = {"quad_order": DEFAULT_QUAD_ORDER, "precision": 17}
 
 
-def load_config(path: str, overrides: dict | None = None) -> dict:
-    """Read a JSON config; ``overrides`` replace numeric-block entries.
+def load_config(path: str) -> dict:
+    """Read a JSON config and fill its numeric block with the defaults.
 
     Raises ConfigError on an unreadable file, a key modlab does not read,
     a quad_order outside [1, MAX_QUAD_ORDER] or a precision outside [6, 17].
@@ -129,7 +128,7 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
         raise err.ConfigError("config must contain a 'model' block")
     numeric = cfg.get("numeric", {})
     check_keys(numeric, DEFAULT_NUMERIC, "numeric")
-    numeric = {**DEFAULT_NUMERIC, **numeric, **(overrides or {})}
+    numeric = {**DEFAULT_NUMERIC, **numeric}
     for key, lo, hi in (("quad_order", 1, MAX_QUAD_ORDER),
                         ("precision", 6, 17)):
         if type(numeric[key]) is not int or not lo <= numeric[key] <= hi:
@@ -177,29 +176,33 @@ def cmd_validate(model, cfg, args) -> dict:
             "model": dict(sorted(cfg["model"].items()))}
 
 
-def cmd_wave(model, cfg, args) -> dict:
+def _wave_args(model, args):
+    """The wave of --mu, --c and --lambda, and its report block."""
     params = WaveParams(args.mu, args.c, _lambda_arg(args.lam, model.N))
+    return params, {"params": {"mu": params.mu, "c": params.c,
+                               "lambda": list(params.lam)}}
+
+
+def cmd_wave(model, cfg, args) -> dict:
+    params, head = _wave_args(model, args)
     quad_order = cfg["numeric"]["quad_order"]
     bracket = find_turning_points(model, params)
     o = orbit_integrals(model, params, bracket, quad_order)
     st = averaged_state(model, params, bracket, quad_order)
-    mv = params_to_modvars(model, o.grad_theta)
-    return {"params": {"mu": params.mu, "c": params.c,
-                       "lambda": list(params.lam)},
+    return {**head,
             "bracket": {"v1": bracket.v1, "v2": bracket.v2,
                         "v3": bracket.v3, "regime": bracket.regime_hint},
-            "k": mv.k, "alpha": mv.alpha, "M": list(mv.M),
+            "k": st.k, "alpha": st.alpha, "M": list(st.meanU),
             "Xi": st.Xi, "Theta": o.theta, "meanQ": st.meanQ,
             "meanH": st.meanH, "meanLH": st.meanLH,
             "quad_error": st.quad_error}
 
 
 def cmd_whitham(model, cfg, args) -> dict:
-    params = WaveParams(args.mu, args.c, _lambda_arg(args.lam, model.N))
-    fd = FDConfig(quad_order=cfg["numeric"]["quad_order"])
-    rep = whitham_report(model, params, fd_config=fd)
-    return {"params": {"mu": params.mu, "c": params.c,
-                       "lambda": list(params.lam)},
+    params, head = _wave_args(model, args)
+    rep = whitham_report(model, params,
+                         quad_order=cfg["numeric"]["quad_order"])
+    return {**head,
             "classification": rep.classification,
             "eigenvalues_re": [float(z.real) for z in rep.eigenvalues],
             "eigenvalues_im": [float(z.imag) for z in rep.eigenvalues],
@@ -272,16 +275,9 @@ def cmd_toy(model, cfg, args) -> dict:
 
 
 def cmd_conjugation(model, cfg, args) -> dict:
-    params = WaveParams(args.mu, args.c, _lambda_arg(args.lam, model.N))
-    res = conjugation_check(model, params, cfg["numeric"]["quad_order"])
-    return {"params": {"mu": params.mu, "c": params.c,
-                       "lambda": list(params.lam)},
-            "alpha_over_k_residual": res["alpha_over_k"],
-            "v0_product_residual": res["v0_product"],
-            "k0_dictionary_residual": res["k0_dictionary"],
-            "mi_polynomial_residual": res["mi_polynomial"],
-            "mi_polynomial_exponent": res["mi_polynomial_exponent"],
-            "ratio_E": res["ratio_E"], "ratio_L": res["ratio_L"]}
+    params, head = _wave_args(model, args)
+    return {**head, **conjugation_check(model, params,
+                                        cfg["numeric"]["quad_order"])}
 
 
 def sweep_runner(model, cfg, args):
@@ -293,8 +289,8 @@ def sweep_runner(model, cfg, args):
     else:
         anchor = _soliton_anchor(model, args)
     offsets = parse_grid(args.grid)
-    quad = cfg["numeric"]["quad_order"]
-    table, fit = asymptotic_sweep(model, anchor, offsets, quad)
+    table, fit = asymptotic_sweep(model, anchor, offsets,
+                                  cfg["numeric"]["quad_order"])
     split = eigen_splitting_fit(model, anchor, table=table)
     n = model.N
     header = (["regime", "grid_param", "mu", "k", "alpha"]
@@ -304,7 +300,7 @@ def sweep_runner(model, cfg, args):
               + ["residual"])
     body = []
     for r in table.rows:
-        body.append([r.regime, r.grid_param, r.mu, r.k, r.alpha]
+        body.append([table.regime, r.grid_param, r.mu, r.k, r.alpha]
                     + [float(x) for x in r.M] + [r.Xi]
                     + [float(z.real) for z in r.eigenvalues]
                     + [float(z.imag) for z in r.eigenvalues]
@@ -336,12 +332,10 @@ def _file_path(text: str) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, each accepting only the options it reads."""
-    common, out, quad, line, anchor = (
-        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    common, out, line, anchor = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4))
     common.add_argument("--config", required=True)
-    common.add_argument("--precision", type=int)
     out.add_argument("--out", help="report path (default stdout)")
-    quad.add_argument("--quad-order", type=int)
     lam = {"dest": "lam", "help": "comma-separated lambda components"}
     line.add_argument("--c", type=_finite, default=0.0)
     line.add_argument("--lambda", **lam)
@@ -349,11 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     one = anchor.add_mutually_exclusive_group()
     one.add_argument("--lambda", **lam)
     one.add_argument("--endstate", help="comma-separated soliton endstate")
-    wave = [common, out, quad, line]
+    wave = [common, out, line]
     parents = {"validate": [common, out], "wave": wave, "whitham": wave,
                "limit_harmonic": [common, out, line],
                "limit_soliton": [common, out, anchor],
-               "sweep": [common, quad, anchor], "mi": [common, out],
+               "sweep": [common, anchor], "mi": [common, out],
                "toy": [common, out], "conjugation": wave}
     ap = argparse.ArgumentParser(
         prog="modlab", allow_abbrev=False,
@@ -398,9 +392,7 @@ def main(argv=None) -> int:
         return exc.code
     header = {"schema": "modlab/1", "command": args.command}
     try:
-        overrides = {k: v for k, v in vars(args).items()
-                     if k in DEFAULT_NUMERIC and v is not None}
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config)
         model = model_from_dict(cfg["model"])
         precision = cfg["numeric"]["precision"]
         if args.command == "sweep":

@@ -345,24 +345,15 @@ def toy_double_root(eps: float, v: float, a_tilde: float, delta: float,
     """
     sq = cmath.sqrt((a_tilde + eps * delta_prime) * (eps * delta))
     z1, z2 = v + sq, v - sq
-    if a_tilde == 0.0:
-        if delta == 0.0 and delta_prime == 0.0:
-            cls = "hyperbolic"
-        elif eps > 0.0 and delta * delta_prime > 0.0:
-            cls = "hyperbolic"
-        elif eps > 0.0 and delta * delta_prime < 0.0:
-            cls = "elliptic"
-        else:
-            cls = "weakly_hyperbolic"
+    s = delta * (delta_prime if a_tilde == 0.0 else a_tilde)
+    if (eps > 0.0 and s > 0.0) or a_tilde == delta == delta_prime == 0.0:
+        cls = "hyperbolic"
+    elif eps > 0.0 and s < 0.0:
+        cls = "elliptic"
     else:
-        if eps > 0.0 and delta * a_tilde > 0.0:
-            cls = "hyperbolic"
-        elif eps > 0.0 and delta * a_tilde < 0.0:
-            cls = "elliptic"
-        else:
-            cls = "weakly_hyperbolic"
+        cls = "weakly_hyperbolic"
     expansion = None
-    if a_tilde != 0.0 and delta * a_tilde > 0.0 and eps > 0.0:
+    if a_tilde != 0.0 and cls == "hyperbolic":
         lead = math.sqrt(eps * delta * a_tilde)
         expansion = max(abs(z1 - (v + lead)), abs(z2 - (v - lead)))
     return {"eigenvalues": np.array([z1, z2]), "classification": cls,

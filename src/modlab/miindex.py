@@ -51,14 +51,15 @@ def _harmonic_scalar_data(model: ModelSpec, v0: float, k0: float):
     return kj, fj, w2, K1, K2, P3, P4
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def delta_mi(model: ModelSpec, U0, k0: float, branch: str = "plus") -> MIReport:
     """Instability index, edge coefficients and verdict at (U0, k0).
 
     Scalar models use the closed form of scalar_index_bracket, two-field
     models the general bracket of _delta_mi_system.  k0 must be finite
     and positive, U0 must have N entries and v0 must lie in the model
-    domain.  The verdict thresholds leave a marginal band of width TOL_MI
-    around zero.
+    domain, and the index and a_tilde0 must not overflow.  The verdict
+    thresholds leave a marginal band of width TOL_MI around zero.
     """
     if not (math.isfinite(k0) and k0 > 0.0):
         raise ConfigError(f"k0 must be a finite positive number, got {k0}")
@@ -68,23 +69,26 @@ def delta_mi(model: ModelSpec, U0, k0: float, branch: str = "plus") -> MIReport:
                           f"got {U0.tolist()}")
     v0 = float(U0[0])
     model.check_domain(v0)
-    if model.kind == "scalar":
-        dmi, at0, a0, b0, w0 = scalar_index_bracket(model, v0, k0)
-        naive = naive_index(model, v0, k0)
-    else:
-        dmi, at0, a0, b0, w0 = _delta_mi_system(model, U0, k0, branch)
-        naive = None
+    scalar = model.kind == "scalar"
+    try:
+        dmi, at0, a0, b0, w0 = (scalar_index_bracket(model, v0, k0) if scalar
+                                else _delta_mi_system(model, U0, k0, branch))
+        naive = naive_index(model, v0, k0) if scalar else None
+    except OverflowError:               # gv ** 5 of the two-field bracket
+        dmi = at0 = math.inf
+    if not (math.isfinite(dmi) and math.isfinite(at0)):
+        raise ConfigError(f"k0 = {k0} is too large: the index overflows")
     sign_alpha = _sign(w0)
     s = sign_alpha * dmi
-    scale = abs(k0) * max(1.0, abs(model.f_jet(v0, 4)[3]) ** 2,
-                          abs(model.f_jet(v0, 4)[4]))
+    fj = model.f_jet(v0, 4)
+    scale = abs(k0) * max(1.0, abs(fj[3]) ** 2, abs(fj[4]))
     if s < -TOL_MI * scale:
         verdict = "modulationally_unstable"
     elif s > TOL_MI * scale:
         verdict = "modulationally_stable"
     else:
         verdict = "marginal"
-    kc = critical_wavenumber(model, v0) if model.kind == "scalar" else None
+    kc = critical_wavenumber(model, v0)
     return MIReport(delta_mi=dmi, a_tilde0=at0, a0=a0, b0=b0, k_c=kc,
                     naive_index=naive, predicted_sign_alpha=sign_alpha,
                     stability_verdict=verdict, k0=k0, U0=U0)
@@ -115,7 +119,7 @@ def scalar_index_bracket(model: ModelSpec, v0: float, k0: float):
 
 def _delta_mi_system(model: ModelSpec, U0: np.ndarray, k0: float, branch: str):
     v0 = float(U0[0])
-    u0_in = float(U0[1]) if U0.shape[0] > 1 else 0.0
+    u0_in = float(U0[1])
     kj = model.kappa_jet(v0, 2)
     fj = model.f_jet(v0, 4)
     tj = model.tau_jet(v0, 3)
@@ -245,13 +249,13 @@ def conjugation_check(model_E: ModelSpec, params_E: WaveParams,
     Matches the wave of ``params_E`` with its mass-Lagrangian partner and
     reports the relative defect of alpha_E / k_E = alpha_L / k_L, the
     harmonic-point dictionary, and the rescaling of the instability
-    polynomials of the matched harmonic points.  ``mi_polynomial`` is the
-    residual of P_E = P_L (v_L)_0^13, the uniform power measured for the
-    normalization of ``system_mi_polynomial`` (300 matched pairs over
-    twelve Eulerian families, |p - 13| <= 4e-13), and
-    ``mi_polynomial_exponent`` the exponent this pair gives.  The quoted
-    power (v_L)_0^-11 does not hold for that normalization: it leaves a
-    residual of about 1 on every pair.
+    polynomials of the matched harmonic points.  ``mi_polynomial_residual``
+    is the residual of P_E = P_L (v_L)_0^13, the uniform power measured
+    for the normalization of ``system_mi_polynomial`` (300 matched pairs
+    over twelve Eulerian families, |p - 13| <= 4e-13), and
+    ``mi_polynomial_exponent`` the exponent this pair gives, if any.  The
+    quoted power (v_L)_0^-11 does not hold for that normalization: it
+    leaves a residual of about 1 on every pair.
     """
     model_L = conjugate_model(model_E)
     params_L = conjugate_wave_params(params_E)
@@ -274,10 +278,12 @@ def conjugation_check(model_E: ModelSpec, params_E: WaveParams,
     w2L = TWO_PI_SQ * hpL.k0 ** 2 * model_L.kappa_jet(hpL.v0, 0)[0]
     PE = system_mi_polynomial(model_E, hpE.v0, w2E)
     PL = system_mi_polynomial(model_L, hpL.v0, w2L)
-    # the measured uniform scaling and this pair's exponent
+    # the measured uniform scaling and this pair's exponent, if it has one
     res_poly = abs(PE - PL * hpL.v0 ** 13) / max(abs(PE), 1e-300)
-    expo = math.log(abs(PE / PL)) / math.log(hpL.v0) if PL != 0.0 else math.nan
-    return {"alpha_over_k": res_ratio, "v0_product": res_v0,
-            "k0_dictionary": res_k0, "mi_polynomial": res_poly,
+    ln_v = math.log(hpL.v0) if PL != 0.0 else 0.0
+    expo = math.log(abs(PE / PL)) / ln_v if abs(ln_v) >= 1e-6 else math.nan
+    return {"alpha_over_k_residual": res_ratio, "v0_product_residual": res_v0,
+            "k0_dictionary_residual": res_k0,
+            "mi_polynomial_residual": res_poly,
             "mi_polynomial_exponent": expo,
             "ratio_E": ratio_E, "ratio_L": ratio_L}

@@ -18,7 +18,7 @@ from .action import ActionJet, FDConfig, action_hessian
 from .eigen import eig_small
 from .errors import DegenerateOrbit, SingularThetaHessian
 from .models import ModelSpec, WaveParams, structural_matrices
-from .profiles import OrbitBracket, find_turning_points
+from .profiles import DEFAULT_QUAD_ORDER, OrbitBracket, find_turning_points
 
 TOL_IM = 1e-8
 EIGVEC_COND_CAP = 1e8
@@ -141,11 +141,12 @@ def _whitham_assembly(model: ModelSpec, params: WaveParams,
 
 def whitham_report(model: ModelSpec, params: WaveParams,
                    bracket: OrbitBracket | None = None,
-                   fd_config: FDConfig | None = None) -> WhithamReport:
+                   quad_order: int = DEFAULT_QUAD_ORDER) -> WhithamReport:
     """Assemble the full modulation report at one wave."""
     if bracket is None:
         bracket = find_turning_points(model, params)
-    jet, mv, H, W = _whitham_assembly(model, params, bracket, fd_config)
+    jet, mv, H, W = _whitham_assembly(model, params, bracket,
+                                      FDConfig(quad_order=quad_order))
     zs, vecs, resid, cls, cond = spectrum_and_classification(W)
     # the similar matrix in (mu, c, lambda), built apart from hessH
     char = (np.linalg.solve(jet.hess, structural_matrices(model).S) / mv.k

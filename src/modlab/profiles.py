@@ -514,11 +514,10 @@ def averaged_state(model: ModelSpec, params: WaveParams,
                    quad_order: int = DEFAULT_QUAD_ORDER) -> WaveState:
     """Period, means, excess impulse and averaged energies of one wave."""
     o = orbit_integrals(model, params, bracket, quad_order)
-    return _state_from_integrals(model, params, o)
+    return _state_from_integrals(model, o)
 
 
-def _state_from_integrals(model: ModelSpec, params: WaveParams,
-                          o: OrbitIntegrals) -> WaveState:
+def _state_from_integrals(model: ModelSpec, o: OrbitIntegrals) -> WaveState:
     Xi = o.Xi
     meanU = o.int_U / Xi
     meanQ = o.int_Q / Xi

@@ -31,7 +31,6 @@ R2_GATE = 0.999
 class SweepRow:
     """All per-wave data one sweep point contributes."""
 
-    regime: str
     grid_param: float          # delta (harmonic) or rho (soliton)
     mu: float
     k: float
@@ -112,7 +111,7 @@ def _sweep_point(model: ModelSpec, params: WaveParams, cfg: FDConfig,
     jet, mv, _, W = _whitham_assembly(model, params, bracket, cfg)
     zs, vecs, resid = eig_small(W)
     grid_param = bracket.delta if regime == "harmonic" else bracket.rho
-    return SweepRow(regime=regime, grid_param=float(grid_param), mu=params.mu,
+    return SweepRow(grid_param=float(grid_param), mu=params.mu,
                     k=mv.k, alpha=mv.alpha, M=mv.M, Xi=float(jet.grad[0]),
                     eigenvalues=zs, eig_residuals=resid, eigenvectors=vecs,
                     whitham=W, d2mu_theta=float(jet.hess[0, 0]),

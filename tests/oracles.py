@@ -195,7 +195,7 @@ def shooting_oracle(model, params, bracket, rtol=1e-12, atol=1e-13):
     intU = np.array([Iv]) if model.kind == "scalar" else np.array(
         [Iv, 2.0 * yf[7]])
     o = OrbitIntegrals(Xi=Xi, int_U=intU, int_Q=Iq, theta=2.0 * Iw, int_E=Ie)
-    return _state_from_integrals(model, params, o), o.theta
+    return _state_from_integrals(model, o), o.theta
 
 
 def profile_samples(model, params, bracket, n):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import shlex
@@ -19,6 +20,15 @@ from modlab.profiles import averaged_state, bracket_near_limit
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "src" / "modlab" / "configs"
 GKDV = str(CONFIGS / "gkdv.json")
+
+
+def gkdv_numeric(tmp_path, **numeric):
+    """Path of a copy of the gkdv config with ``numeric`` entries set."""
+    cfg = json.loads(Path(GKDV).read_text())
+    cfg["numeric"].update(numeric)
+    path = tmp_path / "gkdv_numeric.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
 
 
 def run_cli(args, cwd=None):
@@ -60,6 +70,35 @@ class TestFormatting:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("wave", [
+        ["--mu", "1.271", "--c", "0.5", "--lambda=-1.15625,1.25"],
+        ["--mu", "2.59", "--c", "0", "--lambda=-1.625,1.5"],
+    ], ids=["v_L0-one", "v_L0-one-ulp-below"])
+    def test_conjugation_exponent_is_nan_where_v_L0_is_one(self, wave,
+                                                           capsys):
+        # ln v_L0 = 0 (exactly, then to 1e-16) leaves no exponent to report
+        argv = ["conjugation", "--config", str(CONFIGS / "ek_eulerian.json")]
+        assert main(argv + wave) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert math.isnan(rep["mi_polynomial_exponent"])
+        assert rep["mi_polynomial_residual"] <= 1e-14
+
+    @pytest.mark.parametrize("k0", ["1e61", "1e100"])
+    def test_mi_overflowing_index_exits_2(self, k0):
+        code, out, err = run_cli(["mi", "--config", GKDV, "--v0", "2",
+                                  "--k0", k0])
+        assert code == 2 and not out
+        assert err.startswith(b"config error: k0 = ")
+        assert err.count(b"\n") == 1
+
+    @pytest.mark.parametrize("k0", [1e20, 1e60])
+    def test_mi_large_finite_index_is_reported(self, k0, capsys):
+        assert main(["mi", "--config", GKDV, "--v0", "2",
+                     "--k0", repr(k0)]) == 0
+        # Delta_MI = k0 f3^2 on gkdv, where the third derivative f3 is -1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["delta_mi"] == pytest.approx(k0, rel=1e-15)
+
     def test_validate(self, tmp_path):
         code, out, _ = run_cli(["validate", "--config", GKDV])
         assert code == 0
@@ -171,11 +210,14 @@ class TestDeterminism:
                               "--mu", "-0.5", "--c", "1"])
         assert out1 == out2
 
-    def test_precision_changes_only_numbers(self):
-        _, hi, _ = run_cli(["wave", "--config", GKDV, "--mu", "-0.5",
-                            "--c", "1", "--precision", "12"])
-        _, lo, _ = run_cli(["wave", "--config", GKDV, "--mu", "-0.5",
-                            "--c", "1", "--precision", "6"])
+    def test_precision_changes_only_numbers(self, tmp_path):
+        reports = []
+        for precision in (12, 6):
+            cfg = gkdv_numeric(tmp_path, precision=precision)
+            _, out, _ = run_cli(["wave", "--config", cfg, "--mu", "-0.5",
+                                 "--c", "1"])
+            reports.append(out)
+        hi, lo = reports
         keys_hi = [ln.split(":")[0] for ln in hi.decode().splitlines()]
         keys_lo = [ln.split(":")[0] for ln in lo.decode().splitlines()]
         assert keys_hi == keys_lo
@@ -251,7 +293,7 @@ class TestReadme:
     def test_option_table_matches_the_parser(self):
         table = readme_option_table()
         assert table == parser_options()
-        assert sum(len(opts) for opts in table.values()) == 59
+        assert sum(len(opts) for opts in table.values()) == 46
 
     def test_python_api_example_runs_as_written(self, capsys):
         text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -308,10 +350,6 @@ class TestFailurePaths:
          4),
         (["limit_harmonic", "--config", GKDV, "--c", "1", "--branch",
           "minus"], 2),
-        (["wave", "--config", GKDV, "--mu", "-0.5", "--c", "1",
-          "--quad-order", "0"], 2),
-        (["wave", "--config", GKDV, "--mu", "-0.5", "--c", "1",
-          "--precision", "5"], 2),
         (["wave", "--config", GKDV, "--c", "1"], 2),
         (["wave", "--config", GKDV, "--mu=0", "--c", "1"], 4),
         (["whitham", "--config", GKDV, "--mu=-1e-5", "--c", "1"], 4),
@@ -333,10 +371,9 @@ class TestFailurePaths:
           "--grid", "nan:1e-6:4", "--out", "s.csv"], 2),
     ], ids=["lambda-not-a-number", "lambda-and-endstate",
             "mi-v0-outside-domain", "wave-no-orbit", "endstate-not-a-saddle",
-            "branch-on-limit-harmonic", "quad-order-0", "precision-5",
-            "wave-without-mu", "wave-at-soliton-level",
-            "whitham-stencil-past-soliton-level", "wave-mu-nan",
-            "wave-c-nan", "wave-lambda-nan", "whitham-c-inf",
+            "branch-on-limit-harmonic", "wave-without-mu",
+            "wave-at-soliton-level", "whitham-stencil-past-soliton-level",
+            "wave-mu-nan", "wave-c-nan", "wave-lambda-nan", "whitham-c-inf",
             "limit-harmonic-c-nan", "limit-soliton-c-nan",
             "endstate-nan", "mi-k0-negative", "mi-k0-zero", "mi-k0-nan",
             "mi-k0-inf", "toy-eps-nan", "sweep-c-nan", "sweep-grid-nan"])
@@ -410,14 +447,16 @@ class TestOptionContract:
         ["mi", "--config", GKDV, "--v", "2"],
         ["mi", "--con", GKDV],
         ["wave", "--config", GKDV, "--mu", "-0.5", "--c", "1", "--k0", "9"],
-        ["limit_harmonic", "--config", GKDV, "--c", "1", "--quad-order",
-         "8"],
+        ["wave", "--config", GKDV, "--mu", "-0.5", "--c", "1",
+         "--quad-order", "8"],
+        ["wave", "--config", GKDV, "--mu", "-0.5", "--c", "1",
+         "--precision", "12"],
         ["toy", "--config", GKDV, "--lambda=1"],
         ["sweep", "--config", GKDV, "--regime", "harmonic", "--c", "1",
          "--grid", "1e-3:1e-6:10", "--endstate=0"],
         ["mi", "--config", GKDV, "--u0", "5"],
     ], ids=["mi-v", "abbreviated-config", "wave-k0",
-            "limit-harmonic-quad-order", "toy-lambda",
+            "wave-quad-order", "wave-precision", "toy-lambda",
             "harmonic-sweep-endstate", "mi-u0-one-field"])
     def test_unread_option_exits_2_and_writes_nothing(self, argv, tmp_path):
         out = "s.csv" if argv[0] == "sweep" else "r.json"
@@ -474,9 +513,10 @@ class TestConfigKeys:
     @pytest.mark.parametrize("numeric", [
         {"quad_order": 0}, {"quad_order": 8.5}, {"precision": 18},
         {"precision": "12"}, {"fd_rel_step": 1e-5},
-        {"quad_order": 1025},
+        {"quad_order": 1025}, {"precision": 5},
     ], ids=["quad-order-0", "quad-order-float", "precision-18",
-            "precision-text", "retired-key", "quad-order-above-bound"])
+            "precision-text", "retired-key", "quad-order-above-bound",
+            "precision-5"])
     def test_bad_numeric_block_is_a_config_error(self, numeric, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": {"kind": "scalar", "b": 1.0,
@@ -485,19 +525,19 @@ class TestConfigKeys:
         with pytest.raises(ConfigError):
             cli.load_config(str(path))
 
-    def test_quad_order_at_its_bound_loads(self):
-        cfg = cli.load_config(GKDV, {"quad_order": cli.MAX_QUAD_ORDER})
-        assert cfg["numeric"]["quad_order"] == 1024
+    def test_quad_order_at_its_bound_loads(self, tmp_path):
+        path = gkdv_numeric(tmp_path, quad_order=cli.MAX_QUAD_ORDER)
+        assert cli.load_config(path)["numeric"]["quad_order"] == 1024
 
     def test_quad_order_above_bound_exits_before_any_node(self, monkeypatch,
-                                                          capsys):
+                                                          capsys, tmp_path):
         def nodes(n):
             raise AssertionError(f"Gauss rule of order {n} computed")
 
         monkeypatch.setattr("modlab.profiles.leggauss", nodes)
         monkeypatch.setattr("modlab.profiles._node_cache", {})
-        argv = ["wave", "--config", GKDV, "--mu", "-0.5", "--c", "1",
-                "--quad-order", str(cli.MAX_QUAD_ORDER + 1)]
+        path = gkdv_numeric(tmp_path, quad_order=cli.MAX_QUAD_ORDER + 1)
+        argv = ["wave", "--config", path, "--mu", "-0.5", "--c", "1"]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert not captured.out

@@ -73,10 +73,11 @@ def test_sweep_spectra_against_mpmath_oracle(gkdv):
     grids = ((sp, 1.125 * np.geomspace(1e-2, 1e-6, 9) ** 2, 1e-2, 1e-6),
              (hp, 0.5 * w2 * np.geomspace(2e-2, 1e-4, 7) ** 2, 2e-2, 1e-4))
     for anchor, offsets, first, last in grids:
-        rows = sweep_table(gkdv, anchor, offsets).rows
+        table = sweep_table(gkdv, anchor, offsets)
+        rows = table.rows
         assert rows[0].grid_param == pytest.approx(first, rel=0.02)
         assert rows[-1].grid_param == pytest.approx(last, rel=0.02)
         for r in rows:
             W = r.whitham
             assert _oracle_error(mp, W) <= 2e-14 * np.max(np.abs(W)), \
-                (r.regime, r.grid_param)
+                (table.regime, r.grid_param)

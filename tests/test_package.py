@@ -2,6 +2,7 @@
 surface and finite-difference configuration stay as small as the
 program uses."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -14,7 +15,7 @@ import pytest
 
 import modlab
 from modlab.action import FDConfig
-from modlab.cli import main
+from modlab.cli import DEFAULT_NUMERIC, build_parser, main
 from modlab.profiles import orbit_integrals
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,6 +86,23 @@ def test_fd_config_is_quad_order_and_limit():
         ("quad_order", "limit")
     with pytest.raises(TypeError):
         FDConfig(richardson=True)
+
+
+def test_cli_is_a_shell_over_the_library():
+    # the CLI reads each numeric setting from the config's numeric block
+    # alone, sets the Gauss order through the public functions, and takes
+    # the modulation variables off the results they return
+    tree = parsed_modules()["cli"]
+    from_action = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                   and (n.module in ("action", "modlab.action")
+                        or any(a.name == "action" for a in n.names))]
+    assert from_action == []
+    assert "params_to_modvars" not in referenced(tree)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {o for p in sub.choices.values() for a in p._actions
+               for o in a.option_strings}
+    assert not options & {"--" + k.replace("_", "-") for k in DEFAULT_NUMERIC}
 
 
 def test_orbit_integrals_takes_no_tolerance():
