@@ -7,7 +7,8 @@ integral of (mu - W).  ``profiles.orbit_integrals`` returns its value
 period-integrated impulse and means) directly.  The Hessian is obtained
 by central differences of that gradient (the twice-differentiated
 integrand diverges at the turning points, so differentiation under the
-integral is not an option here).
+integral is not an option here); it carries the ``WaveState`` of the
+orbit at its stencil centre, with its (k, alpha, M) and quad_error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .errors import (DegenerateOrbit, MultipleWells, NoPeriodicOrbit,
                      StencilLeftBranch)
 from .models import ModelSpec, WaveParams
 from .polys import pder
-from .profiles import (DEFAULT_QUAD_ORDER, OrbitBracket, _newton_refine,
+from .profiles import (DEFAULT_QUAD_ORDER, OrbitBracket, WaveState,
+                       _newton_refine, _state_from_integrals,
                        bracket_near_limit, level_polynomial, orbit_integrals)
 
 REL_STEP = 1e-5
@@ -48,12 +50,11 @@ class FDConfig:
 
 @dataclass(frozen=True)
 class ActionJet:
-    """Action gradient and Hessian with diagnostics."""
+    """Action Hessian of one wave, its state and diagnostics."""
 
-    grad: np.ndarray
+    state: WaveState
     hess: np.ndarray
     symmetry_residual: float
-    quad_error: float
     warnings: tuple = ()
 
 
@@ -143,5 +144,5 @@ def action_hessian(model: ModelSpec, params: WaveParams,
     scale = np.max(np.abs(H))
     sym = np.max(np.abs(H - H.T)) / scale if scale > 0 else 0.0
     H = 0.5 * (H + H.T)
-    return ActionJet(grad=base.grad_theta, hess=H, symmetry_residual=sym,
-                     quad_error=base.quad_error, warnings=tuple(warnings))
+    return ActionJet(state=_state_from_integrals(model, base), hess=H,
+                     symmetry_residual=sym, warnings=tuple(warnings))

@@ -22,7 +22,8 @@ from .limits import _response_coefficients, harmonic_point
 from .models import ModelSpec, WaveParams, reduced_jet
 from .profiles import DEFAULT_QUAD_ORDER, averaged_state, find_turning_points
 
-TOL_MI = 1e-10
+# rounding bound, relative to the summed magnitudes of the index's terms
+TOL_MI = 64 * np.finfo(float).eps
 TWO_PI_SQ = (2.0 * math.pi) ** 2
 
 
@@ -58,8 +59,9 @@ def delta_mi(model: ModelSpec, U0, k0: float, branch: str = "plus") -> MIReport:
     Scalar models use the closed form of scalar_index_bracket, two-field
     models the general bracket of _delta_mi_system.  k0 must be finite
     and positive, U0 must have N entries and v0 must lie in the model
-    domain, and the index and a_tilde0 must not overflow.  The verdict
-    thresholds leave a marginal band of width TOL_MI around zero.
+    domain, and the index and a_tilde0 must not overflow.  The verdict is
+    marginal where rounding could set the sign: |Delta_MI| <= TOL_MI *
+    |prefactor| * sum |terms| of the sum the index forms.
     """
     if not (math.isfinite(k0) and k0 > 0.0):
         raise ConfigError(f"k0 must be a finite positive number, got {k0}")
@@ -71,31 +73,34 @@ def delta_mi(model: ModelSpec, U0, k0: float, branch: str = "plus") -> MIReport:
     model.check_domain(v0)
     scalar = model.kind == "scalar"
     try:
-        dmi, at0, a0, b0, w0 = (scalar_index_bracket(model, v0, k0) if scalar
-                                else _delta_mi_system(model, U0, k0, branch))
+        dmi, size, at0, a0, b0, w0 = (
+            scalar_index_bracket(model, v0, k0) if scalar
+            else _delta_mi_system(model, U0, k0, branch))
         naive = naive_index(model, v0, k0) if scalar else None
     except OverflowError:               # gv ** 5 of the two-field bracket
         dmi = at0 = math.inf
     if not (math.isfinite(dmi) and math.isfinite(at0)):
         raise ConfigError(f"k0 = {k0} is too large: the index overflows")
     sign_alpha = _sign(w0)
-    s = sign_alpha * dmi
-    fj = model.f_jet(v0, 4)
-    scale = abs(k0) * max(1.0, abs(fj[3]) ** 2, abs(fj[4]))
-    if s < -TOL_MI * scale:
-        verdict = "modulationally_unstable"
-    elif s > TOL_MI * scale:
-        verdict = "modulationally_stable"
-    else:
-        verdict = "marginal"
+    s, band = sign_alpha * dmi, TOL_MI * size
+    verdict = ("modulationally_unstable" if s < -band
+               else "modulationally_stable" if s > band else "marginal")
     kc = critical_wavenumber(model, v0)
     return MIReport(delta_mi=dmi, a_tilde0=at0, a0=a0, b0=b0, k_c=kc,
                     naive_index=naive, predicted_sign_alpha=sign_alpha,
                     stability_verdict=verdict, k0=k0, U0=U0)
 
 
+def _sum_and_size(*terms):
+    """Left-to-right sum of ``terms`` and the sum of their magnitudes."""
+    total = terms[0]
+    for t in terms[1:]:
+        total += t
+    return total, sum(abs(t) for t in terms)
+
+
 def scalar_index_bracket(model: ModelSpec, v0: float, k0: float):
-    """General scalar closed form of (Delta_MI, a_tilde0, a0, b0, w0).
+    """General scalar closed form of (Delta_MI, size, a_tilde0, a0, b0, w0).
 
     The bracket follows from the quadratic-response constant a0 and the
     edge Schur complement; it is validated against the directly measured
@@ -108,13 +113,13 @@ def scalar_index_bracket(model: ModelSpec, v0: float, k0: float):
     confirm every verdict of this form.
     """
     kj, fj, w2, K1, K2, P3, P4 = _harmonic_scalar_data(model, v0, k0)
-    bracket = (K2 - (7.0 / 6.0) * K1 * K1 - K1 * P3 / 3.0
-               + P3 * P3 / 6.0 + 0.5 * P4)
+    bracket, size = _sum_and_size(K2, -(7.0 / 6.0) * K1 * K1, -K1 * P3 / 3.0,
+                                  P3 * P3 / 6.0, 0.5 * P4)
     b = model.b
-    dmi = 6.0 * b ** 3 * k0 * w2 * w2 * bracket
+    prefactor = 6.0 * b ** 3 * k0 * w2 * w2
     at0 = -(b * b * k0 * k0 * w2) * bracket
     a0, b0 = _response_coefficients(K1, K2, w2, -fj[3], -fj[4])
-    return dmi, at0, a0, b0, 1.0 / b
+    return prefactor * bracket, abs(prefactor) * size, at0, a0, b0, 1.0 / b
 
 
 def _delta_mi_system(model: ModelSpec, U0: np.ndarray, k0: float, branch: str):
@@ -137,19 +142,20 @@ def _delta_mi_system(model: ModelSpec, U0: np.ndarray, k0: float, branch: str):
     # general bracket in (W, g, kappa, tau) derivatives
     t0 = tj[0]
     gvv, _, (_, w3, w4) = reduced_jet(tj, u0_in, gv, fj)
-    big = (-0.5 * w4 * w2 * (w2 + 3.0 * t0 * gv * gv)
-           - (w3 ** 2) * (w2 - 3.0 * t0 * gv * gv) / 6.0
-           + w3 * w2 * (K1 * (w2 + t0 * gv * gv) + 2.0 * t0 * gv * gvv)
-           + (K2 - 1.5 * K1 * K1) * w2 ** 3
-           + w2 ** 2 * (t0 * gv * gv * (3.0 * K2 - 3.5 * K1 * K1)
-                        - 2.0 * K1 * t0 * gv * gvv + t0 * gvv * gvv))
-    dmi = big * b ** 3 * k0 * (-w2 + 3.0 * t0 * gv * gv) / (
-        4.0 * t0 * gv ** 5 * (w2 + 3.0 * t0 * gv * gv))
+    big, size = _sum_and_size(
+        -0.5 * w4 * w2 * (w2 + 3.0 * t0 * gv * gv),
+        -(w3 ** 2) * (w2 - 3.0 * t0 * gv * gv) / 6.0,
+        w3 * w2 * (K1 * (w2 + t0 * gv * gv) + 2.0 * t0 * gv * gvv),
+        (K2 - 1.5 * K1 * K1) * w2 ** 3,
+        w2 ** 2 * (t0 * gv * gv * (3.0 * K2 - 3.5 * K1 * K1)
+                   - 2.0 * K1 * t0 * gv * gvv + t0 * gvv * gvv))
+    dmi, size = (x * b ** 3 * k0 * (-w2 + 3.0 * t0 * gv * gv) / (
+        4.0 * t0 * gv ** 5 * (w2 + 3.0 * t0 * gv * gv)) for x in (big, size))
     at0 = -big * (0.25 * b * b * k0 * k0) / (
         gv * gv * w2 * (w2 + 3.0 * t0 * gv * gv))
     a0, b0 = _response_coefficients(K1, K2, w2, w3, w4)
     w0 = 2.0 * gv / b
-    return dmi, at0, a0, b0, w0
+    return dmi, abs(size), at0, a0, b0, w0
 
 
 def system_mi_polynomial(model: ModelSpec, v0: float, w2: float) -> float:

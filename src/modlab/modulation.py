@@ -26,15 +26,6 @@ MARGIN_DECADE = math.sqrt(10.0)
 
 
 @dataclass(frozen=True)
-class ModVars:
-    """Wavenumber, excess impulse, mean state."""
-
-    k: float
-    alpha: float
-    M: np.ndarray
-
-
-@dataclass(frozen=True)
 class WhithamReport:
     """Spectral description of the modulation system at one wave."""
 
@@ -48,17 +39,6 @@ class WhithamReport:
     hessH_negative_signature: int
     theta_negative_signature: int
     eigvec_condition: float
-
-
-def params_to_modvars(model: ModelSpec, grad_theta: np.ndarray) -> ModVars:
-    """Chart change from the action gradient: k, alpha, M."""
-    dmu = grad_theta[0]
-    if dmu <= 0.0:
-        raise DegenerateOrbit(f"period {dmu} is not positive")
-    k = 1.0 / dmu
-    M = grad_theta[2:] / dmu
-    alpha = grad_theta[1] - dmu * model.impulse_value(M)
-    return ModVars(k=k, alpha=alpha, M=M)
 
 
 def coupling_matrix_A(model: ModelSpec, k: float, M: np.ndarray) -> np.ndarray:
@@ -76,18 +56,17 @@ def coupling_matrix_A(model: ModelSpec, k: float, M: np.ndarray) -> np.ndarray:
     return A
 
 
-def hessianH(model: ModelSpec, jet: ActionJet, mv: ModVars,
-             c: float) -> np.ndarray:
+def hessianH(model: ModelSpec, jet: ActionJet, c: float) -> np.ndarray:
     """Averaged-Hamiltonian Hessian in (k, alpha, M) from the action Hessian."""
-    sm = structural_matrices(model)
-    A = coupling_matrix_A(model, mv.k, mv.M)
+    st = jet.state
+    A = coupling_matrix_A(model, st.k, st.meanU)
     try:
         X = np.linalg.solve(jet.hess, A)
     except np.linalg.LinAlgError as exc:
         raise SingularThetaHessian(str(exc)) from None
     if not np.all(np.isfinite(X)):
         raise SingularThetaHessian("action Hessian numerically singular")
-    H = -(A.T @ X) / mv.k - c * sm.BBinv
+    H = -(A.T @ X) / st.k - c * structural_matrices(model).BBinv
     return 0.5 * (H + H.T)
 
 
@@ -132,11 +111,10 @@ def _match_spectra(z1: np.ndarray, z2: np.ndarray) -> float:
 
 def _whitham_assembly(model: ModelSpec, params: WaveParams,
                       bracket: OrbitBracket, fd_config: FDConfig | None):
-    """(action jet, (k, alpha, M), hessH, W) of the wave on ``bracket``."""
+    """(action jet, hessH, W) of the wave on ``bracket``."""
     jet = action_hessian(model, params, bracket, fd_config)
-    mv = params_to_modvars(model, jet.grad)
-    H = hessianH(model, jet, mv, params.c)
-    return jet, mv, H, whitham_matrix(model, H)
+    H = hessianH(model, jet, params.c)
+    return jet, H, whitham_matrix(model, H)
 
 
 def whitham_report(model: ModelSpec, params: WaveParams,
@@ -145,11 +123,12 @@ def whitham_report(model: ModelSpec, params: WaveParams,
     """Assemble the full modulation report at one wave."""
     if bracket is None:
         bracket = find_turning_points(model, params)
-    jet, mv, H, W = _whitham_assembly(model, params, bracket,
-                                      FDConfig(quad_order=quad_order))
+    jet, H, W = _whitham_assembly(model, params, bracket,
+                                  FDConfig(quad_order=quad_order))
     zs, vecs, resid, cls, cond = spectrum_and_classification(W)
     # the similar matrix in (mu, c, lambda), built apart from hessH
-    char = (np.linalg.solve(jet.hess, structural_matrices(model).S) / mv.k
+    char = (np.linalg.solve(jet.hess, structural_matrices(model).S)
+            / jet.state.k
             + params.c * np.eye(model.N + 2))
     match = _match_spectra(zs, eig_small(char)[0])
     sigH = int((np.linalg.eigvalsh(H) < 0).sum())

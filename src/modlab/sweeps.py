@@ -108,11 +108,12 @@ def _sweep_point(model: ModelSpec, params: WaveParams, cfg: FDConfig,
     and ``sv`` is S^-1 V for its frame vector V."""
     regime, center, _ = cfg.limit
     bracket = bracket_near_limit(model, params, center, regime)
-    jet, mv, _, W = _whitham_assembly(model, params, bracket, cfg)
+    jet, _, W = _whitham_assembly(model, params, bracket, cfg)
+    st = jet.state
     zs, vecs, resid = eig_small(W)
     grid_param = bracket.delta if regime == "harmonic" else bracket.rho
     return SweepRow(grid_param=float(grid_param), mu=params.mu,
-                    k=mv.k, alpha=mv.alpha, M=mv.M, Xi=float(jet.grad[0]),
+                    k=st.k, alpha=st.alpha, M=st.meanU, Xi=st.Xi,
                     eigenvalues=zs, eig_residuals=resid, eigenvectors=vecs,
                     whitham=W, d2mu_theta=float(jet.hess[0, 0]),
                     limit_proj=float(sv @ jet.hess @ sv))

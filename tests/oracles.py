@@ -23,7 +23,7 @@ from scipy.special import beta
 from modlab.action import FDConfig, action_hessian, rebracket
 from modlab.errors import DegenerateOrbit, UncoveredClass
 from modlab.models import WaveParams, structural_matrices
-from modlab.modulation import ModVars, coupling_matrix_A, params_to_modvars
+from modlab.modulation import coupling_matrix_A
 from modlab.profiles import (DEFAULT_QUAD_ORDER, OrbitIntegrals,
                              _state_from_integrals, find_turning_points,
                              orbit_integrals)
@@ -262,6 +262,20 @@ def hill_small_spectrum(model, params, bracket, nus):
     return np.array(out)
 
 
+@dataclass(frozen=True)
+class ModVars:
+    """A point of the modulation chart: wavenumber, excess impulse, mean."""
+
+    k: float
+    alpha: float
+    M: np.ndarray
+
+
+def modvars_of(state):
+    """The chart point of a ``WaveState``."""
+    return ModVars(state.k, state.alpha, state.meanU)
+
+
 def modvars_vector(mv):
     """The modulation variables (k, alpha, M) as one vector."""
     return np.concatenate(([mv.k, mv.alpha], mv.M))
@@ -287,7 +301,7 @@ def modvars_to_params(model, target, initial_guess, bracket=None,
     scale = np.maximum(np.abs(tvec), 1.0)
     for _ in range(max_iter):
         jet = action_hessian(model, p, br, cfg)
-        mv = params_to_modvars(model, jet.grad)
+        mv = modvars_of(jet.state)
         res = tvec - modvars_vector(mv)
         A = coupling_matrix_A(model, mv.k, mv.M)
         J = np.linalg.solve(jet.hess, A) / mv.k
@@ -349,23 +363,21 @@ def averaged_identities(model, params, bracket=None,
     if bracket is None:
         bracket = find_turning_points(model, params)
     o = orbit_integrals(model, params, bracket, quad_order)
-    mv = params_to_modvars(model, o.grad_theta)
+    st = _state_from_integrals(model, o)
+    mv = modvars_of(st)
     c, lam = params.c, params.lam
-    Xi = o.Xi
-    meanH = (o.int_E + 0.5 * o.theta) / Xi
-    meanLH = (0.5 * o.theta - o.int_E) / Xi
-    meanQ = o.int_Q / Xi
     sm = structural_matrices(model)
     # (iii) mean gradient: <deltaH> = -c B^-1 M - lambda, and the closed form
     mean_dH = -c * (sm.Binv @ mv.M) - lam
     closed = -c * model.impulse_gradient(mv.M) - lam
     res_dMH = float(np.max(np.abs(mean_dH - closed))) / max(1.0, float(np.max(np.abs(closed))))
     # (iv) impulse virial: <U . deltaH> = M . <deltaH> - 2 c k alpha
-    lhs = -2.0 * c * meanQ - float(lam @ mv.M)
+    lhs = -2.0 * c * st.meanQ - float(lam @ mv.M)
     rhs = float(mv.M @ mean_dH) - 2.0 * c * mv.k * mv.alpha
     res_virial = abs(lhs - rhs) / max(1.0, abs(lhs))
     # (v) averaged remainder
-    res_legendre = abs(meanLH - (mv.k * o.theta - meanH)) / max(1.0, abs(meanH))
+    res_legendre = (abs(st.meanLH - (mv.k * o.theta - st.meanH))
+                    / max(1.0, abs(st.meanH)))
     # (i), (ii) by finite differences of the chart Hamiltonian
     def H_of(mvx):
         return chart_hamiltonian(model, mvx, params, bracket, quad_order)

@@ -35,8 +35,7 @@ from modlab.miindex import (conjugate_model, conjugate_wave_params,
                             conjugation_check, critical_wavenumber, delta_mi)
 from modlab.models import (ModelSpec, WaveParams, gkdv_model,
                            structural_matrices)
-from modlab.modulation import (coupling_matrix_A, hessianH,
-                               params_to_modvars, whitham_report)
+from modlab.modulation import coupling_matrix_A, hessianH, whitham_report
 from modlab.polys import Laurent
 from modlab.profiles import (averaged_state, find_turning_points,
                              orbit_integrals)
@@ -45,8 +44,8 @@ from modlab.sweeps import asymptotic_sweep, eigen_splitting_fit, sweep_table
 from conftest import narrowed
 from oracles import (averaged_identities, chart_hamiltonian,
                      cubic_well_elliptic, fd_hessian, frame_vectors,
-                     kdv_soliton_facts, modvars_from_vector, modvars_vector,
-                     predicted_alpha_sign, shooting_oracle)
+                     kdv_soliton_facts, modvars_from_vector, modvars_of,
+                     modvars_vector, predicted_alpha_sign, shooting_oracle)
 
 TWO_PI = 2.0 * math.pi
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "modlab" / "configs"
@@ -218,14 +217,13 @@ def test_criterion_03_gradient_hessian_checks(cnoidal):
         assert abs(o.theta - rhs) <= 1e-9 * abs(o.theta)
         # congruence Hessian against the finite-difference chart Hessian
         jet = action_hessian(model, params, br)
-        mv = params_to_modvars(model, jet.grad)
-        H = hessianH(model, jet, mv, params.c)
+        H = hessianH(model, jet, params.c)
 
         def H_of(x):
             return chart_hamiltonian(model, modvars_from_vector(x), params,
                                      br)
 
-        fd = fd_hessian(H_of, modvars_vector(mv), 2e-4)
+        fd = fd_hessian(H_of, modvars_vector(modvars_of(jet.state)), 2e-4)
         assert np.max(np.abs(H - fd)) / np.max(np.abs(H)) <= 1e-3
 
 

@@ -159,6 +159,15 @@ class TestCommands:
         assert code == 0
         assert rep["stability_verdict"] == "modulationally_stable"
 
+    def test_mi_two_field_verdict(self):
+        # Delta_MI = 4.2e-9 here has a certain sign; the band is a
+        # rounding bound on its terms, not the scalar index's size
+        code, out, _ = run_cli(["mi", "--config",
+                                str(CONFIGS / "ek_lagrangian.json"),
+                                "--v0", "1.5", "--u0", "0.2", "--k0", "200"])
+        assert code == 0
+        assert json.loads(out)["stability_verdict"] == "modulationally_stable"
+
     def test_toy_command(self):
         code, out, _ = run_cli(["toy", "--config", GKDV, "--eps", "0.01",
                                 "--delta", "1", "--a-tilde", "1"])

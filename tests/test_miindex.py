@@ -166,6 +166,37 @@ def test_overflowing_index_is_a_config_error(request, family, U0, k0):
             delta_mi(model, U0, k0)
 
 
+class TestMarginalBand:
+    """``marginal`` means rounding could set the sign: |Delta_MI| within
+    TOL_MI = 64 eps of |prefactor| * sum |terms| of the sum it forms."""
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    @pytest.mark.parametrize("k0", [200.0, 2000.0, 2e4])
+    def test_two_field_index_of_one_signed_terms_is_decided(
+            self, ek_lagrangian, nls_hydro, k0, branch):
+        # the two-field index falls like k0^-2 (4.2e-9 at k0 = 200 here),
+        # far below the scalar size k0 max(1, f3^2, |f4|), yet every term
+        # of its ek_lagrangian bracket has one sign
+        rep = delta_mi(ek_lagrangian, [1.5, 0.2], k0, branch)
+        assert rep.stability_verdict == "modulationally_stable"
+        # nls_hydro's terms cancel to 2e-11 of their size at k0 = 2e4,
+        # still a thousand times the rounding bound
+        rep = delta_mi(nls_hydro, [1.0, 0.5], k0, branch)
+        assert rep.stability_verdict == "modulationally_stable"
+
+    @pytest.mark.parametrize("v0", [0.0, 0.7, -1.3])
+    def test_scalar_index_is_marginal_within_rounding_of_k_c(self, v0):
+        m = gkdv_model(f_coeffs=(0.0, 0.0, 0.0, -1.0 / 6.0, -1.0 / 24.0),
+                       label="cubic_neg_quartic")
+        kc = critical_wavenumber(m, v0)
+        for k0 in (math.nextafter(kc, 0.0), kc, math.nextafter(kc, math.inf)):
+            assert delta_mi(m, [v0], k0).stability_verdict == "marginal"
+        assert delta_mi(m, [v0], kc * (1.0 - 1e-9)).stability_verdict \
+            == "modulationally_stable"
+        assert delta_mi(m, [v0], kc * (1.0 + 1e-9)).stability_verdict \
+            == "modulationally_unstable"
+
+
 class TestSystemIndex:
     def test_admissibility(self, ek_eulerian):
         with pytest.raises(InadmissibleWavenumber):

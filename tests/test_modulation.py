@@ -7,63 +7,47 @@ from modlab.action import FDConfig, action_hessian
 from modlab.errors import DegenerateOrbit
 from modlab.models import WaveParams, gkdv_model, structural_matrices
 from modlab import modulation
-from modlab.modulation import (ModVars, coupling_matrix_A, hessianH,
-                               params_to_modvars, spectrum_and_classification,
+from modlab.modulation import (coupling_matrix_A, hessianH,
+                               spectrum_and_classification,
                                whitham_matrix, whitham_report)
-from modlab.profiles import averaged_state, find_turning_points, \
-    orbit_integrals
+from modlab.profiles import (OrbitIntegrals, _state_from_integrals,
+                             averaged_state, find_turning_points)
 
 from conftest import narrowed
-from oracles import (REFERENCE, averaged_identities, chart_hamiltonian,
-                     fd_hessian, modvars_from_vector, modvars_to_params,
-                     modvars_vector)
+from oracles import (REFERENCE, ModVars, averaged_identities,
+                     chart_hamiltonian, fd_hessian, modvars_from_vector,
+                     modvars_of, modvars_to_params, modvars_vector)
 
 
 class TestChartChange:
-    def test_nonpositive_period_is_degenerate(self, gkdv):
-        with pytest.raises(DegenerateOrbit):
-            params_to_modvars(gkdv, np.array([-1.0, 0.5, 0.2]))
-
-    def test_agrees_with_averaged_state(self, cnoidal):
-        model, params, br = cnoidal
-        o = orbit_integrals(model, params, br)
-        mv = params_to_modvars(model, o.grad_theta)
-        st = averaged_state(model, params, br)
-        assert mv.k == pytest.approx(st.k, rel=1e-12)
-        assert mv.alpha == pytest.approx(st.alpha, rel=1e-9)
-        assert np.allclose(mv.M, st.meanU, rtol=1e-12)
-
     def test_zero_mean_forces_alpha_equals_dctheta(self, gkdv):
-        # synthetic gradient with vanishing lambda-component
-        grad = np.array([2.0, 0.7, 0.0])
-        mv = params_to_modvars(gkdv, grad)
-        assert mv.alpha == pytest.approx(0.7)
-        assert mv.M[0] == 0.0
+        # synthetic integrals with a vanishing lambda-component
+        o = OrbitIntegrals(Xi=2.0, int_U=np.array([0.0]), int_Q=0.7,
+                           theta=0.0, int_E=0.0)
+        st = _state_from_integrals(gkdv, o)
+        assert st.alpha == pytest.approx(0.7)
+        assert st.meanU[0] == 0.0
 
     def test_round_trip(self, cnoidal):
         model, params, br = cnoidal
-        mv = params_to_modvars(model, orbit_integrals(model, params,
-                                                      br).grad_theta)
+        mv = modvars_of(averaged_state(model, params, br))
         p2, _, _ = modvars_to_params(model, mv,
                                      WaveParams(-0.42, 0.9, [0.05]))
         assert np.allclose(p2.as_vector(), params.as_vector(), atol=1e-8)
 
     def test_fixed_point_fast_convergence(self, cnoidal):
         model, params, br = cnoidal
-        mv = params_to_modvars(model, orbit_integrals(model, params,
-                                                      br).grad_theta)
+        mv = modvars_of(averaged_state(model, params, br))
         p2, _, _ = modvars_to_params(model, mv, params, bracket=br,
                                      max_iter=2)
         assert np.allclose(p2.as_vector(), params.as_vector(), atol=1e-10)
 
     def test_perturbed_target_recovered(self, cnoidal):
         model, params, br = cnoidal
-        mv = params_to_modvars(model, orbit_integrals(model, params,
-                                                      br).grad_theta)
+        mv = modvars_of(averaged_state(model, params, br))
         target = ModVars(mv.k + 1e-3, mv.alpha, mv.M)
         p2, br2, _ = modvars_to_params(model, target, params, bracket=br)
-        mv2 = params_to_modvars(model, orbit_integrals(model, p2,
-                                                       br2).grad_theta)
+        mv2 = modvars_of(averaged_state(model, p2, br2))
         assert np.max(np.abs(modvars_vector(mv2)
                              - modvars_vector(target))) < 1e-10
 
@@ -73,8 +57,7 @@ class TestChartChange:
         for off in (1e-3, 1e-5, 1e-7):
             p = WaveParams(-off, 1.0, [0.0])
             br = bracket_near_limit(gkdv, p, 0.0, "soliton")
-            mv = params_to_modvars(gkdv, orbit_integrals(gkdv, p,
-                                                         br).grad_theta)
+            mv = modvars_of(averaged_state(gkdv, p, br))
             cfg = FDConfig(limit=("soliton", 0.0, 0.0))
             _, _, cond = modvars_to_params(gkdv, mv, p, bracket=br,
                                            fd_config=cfg)
@@ -127,22 +110,20 @@ class TestHessianH:
     def test_against_fd_chart(self, cnoidal):
         model, params, br = cnoidal
         jet = action_hessian(model, params, br)
-        mv = params_to_modvars(model, jet.grad)
-        H = hessianH(model, jet, mv, params.c)
+        H = hessianH(model, jet, params.c)
 
         def H_of(x):
             return chart_hamiltonian(model, modvars_from_vector(x), params,
                                      br)
 
-        fd = fd_hessian(H_of, modvars_vector(mv), 2e-4)
+        fd = fd_hessian(H_of, modvars_vector(modvars_of(jet.state)), 2e-4)
         scale = np.max(np.abs(H))
         assert np.max(np.abs(H - fd)) / scale < 1e-3
 
     def test_alpha_gradient_identity(self, cnoidal):
         # dH/dalpha = -k c via the chart
         model, params, br = cnoidal
-        mv = params_to_modvars(model, orbit_integrals(model, params,
-                                                      br).grad_theta)
+        mv = modvars_of(averaged_state(model, params, br))
         h = 1e-6
         up = chart_hamiltonian(model, ModVars(mv.k, mv.alpha + h, mv.M),
                                params, br)
@@ -162,8 +143,7 @@ class TestHessianH:
             br = bracket_near_limit(gkdv, p, center, side)
             cfg = FDConfig(limit=(side, center, limit_mu))
             jet = action_hessian(gkdv, p, br, cfg)
-            mv = params_to_modvars(gkdv, jet.grad)
-            H = hessianH(gkdv, jet, mv, p.c)
+            H = hessianH(gkdv, jet, p.c)
             assert np.linalg.det(H[:2, :2]) < 0.0
 
 

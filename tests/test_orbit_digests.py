@@ -1,4 +1,5 @@
-"""Bit-level digests of the orbit engine, compared with stored copies.
+"""Bit-level digests of the orbit engine and the modulation layer,
+compared with stored copies.
 
 Each case brackets one orbit of a shipped family (a generic wave, a
 near-harmonic wave down to half-width 1e-4 or a gKdV near-soliton wave
@@ -9,8 +10,14 @@ bit of the two-field, no-v1 or near-limit paths fails here even where
 the README reports do not reach.  The soliton-anchor cases hash every
 numeric ``SolitonPoint`` field of gKdV families (lambda path) and
 Euler-Korteweg endstates, which covers the homoclinic integrals and
-their differences.  ``tests/data/orbit_digests.json`` holds the digests
-and one ``QuadratureNotConverged`` message.  A change
+their differences.  The modulation cases hash every ``WhithamReport``
+field of the generic waves, the near-limit action Hessian (``hess`` and
+``symmetry_residual``) of three near-limit waves and every numeric
+``SweepRow`` field of a harmonic and a soliton gKdV sweep; floats are
+hashed as ``<f8`` and complex values as ``<c16`` bytes, so a Python
+float and an ``np.float64`` of one value hash alike.
+``tests/data/orbit_digests.json`` holds the digests and one
+``QuadratureNotConverged`` message.  A change
 that moves these bits on purpose (an accuracy improvement shown against
 an oracle) refreshes the copy with
 
@@ -28,12 +35,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from modlab.action import FDConfig, action_hessian
 from modlab.errors import QuadratureNotConverged
 from modlab.limits import (_soliton_point_at_lambda, harmonic_point,
                            soliton_point)
 from modlab.models import WaveParams, model_from_dict
+from modlab.modulation import whitham_report
 from modlab.profiles import (bracket_near_limit, find_turning_points,
                              orbit_integrals)
+from modlab.sweeps import sweep_table
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data" / "orbit_digests.json"
@@ -109,6 +119,63 @@ def anchor_digest(case: str) -> str:
     return h.hexdigest()
 
 
+def values_digest(values) -> str:
+    """SHA-256 of strings and ints as text, complex data as <c16 and the
+    rest as <f8 bytes."""
+    h = hashlib.sha256()
+    for v in values:
+        if isinstance(v, (str, int)):
+            h.update(str(v).encode())
+        elif np.iscomplexobj(v):
+            h.update(np.asarray(v, dtype="<c16").tobytes())
+        else:
+            h.update(np.asarray(v, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def field_values(record) -> list:
+    return [getattr(record, f.name) for f in dataclasses.fields(record)]
+
+
+WHITHAM = [f"generic/{f[0]}/-" for f in FAMILIES]
+
+
+def whitham_digest(case: str) -> str:
+    model, params, br = orbit(case)
+    return values_digest(field_values(whitham_report(model, params, br)))
+
+
+HESSIANS = ("harmonic/gkdv/0.001", "harmonic/ek_lagrangian/0.001",
+            "soliton/gkdv/0.0001")
+
+
+def hessian_digest(case: str) -> str:
+    kind, name, _ = case.split("/")
+    model, params, br = orbit(case)
+    if kind == "soliton":
+        sp = soliton_point(model, 1.0, [0.0])
+        limit = ("soliton", sp.vs, sp.mus)
+    else:
+        hp = harmonic_point(model, params.c, params.lam)
+        limit = ("harmonic", hp.v0, hp.mu0)
+    jet = action_hessian(model, params, br, FDConfig(limit=limit))
+    return values_digest((jet.hess, jet.symmetry_residual))
+
+
+# gKdV sweeps at c = 1 and lambda = 0: (regime, mu offsets from the anchor)
+SWEEPS = {"gkdv/harmonic": (1e-3, 1e-4, 1e-5),
+          "gkdv/soliton": (1e-6, 1e-8, 1e-10)}
+
+
+def sweep_digest(case: str) -> str:
+    name, regime = case.split("/")
+    model = load_model(name)
+    anchor = (harmonic_point if regime == "harmonic"
+              else soliton_point)(model, 1.0, [0.0])
+    table = sweep_table(model, anchor, SWEEPS[case])
+    return values_digest(v for row in table.rows for v in field_values(row))
+
+
 def not_converged_message() -> str:
     model, params, br = orbit("generic/gkdv/-")
     with pytest.raises(QuadratureNotConverged) as info:
@@ -120,6 +187,9 @@ def capture() -> dict:
     return {"digests": {f"{c}@{n}": digest(c, n)
                         for c in CASES for n in ORDERS},
             "soliton_anchors": {c: anchor_digest(c) for c in ANCHORS},
+            "whitham_reports": {c: whitham_digest(c) for c in WHITHAM},
+            "action_hessians": {c: hessian_digest(c) for c in HESSIANS},
+            "sweep_tables": {c: sweep_digest(c) for c in SWEEPS},
             "not_converged": not_converged_message()}
 
 
@@ -135,6 +205,21 @@ def test_orbit_digest_unchanged(case, quad_order):
 @pytest.mark.parametrize("case", ANCHORS)
 def test_soliton_anchor_digest_unchanged(case):
     assert anchor_digest(case) == STORED["soliton_anchors"][case]
+
+
+@pytest.mark.parametrize("case", WHITHAM)
+def test_whitham_report_digest_unchanged(case):
+    assert whitham_digest(case) == STORED["whitham_reports"][case]
+
+
+@pytest.mark.parametrize("case", HESSIANS)
+def test_action_hessian_digest_unchanged(case):
+    assert hessian_digest(case) == STORED["action_hessians"][case]
+
+
+@pytest.mark.parametrize("case", SWEEPS)
+def test_sweep_table_digest_unchanged(case):
+    assert sweep_digest(case) == STORED["sweep_tables"][case]
 
 
 def test_not_converged_message_unchanged():

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import modlab
-from modlab.action import FDConfig
+from modlab.action import ActionJet, FDConfig
 from modlab.cli import DEFAULT_NUMERIC, build_parser, main
 from modlab.profiles import orbit_integrals
 
@@ -97,12 +97,31 @@ def test_cli_is_a_shell_over_the_library():
                    and (n.module in ("action", "modlab.action")
                         or any(a.name == "action" for a in n.names))]
     assert from_action == []
-    assert "params_to_modvars" not in referenced(tree)
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     options = {o for p in sub.choices.values() for a in p._actions
                for o in a.option_strings}
     assert not options & {"--" + k.replace("_", "-") for k in DEFAULT_NUMERIC}
+
+
+def test_one_derivation_of_the_wave_state():
+    # (k, alpha, M) and the other averages of a wave are derived in
+    # profiles._state_from_integrals alone; the action Hessian carries
+    # the state of its stencil centre instead of a second record
+    builders = {f"{name}.{node.name}"
+                for name, tree in parsed_modules().items()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and any(isinstance(n, ast.Call)
+                        and getattr(n.func, "id", None) == "WaveState"
+                        for n in ast.walk(node))}
+    assert builders == {"profiles._state_from_integrals"}
+    defined = {node.name for tree in parsed_modules().values()
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"ModVars", "params_to_modvars"}
+    assert tuple(f.name for f in dataclasses.fields(ActionJet)) == \
+        ("state", "hess", "symmetry_residual", "warnings")
 
 
 def test_orbit_integrals_takes_no_tolerance():
@@ -297,10 +316,8 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
 # shared-name fields that no package code reads yet, each kept for a
 # consumer the roadmap names
 UNREAD_SHARED = {
-    # the estimate of the quadrature error behind the Hessian, for the
-    # --diagnostics report
-    "ActionJet.quad_error",
-    # the same diagnostic at the soliton anchor; the anchor digest of
+    # the estimate of the quadrature error at the soliton anchor, for the
+    # --diagnostics report; the anchor digest of
     # tests/test_orbit_digests.py hashes it too
     "SolitonPoint.quad_error",
     # the public report's eigenmodes, which the fine asymptotics of the
