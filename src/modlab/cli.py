@@ -250,11 +250,12 @@ def cmd_limit_soliton(model, cfg, args) -> dict:
 
 
 def cmd_mi(model, cfg, args) -> dict:
-    if model.N == 1 and args.u0 is not None:
-        raise err.ConfigError("--u0 applies to two-field models only")
+    for flag, given in (("--u0", args.u0), ("--branch", args.branch)):
+        if model.N == 1 and given is not None:
+            raise err.ConfigError(f"{flag} applies to two-field models only")
     u0 = 0.0 if args.u0 is None else args.u0
     U0 = [args.v0] if model.N == 1 else [args.v0, u0]
-    rep = delta_mi(model, U0, args.k0, branch=args.branch)
+    rep = delta_mi(model, U0, args.k0, branch=args.branch or "plus")
     return {"v0": args.v0, "k0": rep.k0, "U0": list(rep.U0),
             "delta_mi": rep.delta_mi, "a_tilde0": rep.a_tilde0,
             "a0": rep.a0, "b0": rep.b0,
@@ -365,8 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CSV path; the fit report goes beside it")
     for flag, default in (("--v0", 1.0), ("--u0", None), ("--k0", 0.2)):
         cmd["mi"].add_argument(flag, type=_finite, default=default)
-    cmd["mi"].add_argument("--branch", choices=("plus", "minus"),
-                           default="plus")
+    cmd["mi"].add_argument("--branch", choices=("plus", "minus"))
     for flag, default in (("--eps", 0.01), ("--v", 0.0), ("--a-tilde", 1.0),
                           ("--delta", 1.0), ("--delta-prime", 0.0)):
         cmd["toy"].add_argument(flag, type=_finite, default=default)

@@ -154,7 +154,7 @@ def _fit_harmonic(model: ModelSpec, table: SweepTable) -> FitReport:
     k = table.column("k")[idx]
     al = table.column("alpha")[idx]
     Xi = table.column("Xi")[idx]
-    M0 = np.array([r.M[0] for r in table.rows])[idx]
+    M0 = table.column("M")[idx, 0]
     rate, _, r2_rate = linear_fit(np.log(d), np.log(np.abs(k - hp.k0)))
     A, r2_A = poly_extrapolate(d ** 2, al / d ** 2, 1)
     Amu, _ = poly_extrapolate(d ** 2, al / dmu, 1)
@@ -189,7 +189,7 @@ def _fit_harmonic(model: ModelSpec, table: SweepTable) -> FitReport:
     return FitReport(fits=fits, r2=r2)
 
 
-def _fit_soliton(model: ModelSpec, table: SweepTable) -> FitReport:
+def _fit_soliton(table: SweepTable) -> FitReport:
     sp: SolitonPoint = table.anchor
     idx = _tail(table)
     rho = table.column("grid_param")[idx]
@@ -235,18 +235,11 @@ def asymptotic_sweep(model: ModelSpec, anchor, offsets,
     table = sweep_table(model, anchor, offsets, quad_order)
     if table.regime == "harmonic":
         return table, _fit_harmonic(model, table)
-    return table, _fit_soliton(model, table)
+    return table, _fit_soliton(table)
 
 
 # ----------------------------------------------------------------------------
 # splitting of the double characteristic
-
-
-@dataclass(frozen=True)
-class SplitReport:
-    fits: dict
-    r2: dict
-    per_point: dict
 
 
 def _pair_near(zs: np.ndarray, target: float):
@@ -257,77 +250,67 @@ def _pair_near(zs: np.ndarray, target: float):
 
 
 def eigen_splitting_fit(model: ModelSpec, anchor,
-                        table: SweepTable) -> SplitReport:
+                        table: SweepTable) -> FitReport:
     """Track the eigenvalue pair emerging from the double characteristic.
 
-    Harmonic side: fits splitting^2 / alpha (the instability index) and
-    the square-root growth of the second eigenvector component.  Soliton
-    side: fits the splitting coefficient against rho/k, the log-log
-    convergence rate in rho, and the 1/|log rho| eigenvector drift.
-    ``table`` is the evaluated sweep of ``anchor``; it is not modified.
+    Both sides read the anchor's dispersionless spectrum once, and each
+    row's pair nearest the double characteristic (v_g at a harmonic
+    anchor, c_s at a soliton anchor) and its half-gap once.  Harmonic
+    side: fits splitting^2 / alpha (the instability index), the
+    square-root growth of the second eigenvector component and the drift
+    of the rest of the spectrum.  Soliton side: fits the splitting
+    coefficient against rho/k, the log-log convergence rate in rho, and
+    the 1/|log rho| eigenvector drift.  ``table`` is the
+    evaluated sweep of ``anchor``; it is not modified.
     """
+    if table.regime == "harmonic":
+        lw = limiting_whitham_harmonic(model, table.anchor)
+        target = table.anchor.vg
+    else:
+        lw = limiting_whitham_soliton(model, table.anchor)
+        target = table.anchor.cs
+    disp = np.sort(eig_small(lw["dispersionless"])[0].real)
+    pairs = [_pair_near(r.eigenvalues, target) for r in table.rows]
+    splits = np.array([0.5 * abs(pair[1] - pair[0]) for pair, _ in pairs])
+    grid = table.column("grid_param")
     idx = _tail(table)
     if table.regime == "harmonic":
-        hp: HarmonicPoint = table.anchor
         al = table.column("alpha")
-        d = table.column("grid_param")
-        splits, comp2, noise = [], [], []
-        for r in table.rows:
-            pair, _ = _pair_near(r.eigenvalues, hp.vg)
-            splits.append(0.5 * abs(pair[1] - pair[0]))
-            iplus = int(np.argmax(pair.real))
-            zplus = pair[iplus]
-            jcol = int(np.argmin(np.abs(r.eigenvalues - zplus)))
-            w = r.eigenvectors[:, jcol]
-            w = w / w[0]
-            comp2.append(float(np.real(w[1])))
-            noise.append(float(np.max(r.eig_residuals)))
-        splits = np.array(splits)
-        comp2 = np.array(comp2)
+        comp2 = []
+        for r, (pair, _) in zip(table.rows, pairs):
+            zplus = pair[int(np.argmax(pair.real))]
+            w = r.eigenvectors[:, int(np.argmin(np.abs(r.eigenvalues - zplus)))]
+            comp2.append(float(np.real((w / w[0])[1])))
+        noise = np.array([np.max(r.eig_residuals) for r in table.rows])
         ratio = splits ** 2 / al
         # fit only where the splitting stands clear of the eigen noise
-        ok = np.flatnonzero(splits > 1e4 * np.array(noise))
+        ok = np.flatnonzero(splits > 1e4 * noise)
         if ok.size < 3:
             raise FitRejected("splitting unresolved on the whole grid")
-        dmi_fit, r2_dmi = poly_extrapolate(d[ok] ** 2, ratio[ok], 1,
+        dmi_fit, r2_dmi = poly_extrapolate(grid[ok] ** 2, ratio[ok], 1,
                                            rel_floor=3e-4)
         coef = np.abs(comp2) / np.sqrt(al)
         vec_fit, r2_vec = poly_extrapolate(np.sqrt(al[ok]), coef[ok], 1,
                                            rel_floor=3e-4)
-        drift = []
-        lw = limiting_whitham_harmonic(model, hp)
-        disp = np.sort(eig_small(lw["dispersionless"])[0].real)
-        for r in table.rows:
-            _, rest = _pair_near(r.eigenvalues, hp.vg)
-            drift.append(np.max(np.abs(np.sort(rest.real) - disp)))
-        drate, _, r2_dr = linear_fit(np.log(al[idx]),
-                                     np.log(np.array(drift)[idx]))
-        fits = {"split2_over_alpha": dmi_fit,
-                "eigvec_coefficient": vec_fit,
-                "dispersionless_drift_rate": drate}
-        r2 = {"split2_over_alpha": r2_dmi, "eigvec": r2_vec,
-              "drift": r2_dr}
-        per_point = {"delta": d, "alpha": al, "splitting": splits,
-                     "ratio": ratio, "comp2": comp2}
-        return SplitReport(fits=fits, r2=r2, per_point=per_point)
+        drift = np.array([np.max(np.abs(np.sort(rest.real) - disp))
+                          for _, rest in pairs])
+        drate, _, r2_dr = linear_fit(np.log(al[idx]), np.log(drift[idx]))
+        return FitReport(
+            fits={"split2_over_alpha": dmi_fit,
+                  "eigvec_coefficient": vec_fit,
+                  "dispersionless_drift_rate": drate},
+            r2={"split2_over_alpha": r2_dmi, "eigvec": r2_vec,
+                "drift": r2_dr})
 
-    sp: SolitonPoint = table.anchor
-    rho = table.column("grid_param")
-    k = table.column("k")
-    lw = limiting_whitham_soliton(model, sp)
-    zl, Vl, _ = eig_small(lw["W_limit"])
     # the eigenvectors with a definite limit are the dispersionless ones;
     # the splitting pair's vectors merge exponentially fast instead
-    disp = np.sort(eig_small(lw["dispersionless"])[0].real)
+    zl, Vl, _ = eig_small(lw["W_limit"])
     vlims = []
     for z in disp:
-        jz = int(np.argmin(np.abs(zl - z)))
-        v = np.real(Vl[:, jz])
+        v = np.real(Vl[:, int(np.argmin(np.abs(zl - z)))])
         vlims.append(v / np.linalg.norm(v))
-    splits, angles = [], []
+    angles = []
     for r in table.rows:
-        pair, _ = _pair_near(r.eigenvalues, sp.cs)
-        splits.append(0.5 * abs(pair[1] - pair[0]))
         worst = 0.0
         for z, vlim in zip(disp, vlims):
             jz = int(np.argmin(np.abs(r.eigenvalues - z)))
@@ -335,19 +318,16 @@ def eigen_splitting_fit(model: ModelSpec, anchor,
             w = w / np.linalg.norm(w)
             worst = max(worst, math.acos(min(1.0, abs(float(w @ vlim)))))
         angles.append(worst)
-    splits = np.array(splits)
-    angles = np.array(angles)
-    coeff = splits * k / rho
-    coef_fit, r2_coef = poly_extrapolate((rho * -np.log(rho))[idx],
+    coeff = splits * table.column("k") / grid
+    coef_fit, r2_coef = poly_extrapolate((grid * -np.log(grid))[idx],
                                          coeff[idx], 1, rel_floor=3e-4)
-    rate, _, r2_rate = linear_fit(np.log(rho[idx]), np.log(splits[idx]))
-    slope_a, icpt_a, r2_ang = linear_fit(1.0 / np.abs(np.log(rho)), angles)
-    fits = {"split_coefficient": coef_fit,   # -> sqrt(pi/(hs Xi_s d2cM))
-            "split_rate_exponent": rate,
-            "eigvec_angle_slope": slope_a,
-            "eigvec_angle_intercept": icpt_a}
-    r2 = {"split_coefficient": r2_coef, "split_rate": r2_rate,
-          "eigvec_angle": r2_ang}
-    per_point = {"rho": rho, "k": k, "splitting": splits, "angle": angles,
-                 "coefficient": coeff}
-    return SplitReport(fits=fits, r2=r2, per_point=per_point)
+    rate, _, r2_rate = linear_fit(np.log(grid[idx]), np.log(splits[idx]))
+    slope_a, icpt_a, r2_ang = linear_fit(1.0 / np.abs(np.log(grid)),
+                                         np.array(angles))
+    return FitReport(
+        fits={"split_coefficient": coef_fit,   # -> sqrt(pi/(hs Xi_s d2cM))
+              "split_rate_exponent": rate,
+              "eigvec_angle_slope": slope_a,
+              "eigvec_angle_intercept": icpt_a},
+        r2={"split_coefficient": r2_coef, "split_rate": r2_rate,
+            "eigvec_angle": r2_ang})

@@ -6,12 +6,21 @@ import pytest
 from modlab.models import ModelSpec, WaveParams, gkdv_model, model_from_dict
 from modlab.polys import Laurent
 from modlab.profiles import find_turning_points
+from modlab.sweeps import _pair_near
 
 
 def narrowed(model, window):
     """``model`` with its domain, the one search window, cut to ``window``."""
     (lo, hi), (dlo, dhi) = window, model.domain
     return dataclasses.replace(model, domain=(max(lo, dlo), min(hi, dhi)))
+
+
+def split_ratios(table, target):
+    """Each sweep row's squared half-gap of its eigenvalue pair nearest
+    ``target`` over its alpha: the per-point split2_over_alpha."""
+    pairs = [_pair_near(r.eigenvalues, target)[0] for r in table.rows]
+    halfgaps = np.array([0.5 * abs(p[1] - p[0]) for p in pairs])
+    return halfgaps ** 2 / table.column("alpha")
 
 
 @pytest.fixture(scope="session")

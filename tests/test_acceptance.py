@@ -41,7 +41,7 @@ from modlab.profiles import (averaged_state, find_turning_points,
                              orbit_integrals)
 from modlab.sweeps import asymptotic_sweep, eigen_splitting_fit, sweep_table
 
-from conftest import narrowed
+from conftest import narrowed, split_ratios
 from oracles import (averaged_identities, chart_hamiltonian,
                      cubic_well_elliptic, fd_hessian, frame_vectors,
                      kdv_soliton_facts, modvars_from_vector, modvars_of,
@@ -297,10 +297,11 @@ def test_criterion_05e_harmonic_splitting(gkdv, anchors):
         split = eigen_splitting_fit(gkdv, hp, table=table)
         dmi = delta_mi(gkdv, [hp.v0], hp.k0).delta_mi
         assert dmi == pytest.approx(1.0 / TWO_PI, rel=1e-12)
-        d = split.per_point["delta"]
-        ratio = split.per_point["ratio"]
+        d = table.column("grid_param")
+        ratio = split_ratios(table, hp.vg)
         assert np.all(d <= 0.02 + 1e-9)
         assert np.max(np.abs(ratio - dmi) / dmi) <= 0.02
+        assert split.fits["split2_over_alpha"] == pytest.approx(dmi, rel=0.02)
 
 
 def test_criterion_06_soliton_limit(gkdv, anchors, soliton_sweep):

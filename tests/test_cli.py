@@ -419,6 +419,13 @@ class TestFailurePaths:
             assert code == 0, err
             reps.append(json.loads(out)["delta_mi"])
         assert reps[0] == reps[1] == -reps[2] != 0.0
+        # a scalar index has no speed branch: a given one is refused
+        for branch in ("plus", "minus"):
+            code, out, err = run_cli(["mi", "--config", GKDV, "--v0", "2",
+                                      "--k0", "0.159155", "--branch", branch])
+            assert code == 2 and not out
+            assert err == b"config error: --branch applies to two-field " \
+                b"models only\n"
 
     def test_sweep_checks_out_before_computing(self, monkeypatch, capsys):
         def compute(*args):

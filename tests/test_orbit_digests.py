@@ -13,7 +13,10 @@ Euler-Korteweg endstates, which covers the homoclinic integrals and
 their differences.  The modulation cases hash every ``WhithamReport``
 field of the generic waves, the near-limit action Hessian (``hess`` and
 ``symmetry_residual``) of three near-limit waves and every numeric
-``SweepRow`` field of a harmonic and a soliton gKdV sweep; floats are
+``SweepRow`` field of a harmonic and a soliton gKdV sweep.  The sweep
+fit cases hash the ``fits`` and ``r2`` values, in sorted key order, of
+``asymptotic_sweep`` and ``eigen_splitting_fit`` on gKdV, quartic and
+gKdV power-family sweeps toward both limits.  Floats are
 hashed as ``<f8`` and complex values as ``<c16`` bytes, so a Python
 float and an ``np.float64`` of one value hash alike.
 ``tests/data/orbit_digests.json`` holds the digests and one
@@ -39,11 +42,11 @@ from modlab.action import FDConfig, action_hessian
 from modlab.errors import QuadratureNotConverged
 from modlab.limits import (_soliton_point_at_lambda, harmonic_point,
                            soliton_point)
-from modlab.models import WaveParams, model_from_dict
+from modlab.models import WaveParams, gkdv_model, model_from_dict
 from modlab.modulation import whitham_report
 from modlab.profiles import (bracket_near_limit, find_turning_points,
                              orbit_integrals)
-from modlab.sweeps import sweep_table
+from modlab.sweeps import asymptotic_sweep, eigen_splitting_fit, sweep_table
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data" / "orbit_digests.json"
@@ -176,6 +179,50 @@ def sweep_digest(case: str) -> str:
     return values_digest(v for row in table.rows for v in field_values(row))
 
 
+# fitted sweeps: regime/family/c/kind, where kind "fit" runs
+# asymptotic_sweep on a mu-offset grid and "split" runs
+# eigen_splitting_fit on a grid in delta (mu - mu0 = W''(v0) delta^2 / 2)
+# or rho (mus - mu = 9 c rho^2 / 8); gkdv_p<p> is the power family
+# f = -v^(p+2) / ((p+1)(p+2)), its harmonic wells cut to (0.5, 5);
+# its soliton side at p = 1 is the gkdv case
+SWEEP_FITS = ([f"harmonic/gkdv/{c:g}/{kind}" for c in (1, 2)
+               for kind in ("fit", "split")]
+              + [f"soliton/gkdv/{c:g}/{kind}" for c in (0.5, 1, 2)
+                 for kind in ("fit", "split")]
+              + ["harmonic/quartic/-0.5/fit", "harmonic/quartic/-0.5/split"]
+              + [f"harmonic/gkdv_p{p}/1/split" for p in (1, 3, 5)]
+              + [f"soliton/gkdv_p{p}/1/split" for p in (3, 5)])
+
+
+def sweep_fit_digest(case: str) -> str:
+    regime, name, c, kind = case.split("/")
+    c = float(c)
+    if name.startswith("gkdv_p"):
+        p = int(name[len("gkdv_p"):])
+        model = gkdv_model(f_coeffs=(0.0,) * (p + 2)
+                           + (-1.0 / ((p + 1) * (p + 2)),), label=name)
+        if regime == "harmonic":
+            model = dataclasses.replace(model, domain=(0.5, 5.0))
+    else:
+        model = load_model(name)
+    if regime == "harmonic":
+        anchor = harmonic_point(model, c, [0.0])
+        w2 = model.potential_jet(anchor.v0, WaveParams(0.0, c, [0.0]), 2)[2]
+        split_grid = 0.5 * w2 * np.geomspace(0.02, 6e-3, 7) ** 2
+        fit_grid = np.geomspace(1e-3, 1e-6, 10)
+    else:
+        anchor = soliton_point(model, c, [0.0])
+        split_grid = 1.125 * c * np.geomspace(1e-2, 1e-6, 12) ** 2
+        fit_grid = np.geomspace(1e-6, 1e-14, 9)
+    if kind == "fit":
+        _, rep = asymptotic_sweep(model, anchor, fit_grid)
+    else:
+        table = sweep_table(model, anchor, split_grid)
+        rep = eigen_splitting_fit(model, anchor, table=table)
+    return values_digest([rep.fits[k] for k in sorted(rep.fits)]
+                         + [rep.r2[k] for k in sorted(rep.r2)])
+
+
 def not_converged_message() -> str:
     model, params, br = orbit("generic/gkdv/-")
     with pytest.raises(QuadratureNotConverged) as info:
@@ -190,6 +237,7 @@ def capture() -> dict:
             "whitham_reports": {c: whitham_digest(c) for c in WHITHAM},
             "action_hessians": {c: hessian_digest(c) for c in HESSIANS},
             "sweep_tables": {c: sweep_digest(c) for c in SWEEPS},
+            "sweep_fits": {c: sweep_fit_digest(c) for c in SWEEP_FITS},
             "not_converged": not_converged_message()}
 
 
@@ -220,6 +268,11 @@ def test_action_hessian_digest_unchanged(case):
 @pytest.mark.parametrize("case", SWEEPS)
 def test_sweep_table_digest_unchanged(case):
     assert sweep_digest(case) == STORED["sweep_tables"][case]
+
+
+@pytest.mark.parametrize("case", SWEEP_FITS)
+def test_sweep_fit_digest_unchanged(case):
+    assert sweep_fit_digest(case) == STORED["sweep_fits"][case]
 
 
 def test_not_converged_message_unchanged():

@@ -206,10 +206,8 @@ def test_one_whitham_assembly():
     assert callers == {"modulation._whitham_assembly"}
 
 
-# diagnostics a --diagnostics report will print, and the per-point data
-# of a splitting fit, which only the tests read
-UNREAD_FIELDS = {"ActionJet.symmetry_residual", "ActionJet.warnings",
-                 "SplitReport.per_point"}
+# diagnostics a --diagnostics report will print
+UNREAD_FIELDS = {"ActionJet.symmetry_residual", "ActionJet.warnings"}
 
 
 def test_every_dataclass_field_has_a_reader():
@@ -369,7 +367,7 @@ def test_shared_name_fields_are_read_through_their_class(monkeypatch,
             pairs |= {f"{cls.__name__}.{n}" for n in names}
             monkeypatch.setattr(cls, "__getattribute__",
                                 recording(cls, names))
-    assert len(pairs) > 30
+    assert len(pairs) >= 30
 
     monkeypatch.chdir(ROOT)
     monkeypatch.syspath_prepend(str(ROOT))

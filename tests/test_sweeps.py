@@ -12,7 +12,7 @@ from modlab.models import WaveParams, gkdv_model, model_from_dict
 from modlab.sweeps import (_pair_near, asymptotic_sweep, eigen_splitting_fit,
                            linear_fit, poly_extrapolate, sweep_table)
 
-from conftest import narrowed
+from conftest import narrowed, split_ratios
 from oracles import d3_kka_H, power_soliton_moment
 
 TWO_PI = 2.0 * math.pi
@@ -186,11 +186,65 @@ class TestSolitonTheoremPowerFamily:
                 assert np.min(np.abs(pair.imag)) >= 1e-3
 
 
+@pytest.fixture(scope="module", params=[1, 2, 3, 4, 5])
+def harmonic_power_run(request):
+    """(p, model, anchor, Delta_MI report, table) of the power family at
+    c = 1, lambda = 0 on the delta grid 0.02 -> 6e-3; W''(v0) = p there."""
+    p = request.param
+    model = narrowed(power_model(p), (0.5, 5.0))
+    hp = harmonic_point(model, 1.0, [0.0])
+    deltas = np.geomspace(0.02, 6e-3, 7)
+    table = sweep_table(model, hp, 0.5 * p * deltas ** 2)
+    return p, model, hp, delta_mi(model, [hp.v0], hp.k0), table
+
+
+class TestHarmonicTheoremPowerFamily:
+    """The harmonic theorem on the gKdV power family: small-amplitude
+    waves are modulationally unstable exactly when p > 2 (Bronski and
+    Johnson, ARMA 197, 2010).  Delta_MI = k0 p^2 v0^(p-2) (4 - 2p) at
+    the well bottom v0 = (p+1)^(1/p) is positive for p = 1, zero for
+    p = 2 and negative for p > 2; the pair nearest v_g is real or
+    conjugate to match, and its squared half-gap over alpha recovers
+    |Delta_MI|."""
+
+    def test_index_meets_the_closed_form(self, harmonic_power_run):
+        p, _, hp, rep, _ = harmonic_power_run
+        scale = hp.k0 * p ** 2 * hp.v0 ** (p - 2)
+        assert abs(rep.delta_mi - scale * (4 - 2 * p)) <= 1e-12 * scale
+        want = {1: "modulationally_stable", 2: "marginal"}.get(
+            p, "modulationally_unstable")
+        assert rep.stability_verdict == want
+
+    def test_sign_of_the_index_decides_the_pair(self, harmonic_power_run):
+        p, _, hp, _, table = harmonic_power_run
+        for row in table.rows:
+            pair, _ = _pair_near(row.eigenvalues, hp.vg)
+            if p <= 2:
+                assert np.all(pair.imag == 0.0)
+            else:
+                # |Im| runs from 1.6e-2 (p = 3, delta = 6e-3) to 0.21
+                assert pair[1] == np.conj(pair[0])
+                assert np.min(np.abs(pair.imag)) >= 1e-2
+
+    def test_split_law_recovers_the_index(self, harmonic_power_run):
+        p, model, hp, rep, table = harmonic_power_run
+        split = eigen_splitting_fit(model, hp, table=table)
+        ratio = split.fits["split2_over_alpha"]
+        assert split.r2["split2_over_alpha"] >= 0.999
+        if p == 2:
+            # the pair stays double to the eigen noise: 1.4e-9 measured
+            assert abs(ratio) <= 1e-6
+        else:
+            # the half-gap is unsigned, so the ratio meets |Delta_MI|
+            # (to <= 1.7e-5 measured)
+            assert abs(ratio - abs(rep.delta_mi)) <= 1e-3 * abs(rep.delta_mi)
+
+
 @pytest.fixture(scope="module")
 def harmonic_split_run(gkdv, harmonic_anchor):
     offsets = np.geomspace(0.02, 6e-3, 7) ** 2 / 2.0
     table = sweep_table(gkdv, harmonic_anchor, offsets)
-    return eigen_splitting_fit(gkdv, harmonic_anchor, table=table)
+    return table, eigen_splitting_fit(gkdv, harmonic_anchor, table=table)
 
 
 @pytest.fixture(scope="module")
@@ -205,9 +259,9 @@ class TestSplittingHarmonic:
     def test_split_ratio_matches_index(self, harmonic_split_run, gkdv,
                                        harmonic_anchor):
         rep = delta_mi(gkdv, [harmonic_anchor.v0], harmonic_anchor.k0)
-        split_run = harmonic_split_run
-        d = split_run.per_point["delta"]
-        ratio = split_run.per_point["ratio"]
+        table, split_run = harmonic_split_run
+        d = table.column("grid_param")
+        ratio = split_ratios(table, harmonic_anchor.vg)
         mask = d <= 0.02
         assert np.all(np.abs(ratio[mask] - rep.delta_mi)
                       / rep.delta_mi < 0.02)
@@ -215,14 +269,14 @@ class TestSplittingHarmonic:
             rep.delta_mi, rel=0.02)
 
     def test_eigvec_coefficient(self, harmonic_split_run, gkdv, harmonic_anchor):
-        split_run = harmonic_split_run
+        _, split_run = harmonic_split_run
         rep = delta_mi(gkdv, [harmonic_anchor.v0], harmonic_anchor.k0)
         want = d3_kka_H(gkdv, harmonic_anchor) / math.sqrt(rep.delta_mi)
         assert split_run.fits["eigvec_coefficient"] == pytest.approx(
             want, rel=0.05)
 
     def test_dispersionless_drift_linear_in_alpha(self, harmonic_split_run):
-        split_run = harmonic_split_run
+        _, split_run = harmonic_split_run
         assert split_run.fits["dispersionless_drift_rate"] == pytest.approx(
             1.0, abs=0.1)
 
@@ -279,7 +333,7 @@ class TestSplittingNegativeAlpha:
         offs = 0.5 * w2 * np.geomspace(0.02, 6e-3, 7) ** 2
         table = sweep_table(ek_lagrangian, hp, offs)
         rep = eigen_splitting_fit(ek_lagrangian, hp, table=table)
-        assert np.all(rep.per_point["alpha"] < 0.0)
+        assert np.all(table.column("alpha") < 0.0)
         u0 = ek_lagrangian.velocity_jet(hp.v0, c, lam[1])[0]
         dmi = delta_mi(ek_lagrangian, [hp.v0, u0], hp.k0).delta_mi
         # the ratio keeps alpha's sign; its magnitude is |Delta_MI|
