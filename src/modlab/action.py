@@ -81,10 +81,15 @@ def rebracket(model: ModelSpec, params: WaveParams,
                         regime_hint=reference.regime_hint, T=T)
 
 
-def _central_differences(f, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Jacobian of f at x by central differences, column j at step h_j."""
-    return np.column_stack([(f(x + e) - f(x - e)) / (2.0 * h)
-                            for h, e in zip(steps, np.diag(steps))])
+def _central_differences(f, x: np.ndarray, steps: np.ndarray,
+                         richardson: bool) -> np.ndarray:
+    """Jacobian J(h) of f at x by central differences, column j at step
+    h_j; with ``richardson``, (4 J(h/2) - J(h)) / 3, formed after J(h)."""
+    J = np.column_stack([(f(x + e) - f(x - e)) / (2.0 * h)
+                         for h, e in zip(steps, np.diag(steps))])
+    if richardson:
+        J = (4.0 * _central_differences(f, x, 0.5 * steps, False) - J) / 3.0
+    return J
 
 
 def action_hessian(model: ModelSpec, params: WaveParams,
@@ -137,10 +142,7 @@ def action_hessian(model: ModelSpec, params: WaveParams,
                 f"stencil point {x} crossed a limit: {exc}") from exc
         return orbit_integrals(model, p, b, cfg.quad_order).grad_theta
 
-    H = _central_differences(grad_at, x0, steps)
-    if cfg.richardson:
-        H2 = _central_differences(grad_at, x0, 0.5 * steps)
-        H = (4.0 * H2 - H) / 3.0
+    H = _central_differences(grad_at, x0, steps, cfg.richardson)
     scale = np.max(np.abs(H))
     sym = np.max(np.abs(H - H.T)) / scale if scale > 0 else 0.0
     H = 0.5 * (H + H.T)

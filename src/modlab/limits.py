@@ -3,14 +3,13 @@
 Both ends of a periodic-wave branch degenerate: amplitude -> 0 at a well
 minimum of the potential (harmonic wavetrains), wavelength -> infinity at
 a saddle level (solitary waves).  This module computes the limit points
-with their closed-form data, the explicit limiting modulation matrices
-on both boundaries, and the two-by-two toy model that isolates the
-double-characteristic splitting mechanism.  The well minimum and the
-saddle are looked for in the model domain, the one search window;
-narrow it with ``dataclasses.replace(model, domain=...)``.  The
-frame-vector identities that organize the action asymptotics are
-checked in the test oracles; the sweeps read only the projection
-direction S^-1 V, V = (1, q, U).
+with their closed-form data, the explicit limiting modulation matrices on
+both boundaries, and the two-by-two toy model that isolates the
+double-characteristic splitting mechanism.  An endstate is its own saddle;
+the well minimum and a lambda family's saddle are searched for in the
+model domain (narrow it with ``dataclasses.replace``).  The sweeps read
+only the projection direction S^-1 V, V = (1, q, U); the frame-vector
+identities of the action asymptotics are test oracles.
 """
 
 from __future__ import annotations
@@ -21,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import REL_STEP, _central_differences
+from .action import _central_differences
 from .errors import (ConfigError, DegenerateWell, GroupVelocityResonance,
-                     NoSaddle, NoWellMinimum, SpeedResonance)
+                     NoSaddle, NoWellMinimum, SpeedResonance,
+                     StencilLeftBranch)
 from .models import ModelSpec, WaveParams, structural_matrices
 from .modulation import whitham_matrix
 from .polys import padd, pder, pdeflate, pmul, pscale
@@ -111,15 +111,14 @@ def _response_coefficients(K1: float, K2: float, w2: float, w3: float,
 def harmonic_point(model: ModelSpec, c: float, lam) -> HarmonicPoint:
     """Locate the well minimum of the family (c, lambda) and its limit data.
 
-    Raises NoWellMinimum / DegenerateWell; for two-field models the
-    resonance-free harmonic speed branch is identified from the sign of
-    the reduced-velocity slope.
-    """
+    Raises NoWellMinimum / DegenerateWell, and GroupVelocityResonance where
+    g' = 0 (c = 0 on two-field models) or near it leaves the group velocity
+    or grad c0 non-finite; for two-field models the resonance-free harmonic
+    speed branch is identified from the sign of the reduced-velocity slope."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     params = WaveParams(0.0, c, lam)
     lo, hi = _window_in_domain(model)
-    minima = [(x, w2) for x, w2 in _critical_points(model, params)
-              if w2 > 0.0]
+    minima = [(x, w2) for x, w2 in _critical_points(model, params) if w2 > 0.0]
     if not minima:
         raise NoWellMinimum(f"no well minimum of W in ({lo}, {hi})")
     if len(minima) > 1:
@@ -148,7 +147,6 @@ def harmonic_point(model: ModelSpec, c: float, lam) -> HarmonicPoint:
         g, gv, gvv, _ = model.velocity_jet(v0, c, float(lam[1]))
         U0 = np.array([v0, g])
         c0 = c
-        vg = c - b * w2 / gv
         tj = model.tau_jet(v0, 3)
         fj = model.f_jet(v0, 3)
         # implicit differentiation of the defining quadratic for c0
@@ -160,42 +158,36 @@ def harmonic_point(model: ModelSpec, c: float, lam) -> HarmonicPoint:
                   - b * b * (tj[1] * kj[0] + tj[0] * kj[1])
                   * (2.0 * math.pi * k0) ** 2)
         dPhi_u = 2.0 * bt * b * tj[1] - b * b * tj[0] * tj[2] * g
-        grad_c0 = -np.array([dPhi_v, dPhi_u]) / dPhi_c
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            vg = c - b * w2 / gv
+            grad_c0 = -np.array([dPhi_v, dPhi_u]) / dPhi_c
         w0 = 2.0 * gv / b
         disp_hyp = (fj[2] + 0.5 * tj[2] * g * g) > 0.0
         branch = "plus" if gv > 0 else "minus"
+    if not np.isfinite([vg, *grad_c0]).all():
+        raise GroupVelocityResonance(
+            f"group velocity {vg} or grad c0 {grad_c0.tolist()} not finite")
     return HarmonicPoint(v0=v0, mu0=mu0, c=c, lam=lam, U0=U0, k0=k0, Xi0=Xi0,
                          c0=c0, vg=vg, a0=a0, b0=b0, w0=w0, grad_c0=grad_c0,
                          dispersionless_hyperbolic=disp_hyp, branch=branch)
 
 
-def _lambda_at_endstate(model: ModelSpec, c: float, Us: np.ndarray) -> np.ndarray:
-    grad = model.hamiltonian_gradient(Us) + c * model.impulse_gradient(Us)
-    return -grad
+def _lambda_at_endstate(model: ModelSpec, c: float, Us: np.ndarray):
+    return -(model.hamiltonian_gradient(Us) + c * model.impulse_gradient(Us))
 
 
-def _homoclinic_orbit(model: ModelSpec, c: float, lam: np.ndarray,
-                      near: float | None = None):
-    """Saddle vs of W, outer root vS of mu_s - W and the homoclinic integrals.
-
-    Returns (params at mu_s, vs, W''(vs), vS, (M, dcM, quad_error)) for the
-    family (c, lambda).  The saddle must be unique in the search window
-    unless ``near`` is given, in which case the saddle closest to it is
-    taken.
-    """
-    lo, hi = _window_in_domain(model)
+def _homoclinic_orbit(model: ModelSpec, c: float, lam: np.ndarray, vs: float):
+    """(params at mu_s, W''(vs), vS, (M, dcM, quad_error)) of the family
+    (c, lambda) at its saddle vs, with vS the outer root of mu_s - W; raises
+    NoSaddle unless vs lies in the search window with W''(vs) < 0."""
     params = WaveParams(0.0, c, lam)
-    saddles = [(x, w2) for x, w2 in _critical_points(model, params)
-               if w2 < 0.0]
-    if not saddles:
-        raise NoSaddle(f"no saddle of W in ({lo}, {hi})")
-    if near is not None:
-        vs, w2 = min(saddles, key=lambda t: abs(t[0] - near))
-    elif len(saddles) > 1:
-        raise NoSaddle(f"{len(saddles)} saddles in ({lo}, {hi}); narrow the window")
-    else:
-        vs, w2 = saddles[0]
-    params = WaveParams(model.potential_jet(vs, params, 0)[0], c, lam)
+    lo, hi = _window_in_domain(model)
+    if not lo < vs < hi:
+        raise NoSaddle(f"endstate {vs} outside the search window ({lo}, {hi})")
+    wj = model.potential_jet(vs, params, 2)
+    if not wj[2] < 0.0:
+        raise NoSaddle(f"endstate {vs} is no saddle: W'' = {wj[2]:.3e}")
+    params = WaveParams(wj[0], c, lam)
     # outer root of mu_s - W beyond the right well
     T, _ = level_polynomial(model, params)
     q, _ = pdeflate(T, vs)
@@ -205,56 +197,62 @@ def _homoclinic_orbit(model: ModelSpec, c: float, lam: np.ndarray,
     if not cands:
         raise NoSaddle("no outer turning level right of the saddle")
     vS = min(cands)
-    return params, vs, w2, vS, homoclinic_integrals(model, params, q, vs, vS)
+    return params, wj[2], vS, homoclinic_integrals(model, params, q, vs, vS)
 
 
 def soliton_point(model: ModelSpec, c: float, endstate) -> SolitonPoint:
-    """Saddle point of W with its homoclinic orbit data at a fixed endstate.
-
-    ``endstate`` is the solitary wave's endstate U_s (length N); the
-    family's lambda is reconstructed from it.  The adjacent well is
-    expected on the right of the saddle.  Raises NoSaddle when the saddle
-    of that family is not the endstate (e.g. the endstate is a well
-    bottom).
-    """
+    """Soliton anchor at the endstate U_s (length N), whose first component
+    is the saddle of W in the family lambda(c, U_s), with the adjacent well
+    on its right.  Raises NoSaddle where it is no saddle (a well bottom)."""
     Us = np.atleast_1d(np.asarray(endstate, dtype=float))
     if Us.shape[0] != model.N:
         raise ConfigError(f"endstate must have {model.N} component(s)")
-    sp = _soliton_point_at_lambda(model, c, _lambda_at_endstate(model, c, Us))
-    if np.any(np.abs(sp.Us - Us) > 1e-9 * np.maximum(1.0, np.abs(Us))):
-        raise NoSaddle(f"endstate {Us.tolist()} is not the saddle of its "
-                       f"family (saddle at Us = {sp.Us.tolist()})")
-    return sp
+    lam = _lambda_at_endstate(model, c, Us)
+    return _soliton_anchor(model, c, lam, Us, 0.0)
 
 
 def _soliton_point_at_lambda(model: ModelSpec, c: float, lam) -> SolitonPoint:
-    """Soliton anchor of the family (c, lambda).
-
-    The c- and endstate-derivatives of the moment are taken at the fixed
-    endstate U_s of this anchor.
-    """
+    """Soliton anchor of the family (c, lambda) at its unique saddle."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    params, vs, w2, vS, (Mval, dcM, qerr) = _homoclinic_orbit(model, c, lam)
-    if model.kind == "scalar":
-        Us = np.array([vs])
-    else:
-        Us = np.array([vs, model.velocity_jet(vs, c, float(lam[1]))[0]])
+    params = WaveParams(0.0, c, lam)
+    saddles = [x for x, w2 in _critical_points(model, params) if w2 < 0.0]
+    if len(saddles) != 1:
+        raise NoSaddle(f"{len(saddles)} saddles of W in the window "
+                       f"{_window_in_domain(model)}; the family needs one")
+    vs = saddles[0]
+    Us = np.array([vs] if model.kind == "scalar" else
+                  [vs, model.velocity_jet(vs, c, float(lam[1]))[0]])
     lam_res = float(np.max(np.abs(_lambda_at_endstate(model, c, Us) - lam)))
+    return _soliton_anchor(model, c, lam, Us, lam_res)
+
+
+def _soliton_anchor(model: ModelSpec, c: float, lam: np.ndarray,
+                    Us: np.ndarray, lam_res: float) -> SolitonPoint:
+    """Soliton anchor of the family (c, lambda) at its endstate U_s."""
+    vs = float(Us[0])
+    params, w2, vS, (Mval, dcM, qerr) = _homoclinic_orbit(model, c, lam, vs)
     XiS = 2.0 * math.pi * math.sqrt(model.kappa_jet(vs, 0)[0] / (-w2))
 
     # d2_c M and grad_U M from the Jacobian of (M, d_c M) over x = (c, U_s)
+    # at fixed endstate: the family lambda(x[0], x[1:]) has its saddle at x[1]
     def moments(x):
         lam_ = _lambda_at_endstate(model, x[0], x[1:])
-        return np.array(
-            _homoclinic_orbit(model, x[0], lam_, near=vs)[-1][:2])
+        try:
+            return np.array(_homoclinic_orbit(model, x[0], lam_, x[1])[-1][:2])
+        except NoSaddle as exc:
+            raise StencilLeftBranch(
+                f"stencil point {x.tolist()} left the family: {exc}") from exc
 
+    # the moments vary on the scale a = -W''(vs) > 0 (c - v_s on gkdv), the
+    # margin to where the soliton ceases to exist; Richardson error (h/a)^4
+    # against quadrature noise eps/(h/a) gives h/a = eps^(1/5), about 1e-3
     x = np.concatenate(([c], Us))
-    J = _central_differences(moments, x, REL_STEP * np.maximum(1.0, np.abs(x)))
-    dc2M, gradUM = float(J[1, 0]), J[0, 1:]
+    steps = 1e-3 * np.minimum(-w2, np.maximum(1.0, np.abs(x)))
+    J = _central_differences(moments, x, steps, richardson=True)
     return SolitonPoint(vs=vs, vS=vS, mus=params.mu, cs=c, Us=Us, lambdas=lam,
-                        XiS=XiS, boussinesq=Mval, dcM=dcM, dc2M=dc2M,
-                        gradUM=gradUM, lambda_residual=lam_res,
-                        quad_error=qerr)
+                        XiS=XiS, boussinesq=Mval, dcM=dcM, quad_error=qerr,
+                        dc2M=float(J[1, 0]), gradUM=J[0, 1:],
+                        lambda_residual=lam_res)
 
 
 # ----------------------------------------------------------------------------
@@ -262,40 +260,45 @@ def _soliton_point_at_lambda(model: ModelSpec, c: float, lam) -> SolitonPoint:
 
 
 def limiting_whitham_harmonic(model: ModelSpec, hp: HarmonicPoint) -> dict:
-    """Zero-amplitude limit of the modulation matrices and its reduction."""
+    """Zero-amplitude limit of the modulation matrices and its reduction;
+    a group velocity near overflow leaves it non-finite, which is refused."""
     sm = structural_matrices(model)
     N = model.N
     H2 = model.hamiltonian_hessian(hp.U0)
-    det_vg = np.linalg.det(sm.B @ H2 + hp.vg * np.eye(N))
     scale = max(1.0, float(np.max(np.abs(H2))))
-    if abs(det_vg) < RESONANCE_TOL * scale:
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_vg = np.linalg.det(sm.B @ H2 + hp.vg * np.eye(N))
+        if abs(det_vg) < RESONANCE_TOL * scale:
+            raise GroupVelocityResonance(f"group velocity {hp.vg} resonates "
+                                         "with the dispersionless matrix")
+        k0 = hp.k0
+        dkc0 = (hp.vg - hp.c0) / k0
+        Mc = H2 + hp.c0 * sm.Binv
+        Mg = H2 + hp.vg * sm.Binv
+        gc = hp.grad_c0
+        d2aH = (k0 ** 4 * dkc0 ** 2 * hp.a0
+                + k0 ** 2 * float(gc @ np.linalg.solve(Mc, gc)))
+        a_tilde0 = -d2aH + k0 ** 2 * float(gc @ np.linalg.solve(Mg, gc))
+        n = N + 2
+        hessH = np.zeros((n, n))
+        hessH[0, 1] = hessH[1, 0] = -hp.vg
+        hessH[1, 1] = d2aH
+        hessH[1, 2:] = hessH[2:, 1] = -k0 * gc
+        hessH[2:, 2:] = H2
+        Wlim = whitham_matrix(model, hessH)
+        Pt = np.eye(n)
+        sol = np.linalg.solve(Mg, gc)
+        Pt[0, 2:] = -k0 * (sm.Binv @ sol)
+        Pt[2:, 1] = k0 * sol
+        block = np.zeros((n, n))
+        block[0, 0] = block[1, 1] = hp.vg
+        block[0, 1] = a_tilde0
+        block[2:, 2:] = -sm.B @ H2
+        resid = float(np.max(np.abs(
+            np.linalg.solve(Pt, Wlim @ Pt) - block)))
+    if not np.isfinite([a_tilde0, resid, *Wlim.flat]).all():
         raise GroupVelocityResonance(
-            f"group velocity {hp.vg} resonates with the dispersionless matrix")
-    k0 = hp.k0
-    dkc0 = (hp.vg - hp.c0) / k0
-    Mc = H2 + hp.c0 * sm.Binv
-    Mg = H2 + hp.vg * sm.Binv
-    gc = hp.grad_c0
-    d2aH = (k0 ** 4 * dkc0 ** 2 * hp.a0
-            + k0 ** 2 * float(gc @ np.linalg.solve(Mc, gc)))
-    a_tilde0 = -d2aH + k0 ** 2 * float(gc @ np.linalg.solve(Mg, gc))
-    n = N + 2
-    hessH = np.zeros((n, n))
-    hessH[0, 1] = hessH[1, 0] = -hp.vg
-    hessH[1, 1] = d2aH
-    hessH[1, 2:] = -k0 * gc
-    hessH[2:, 1] = -k0 * gc
-    hessH[2:, 2:] = H2
-    Wlim = whitham_matrix(model, hessH)
-    Pt = np.eye(n)
-    sol = np.linalg.solve(Mg, gc)
-    Pt[0, 2:] = -k0 * (sm.Binv @ sol)
-    Pt[2:, 1] = k0 * sol
-    block = np.zeros((n, n))
-    block[0, 0] = block[1, 1] = hp.vg
-    block[0, 1] = a_tilde0
-    block[2:, 2:] = -sm.B @ H2
-    resid = float(np.max(np.abs(np.linalg.solve(Pt, Wlim @ Pt) - block)))
+            f"group velocity {hp.vg} leaves the limiting block non-finite")
     return {"W_limit": Wlim, "a_tilde0": a_tilde0, "block_residual": resid,
             "dispersionless": -sm.B @ H2}
 

@@ -103,12 +103,6 @@ def spectrum_and_classification(W: np.ndarray):
     return zs, vecs, resid, cls, cond
 
 
-def _match_spectra(z1: np.ndarray, z2: np.ndarray) -> float:
-    a = z1[np.lexsort((z1.imag, z1.real))]
-    b = z2[np.lexsort((z2.imag, z2.real))]
-    return float(np.max(np.abs(a - b)))
-
-
 def _whitham_assembly(model: ModelSpec, params: WaveParams,
                       bracket: OrbitBracket, fd_config: FDConfig | None):
     """(action jet, hessH, W) of the wave on ``bracket``."""
@@ -130,7 +124,8 @@ def whitham_report(model: ModelSpec, params: WaveParams,
     char = (np.linalg.solve(jet.hess, structural_matrices(model).S)
             / jet.state.k
             + params.c * np.eye(model.N + 2))
-    match = _match_spectra(zs, eig_small(char)[0])
+    # eig_small returns both spectra sorted by (Re, Im)
+    match = float(np.max(np.abs(zs - eig_small(char)[0])))
     sigH = int((np.linalg.eigvalsh(H) < 0).sum())
     sigT = int((np.linalg.eigvalsh(jet.hess) < 0).sum())
     return WhithamReport(hessH=H, whitham=W, eigenvalues=zs,

@@ -269,7 +269,7 @@ def eigen_splitting_fit(model: ModelSpec, anchor,
     else:
         lw = limiting_whitham_soliton(model, table.anchor)
         target = table.anchor.cs
-    disp = np.sort(eig_small(lw["dispersionless"])[0].real)
+    disp = eig_small(lw["dispersionless"])[0].real
     pairs = [_pair_near(r.eigenvalues, target) for r in table.rows]
     splits = np.array([0.5 * abs(pair[1] - pair[0]) for pair, _ in pairs])
     grid = table.column("grid_param")

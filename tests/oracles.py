@@ -94,6 +94,21 @@ def kdv_soliton_facts(c):
             "dc2M": facts["dc2M"]}
 
 
+def ek_lagrangian_soliton_facts(c, vs):
+    """Closed-form soliton moment of ``ek_lagrangian.json`` at fixed endstate.
+
+    With f = -v^3/6 and kappa = tau = b = 1, mu_s - W = w^2 (3a - w) / 6
+    in w = v - v_s, where a = -v_s - c^2 > 0; the endstate's u_s drops
+    out.  So M = (24/5) a^(5/2), and d2_c M = 24 a^(1/2) (4 c^2 + v_s)
+    changes sign at c^2 = -v_s / 4.  Returns M, dcM, dc2M and
+    gradUM = (d_vs M, d_us M) = (-12 a^(3/2), 0).
+    """
+    a = -vs - c * c
+    return {"moment": 4.8 * a ** 2.5, "dcM": -24.0 * c * a ** 1.5,
+            "dc2M": 24.0 * a ** 0.5 * (4.0 * c * c + vs),
+            "gradUM": np.array([-12.0 * a ** 1.5, 0.0])}
+
+
 def power_soliton_moment(p, c):
     """Closed-form soliton moment of the gKdV power family on endstate 0.
 

@@ -392,6 +392,16 @@ class TestFailurePaths:
         assert not out and err and b"Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("c", ["0", "1e-300"])
+    def test_infinite_group_velocity_exits_4(self, c):
+        # g' = 0 at c = 0 on ek_lagrangian makes the group velocity
+        # infinite; at c = 1e-300 it is finite but overflows the block
+        code, out, err = run_cli([
+            "limit_harmonic", "--config", str(CONFIGS / "ek_lagrangian.json"),
+            "--lambda=0.4,-0.2", f"--c={c}"])
+        assert code == 4 and not out
+        assert err.startswith(b"limit failure: ") and err.count(b"\n") == 1
+
     def test_sweep_past_the_opposite_limit_exits_4(self, tmp_path):
         # mu0 + 1e-2 lies above the saddle level: the near-limit bracket
         # holds no roots there and refuses to be built
@@ -454,6 +464,15 @@ class TestSolitonAnchorArguments:
         assert code == 0, err
         rep = json.loads(out)
         assert rep["Us"] == pytest.approx([-1.2, 0.3], abs=1e-12)
+
+    def test_near_sonic_endstate(self):
+        # c - v_s = 1e-3: every stencil point of the anchor's Jacobian
+        # stays a saddle of its own family
+        code, out, err = run_cli(["limit_soliton", "--config", GKDV,
+                                  "--c", "1e-3"])
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["dc2M"] == pytest.approx(18.0 * 1e-3 ** 0.5, rel=1e-4)
 
 
 class TestOptionContract:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from modlab.errors import ConfigError, NoSaddle, NoWellMinimum
+from modlab import limits
+from modlab.errors import (ConfigError, NoSaddle, NoWellMinimum,
+                           StencilLeftBranch)
 from modlab.limits import (HarmonicPoint, _soliton_point_at_lambda,
                            harmonic_point, limiting_whitham_harmonic,
                            limiting_whitham_soliton, soliton_point,
@@ -12,7 +14,8 @@ from modlab.models import ModelSpec, WaveParams, structural_matrices
 from modlab.polys import Laurent
 
 from conftest import narrowed
-from oracles import frame_vectors, kdv_soliton_facts
+from oracles import (ek_lagrangian_soliton_facts, frame_vectors,
+                     kdv_soliton_facts)
 
 TWO_PI = 2.0 * math.pi
 
@@ -196,13 +199,52 @@ class TestSolitonPoint:
         assert sp.XiS == pytest.approx(TWO_PI, rel=1e-12)
         assert sp.boussinesq == pytest.approx(facts["moment"], rel=1e-10)
         assert sp.dcM == pytest.approx(facts["dcM"], rel=1e-10)
-        assert sp.dc2M == pytest.approx(facts["dc2M"], rel=1e-6)
-        assert sp.gradUM[0] == pytest.approx(-12.0, rel=1e-6)
+        assert sp.dc2M == pytest.approx(facts["dc2M"], rel=1e-12)
+        assert sp.gradUM[0] == pytest.approx(-12.0, rel=1e-12)
         assert sp.dcM > 0.0
 
     def test_lambda_reconstruction(self, gkdv):
         sp = soliton_point(narrowed(gkdv, (-3.0, 5.0)), 1.0, [0.0])
-        assert sp.lambda_residual < 1e-12
+        assert sp.lambda_residual == 0.0
+
+    @pytest.mark.parametrize("family, c, endstate", [
+        ("gkdv", 0.5, [-0.4]), ("ek_lagrangian", 0.8, [-1.2, 0.3])])
+    def test_endstate_is_the_saddle(self, request, family, c, endstate):
+        # the anchor is built at the endstate as given, in its own family
+        sp = soliton_point(request.getfixturevalue(family), c, endstate)
+        assert sp.Us.tolist() == endstate and sp.vs == endstate[0]
+        assert sp.lambda_residual == 0.0
+
+    def test_one_saddle_search_per_lambda_anchor(self, gkdv, monkeypatch):
+        # the endstate is the saddle: no search for it, and none per
+        # stencil point; a family lambda is searched once
+        calls = []
+        search = limits._critical_points
+
+        def counted(model, params):
+            calls.append(params.c)
+            return search(model, params)
+
+        monkeypatch.setattr(limits, "_critical_points", counted)
+        soliton_point(gkdv, 1.0, [0.3])
+        assert calls == []
+        _soliton_point_at_lambda(gkdv, 1.0, [0.1])
+        assert calls == [1.0]
+
+    def test_gkdv_closed_forms_at_fixed_endstate(self, gkdv):
+        # f = -v^3/6 is Galilean: M = (24/5) (c - v_s)^(5/2), so
+        # d2_c M = 18 (c - v_s)^(1/2) and grad_U M = -12 (c - v_s)^(3/2),
+        # on 15 anchors given by endstate or by lambda
+        errs = []
+        for c in (0.5, 1.0, 2.0):
+            anchors = [soliton_point(gkdv, c, [e]) for e in (0.0, 0.3, -0.4)]
+            anchors += [_soliton_point_at_lambda(gkdv, c, [lam])
+                        for lam in (0.1, -0.05)]
+            for sp in anchors:
+                d = c - sp.vs
+                errs += [abs(sp.dc2M / (18.0 * d ** 0.5) - 1.0),
+                         abs(sp.gradUM[0] / (-12.0 * d ** 1.5) - 1.0)]
+        assert max(errs) <= 1e-11
 
     def test_speed_family_scaling(self, gkdv):
         # d_c M = 12 c^{3/2} along the endstate-zero family
@@ -226,9 +268,9 @@ class TestSolitonPoint:
         # the same anchor from its endstate, through the same builder
         again = soliton_point(gkdv, 1.0, sp.Us)
         assert again.lambdas[0] == pytest.approx(0.1, rel=1e-14)
-        assert again.vs == pytest.approx(sp.vs, rel=1e-13)
-        assert again.dc2M == pytest.approx(sp.dc2M, rel=1e-8)
-        assert np.allclose(again.gradUM, sp.gradUM, rtol=1e-8)
+        assert again.vs == sp.vs
+        assert again.dc2M == pytest.approx(sp.dc2M, rel=1e-13)
+        assert np.allclose(again.gradUM, sp.gradUM, rtol=1e-13, atol=0.0)
 
     def test_no_saddle_error(self, gkdv):
         with pytest.raises(NoSaddle):
@@ -246,12 +288,78 @@ class TestSolitonPoint:
         sp = soliton_point(ek_lagrangian, 0.8, np.array([-1.2, 0.3]))
         # constant-tau sign law: the impulse limit carries the sign of -c
         assert np.sign(sp.dcM) == np.sign(-0.8)
-        assert sp.lambda_residual < 1e-10
+        assert sp.lambda_residual == 0.0
+        # with constant tau, mu_s - W does not depend on u_s
+        assert abs(sp.gradUM[1]) <= 1e-12
         # moment derivative against finite differences of the moment
         h = 1e-5
         up = soliton_point(ek_lagrangian, 0.8 + h, sp.Us).boussinesq
         dn = soliton_point(ek_lagrangian, 0.8 - h, sp.Us).boussinesq
         assert (up - dn) / (2 * h) == pytest.approx(sp.dcM, rel=1e-5)
+
+    def test_system_soliton_closed_forms(self, ek_lagrangian):
+        # d2_c M against its scale 24 a^(1/2) (4 c^2 + |v_s|), which the
+        # sign flip crosses, and grad_U M against |d_vs M|
+        errs = []
+        for c in (0.5, 0.8):
+            for Us in ([-1.2, 0.3], [-2.0, -0.7], [-1.0, 0.0]):
+                sp = soliton_point(ek_lagrangian, c, Us)
+                facts = ek_lagrangian_soliton_facts(c, Us[0])
+                a = -Us[0] - c * c
+                assert sp.boussinesq == pytest.approx(facts["moment"],
+                                                      rel=1e-12)
+                assert sp.dcM == pytest.approx(facts["dcM"], rel=1e-12)
+                errs += [abs(sp.dc2M - facts["dc2M"])
+                         / (24.0 * a ** 0.5 * (4.0 * c * c - Us[0])),
+                         *np.abs(sp.gradUM - facts["gradUM"])
+                         / abs(facts["gradUM"][0])]
+        assert max(errs) <= 1e-11
+
+    @pytest.mark.parametrize("vs", [-0.5, -1.0, -1.2, -2.0])
+    def test_system_soliton_flips_at_the_threshold(self, ek_lagrangian, vs):
+        # d2_c M at fixed endstate changes sign at c*^2 = -v_s / 4 (the
+        # form of Bona & Sachs's threshold): complex pair below, real above
+        cs = math.sqrt(-vs / 4.0)
+        dc2M = [soliton_point(ek_lagrangian, c, [vs, 0.3]).dc2M
+                for c in (cs * (1.0 - 1e-6), cs, cs * (1.0 + 1e-6))]
+        assert abs(dc2M[1]) <= 1e-10
+        assert dc2M[0] < 0.0 < dc2M[2]
+
+    @pytest.mark.parametrize("family, c, endstate", [
+        ("gkdv", 1.0, [0.999]),
+        ("ek_lagrangian", math.sqrt(0.999 * 1.2), [-1.2, 0.3])])
+    def test_near_sonic_anchor(self, request, family, c, endstate):
+        # a = -W''(v_s) = 1e-3 |v_s| (c^2 / c_s^2 = 0.999 on ek_lagrangian):
+        # the stencil keeps within the soliton family, and the level
+        # polynomial's rounding, not the step, limits the accuracy
+        sp = soliton_point(request.getfixturevalue(family), c, endstate)
+        if family == "gkdv":
+            a = c - endstate[0]
+            facts = {"dc2M": 18.0 * a ** 0.5, "gradUM": [-12.0 * a ** 1.5]}
+            scale = facts["dc2M"]
+        else:
+            facts = ek_lagrangian_soliton_facts(c, endstate[0])
+            scale = 24.0 * (-endstate[0] - c * c) ** 0.5 * (
+                4.0 * c * c - endstate[0])
+        assert abs(sp.dc2M - facts["dc2M"]) <= 1e-4 * scale
+        assert np.allclose(sp.gradUM, facts["gradUM"], rtol=0.0,
+                           atol=1e-4 * abs(facts["gradUM"][0]))
+
+    @pytest.mark.parametrize("c", [1e-3, 1e-2, 0.1])
+    def test_gkdv_accuracy_holds_down_to_the_edge(self, gkdv, c):
+        # the Jacobian steps scale with a = c - v_s, and so does the
+        # soliton: the relative error does not grow as a -> 0 at v_s = 0
+        sp = soliton_point(gkdv, c, [0.0])
+        assert sp.dc2M == pytest.approx(18.0 * c ** 0.5, rel=1e-11)
+        assert sp.gradUM[0] == pytest.approx(-12.0 * c ** 1.5, rel=1e-11)
+
+    def test_stencil_point_leaving_the_family_is_named(self, ek_lagrangian):
+        # at c^2 / c_s^2 = 1 - 1e-6 the anchor exists but a stencil point
+        # has no outer turning level
+        c = math.sqrt((1.0 - 1e-6) * 1.2)
+        with pytest.raises(StencilLeftBranch,
+                           match=r"stencil point \[.*\] left the family"):
+            soliton_point(ek_lagrangian, c, [-1.2, 0.3])
 
 
 class TestLimitingMatrices:
@@ -275,7 +383,7 @@ class TestLimitingMatrices:
         zs = np.sort(np.linalg.eigvals(lw["W_limit"]).real)
         assert np.allclose(zs, [0.0, 1.0, 1.0], atol=1e-9)
         # (grad M)^2 / (f''(0) + c) = 144
-        assert lw["dk2H_limit"] == pytest.approx(144.0, rel=1e-5)
+        assert lw["dk2H_limit"] == pytest.approx(144.0, rel=1e-12)
         # diagonalizable double root at the speed
         rank = np.linalg.matrix_rank(lw["W_limit"] - sp.cs * np.eye(3),
                                      tol=1e-7)

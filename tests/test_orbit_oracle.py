@@ -18,12 +18,18 @@ grows like eps/delta, which ROADMAP direction 2 traces to the
 unshifted deflation of v2 and v3 in ``orbit_integrals``.  Each case
 it takes above the gate is a strict xfail that states its measured
 error, so that the fix turns it green.
+
+Soliton anchor: the moment derivatives of the gKdV power family at an
+endstate, d_c M and grad_U M by tanh-sinh quadrature of their exact
+integrands and d2_c M by mpmath's derivative of d_c M, at 40 digits,
+against ``soliton_point``'s Richardson differences of its homoclinic
+integrals.
 """
 
 import pytest
 
 from modlab.limits import harmonic_point, soliton_point
-from modlab.models import WaveParams
+from modlab.models import WaveParams, gkdv_model
 from modlab.profiles import bracket_near_limit, level_polynomial, \
     orbit_integrals
 
@@ -140,3 +146,49 @@ def test_soliton_side_holds_the_gate(rho):
 def test_harmonic_side_holds_the_gate(name, delta):
     errors = relative_errors(*harmonic_wave(name, delta))
     assert max(errors.values()) <= GATE, errors
+
+
+def power_soliton_derivatives(p, c, vs):
+    """(d_c M, d2_c M, d_vs M) at 40 digits for f = -v^(p+2)/((p+1)(p+2)).
+
+    With kappa = b = 1 and the saddle at the endstate vs, mu_s - W =
+    w^2 P(w) in w = v - vs, P(w) = sum_k a_k w^(k-2) with a_2 = (c -
+    vs^p)/2 and a_k = -C(p+2, k) vs^(p+2-k) / ((p+1)(p+2)) for k > 2.
+    M = 2 int_0^wS w sqrt(2 P) dw up to the first root wS of P, where the
+    integrand vanishes, so d_x M = 2 int_0^wS w d_x P / sqrt(2 P) dw.
+    """
+    def coeffs(c, vs):
+        top = (p + 1) * (p + 2)
+        return [(c - vs ** p) / 2] + [-mp.binomial(p + 2, k) * vs ** (p + 2 - k)
+                                      / top for k in range(3, p + 3)]
+
+    def moment_slope(c, vs, dP):
+        a = coeffs(c, vs)[::-1]
+        wS = min(r.real for r in mp.polyroots(a, maxsteps=200, extraprec=200)
+                 if abs(r.imag) < mp.mpf(10) ** -30 and r.real > 0)
+        # P = (wS - w) R(w) with R > 0 on [0, wS]
+        R = [-x for x in _deflate(a, wS)]
+        return 2 * mp.quad(lambda w: w * dP(w) / mp.sqrt(
+            2 * (wS - w) * mp.polyval(R, w)), [0, wS])
+
+    with mp.workdps(40):
+        c, vs = mp.mpf(c), mp.mpf(vs)
+        dcM = lambda c: moment_slope(c, vs, lambda w: mp.mpf(1) / 2)
+        # d_vs of each a_k; a_(p+2) is constant
+        dvs = [-p * vs ** (p - 1) / 2] + [
+            -mp.binomial(p + 2, k) * (p + 2 - k) * vs ** (p + 1 - k)
+            / ((p + 1) * (p + 2)) for k in range(3, p + 2)] + [0]
+        return (dcM(c), mp.diff(dcM, c),
+                moment_slope(c, vs, lambda w: mp.polyval(dvs[::-1], w)))
+
+
+@pytest.mark.parametrize("p, vs", [(1, -0.3), (2, 0.0), (3, 0.0),
+                                   (3, -0.3), (5, 0.0), (5, 0.2)])
+def test_soliton_anchor_meets_the_power_family_oracle(p, vs):
+    model = gkdv_model(f_coeffs=(0.0,) * (p + 2)
+                       + (-1.0 / ((p + 1) * (p + 2)),), label=f"gkdv_p{p}")
+    sp = soliton_point(model, 1.0, [vs])
+    dcM, dc2M, dvsM = map(float, power_soliton_derivatives(p, 1.0, vs))
+    assert abs(sp.dcM - dcM) <= 1e-12 * abs(dcM)
+    assert abs(sp.dc2M - dc2M) <= 1e-11 * abs(dc2M)
+    assert abs(sp.gradUM[0] - dvsM) <= 1e-12 * abs(dvsM)

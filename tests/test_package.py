@@ -104,17 +104,23 @@ def test_cli_is_a_shell_over_the_library():
     assert not options & {"--" + k.replace("_", "-") for k in DEFAULT_NUMERIC}
 
 
+def functions_with(pred):
+    """module.function of every function with a node that meets ``pred``;
+    a nested function's nodes count for its enclosing functions too."""
+    return {f"{name}.{node.name}"
+            for name, tree in parsed_modules().items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and any(pred(n) for n in ast.walk(node))}
+
+
 def test_one_derivation_of_the_wave_state():
     # (k, alpha, M) and the other averages of a wave are derived in
     # profiles._state_from_integrals alone; the action Hessian carries
     # the state of its stencil centre instead of a second record
-    builders = {f"{name}.{node.name}"
-                for name, tree in parsed_modules().items()
-                for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef)
-                and any(isinstance(n, ast.Call)
-                        and getattr(n.func, "id", None) == "WaveState"
-                        for n in ast.walk(node))}
+    builders = functions_with(
+        lambda n: isinstance(n, ast.Call)
+        and getattr(n.func, "id", None) == "WaveState")
     assert builders == {"profiles._state_from_integrals"}
     defined = {node.name for tree in parsed_modules().values()
                for node in ast.walk(tree)
@@ -197,13 +203,42 @@ def test_one_eigen_path():
 def test_one_whitham_assembly():
     # the chain action Hessian -> hessH runs in modulation._whitham_assembly
     # alone, for whitham reports and sweep points alike
-    callers = {f"{name}.{node.name}"
-               for name, tree in parsed_modules().items()
-               for node in ast.walk(tree)
-               if isinstance(node, ast.FunctionDef)
-               and {"action_hessian", "hessianH"} & {
-                   n.id for n in ast.walk(node) if isinstance(n, ast.Name)}}
+    callers = functions_with(lambda n: isinstance(n, ast.Name) and n.id in
+                             ("action_hessian", "hessianH"))
     assert callers == {"modulation._whitham_assembly"}
+
+
+def test_one_saddle_search():
+    # a soliton anchor at an endstate has its saddle, the endstate; only
+    # a well minimum and a family lambda's saddle are searched for
+    searchers = functions_with(lambda n: isinstance(n, ast.Name)
+                               and n.id == "_critical_points")
+    assert searchers == {"limits.harmonic_point",
+                         "limits._soliton_point_at_lambda"}
+    orbit, = [node for node in ast.walk(parsed_modules()["limits"])
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "_homoclinic_orbit"]
+    assert [a.arg for a in orbit.args.args] == ["model", "c", "lam", "vs"]
+    assert not orbit.args.defaults
+
+
+def test_one_richardson_step():
+    # (4 J(h/2) - J(h)) / 3 is formed by action._central_differences
+    # alone, and every caller says whether it extrapolates
+    def binop(n, op):
+        return isinstance(n, ast.BinOp) and isinstance(n.op, op)
+
+    def richardson(n):
+        return (binop(n, ast.Div) and getattr(n.right, "value", None) == 3.0
+                and binop(n.left, ast.Sub) and binop(n.left.left, ast.Mult)
+                and getattr(n.left.left.left, "value", None) == 4.0)
+
+    assert functions_with(richardson) == {"action._central_differences"}
+    fn, = [node for node in ast.walk(parsed_modules()["action"])
+           if isinstance(node, ast.FunctionDef)
+           and node.name == "_central_differences"]
+    assert [a.arg for a in fn.args.args] == ["f", "x", "steps", "richardson"]
+    assert not fn.args.defaults
 
 
 # diagnostics a --diagnostics report will print

@@ -285,7 +285,8 @@ class TestQuadratureSetup:
     def test_one_kernel_call_per_homoclinic_orbit(self, request, monkeypatch,
                                                   family, c, endstate):
         # both Gauss orders of a homoclinic orbit run on one node set: the
-        # anchor's orbit, two for dc2M and two per endstate entry for gradUM
+        # anchor's orbit, then four per column of the Richardson Jacobian
+        # over (c, U_s), two at step h and two at h / 2
         model = request.getfixturevalue(family)
         nodes = []
         horner = profiles.kernels.horner_batch
@@ -296,7 +297,7 @@ class TestQuadratureSetup:
 
         monkeypatch.setattr(profiles.kernels, "horner_batch", counted)
         soliton_point(model, c, endstate)
-        assert nodes == [3 * profiles.HOMOCLINIC_ORDER] * (3 + 2 * model.N)
+        assert nodes == [3 * profiles.HOMOCLINIC_ORDER] * (1 + 4 * (model.N + 1))
 
     @pytest.mark.parametrize("n", [0, 2.5, profiles.MAX_QUAD_ORDER + 1])
     def test_quad_order_out_of_range_is_a_config_error(self, cnoidal,
@@ -396,8 +397,9 @@ class TestAveragedState:
 
     def test_nan_homoclinic_orbit_is_not_converged(self, gkdv):
         # vS = vs leaves an orbit of zero length: M = 0, d_c M = NaN
-        params, vs, _, _, _ = _homoclinic_orbit(narrowed(gkdv, (-3.0, 5.0)),
-                                                1.0, np.array([0.0]))
+        vs = 0.0
+        params, _, _, _ = _homoclinic_orbit(narrowed(gkdv, (-3.0, 5.0)), 1.0,
+                                            np.array([0.0]), vs)
         T, _ = profiles.level_polynomial(gkdv, params)
         q = pdeflate(pdeflate(T, vs)[0], vs)[0]
         with np.errstate(invalid="ignore", divide="ignore"), \
