@@ -17,13 +17,6 @@ from .errors import EigenFailure
 TOL = 1e-9
 
 
-def _normalize(v: np.ndarray) -> np.ndarray:
-    v = v / np.linalg.norm(v)
-    idx = int(np.argmax(np.abs(v) > 1e-12))
-    phase = v[idx] / abs(v[idx])
-    return v / phase
-
-
 def eig_small(A: np.ndarray):
     """Eigen decomposition for matrices of size <= 4.
 
@@ -45,9 +38,14 @@ def eig_small(A: np.ndarray):
     zs[real] = zs[real].real
     order = np.lexsort((zs.imag, zs.real))
     zs = zs[order]
-    vecs = np.empty((n, n), dtype=complex)
-    for i, j in enumerate(order):
-        vecs[:, i] = _normalize(V[:, j])
+    # one vector per row, real while LAPACK's are, normed as np.linalg.norm
+    # does; np.hypot is the scalar abs bit for bit (np.abs is not)
+    rows = V[:, order].T.copy()
+    re, im = rows.real, rows.imag
+    rows = rows / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[:, None]
+    lead = rows[np.arange(n), np.argmax(np.abs(rows) > 1e-12, axis=1)]
+    rows = rows / (lead / np.hypot(lead.real, lead.imag))[:, None]
+    vecs = rows.T.astype(complex, order="C")
     resid = np.linalg.norm(A @ vecs - vecs * zs, axis=0)
     if np.any(resid > TOL * norm * 50):
         raise EigenFailure(

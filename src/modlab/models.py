@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainViolation
-from .kernels import pack_rows
 from .polys import Laurent, monomial_coeffs, padd, pmul, pscale
 
 _MAX_F_DEGREE = 8
@@ -101,11 +100,9 @@ class ModelSpec:
     # (fn, fn', ..., fn^(4)) for fn = f and kappa, built once per model
     _f_chain: tuple = field(init=False, repr=False, compare=False)
     _kappa_chain: tuple = field(init=False, repr=False, compare=False)
-    # the parameter-free parts of W = N / D (-f, times tau on two-field
-    # models, and D) and the orbit-integrand rows of the model, packed: D,
-    # the kappa and f numerators and denominators, and tau (two-field)
+    # the parameter-free parts of W = N / D: -f, times tau on two-field
+    # models, and D
     _rational: tuple = field(init=False, repr=False, compare=False)
-    _integrand_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("scalar", "euler_korteweg"):
@@ -125,17 +122,12 @@ class ModelSpec:
         object.__setattr__(self, "_f_chain", _derivative_chain(self.f))
         object.__setattr__(self, "_kappa_chain", _derivative_chain(self.kappa))
         fixed, den = pscale(self.f.coeffs, -1.0), monomial_coeffs(self.f.shift)
-        rows = [self.kappa.coeffs, monomial_coeffs(self.kappa.shift),
-                self.f.coeffs, den]
         if self.kind == "euler_korteweg":
             t = np.array(self.tau, dtype=float)
             fixed, den = pmul(fixed, t), pmul(t, den)
-            rows.append(t)
-        packed = pack_rows([den, *rows])
-        for a in (fixed, den, packed):
+        for a in (fixed, den):
             a.flags.writeable = False
         object.__setattr__(self, "_rational", (fixed, den))
-        object.__setattr__(self, "_integrand_rows", packed)
 
     def _check_positive(self, fn: Laurent, name: str):
         lo, hi = self.domain

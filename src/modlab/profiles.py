@@ -28,7 +28,7 @@ from . import kernels
 from .errors import (ConfigError, DegenerateOrbit, MultipleWells,
                      NoPeriodicOrbit, QuadratureNotConverged)
 from .models import ModelSpec, WaveParams
-from .polys import pdeflate, peval, pder, pshift, trim
+from .polys import monomial_coeffs, pdeflate, peval, pder, pshift, trim
 
 DEGENERACY_FRACTION = 1e-6
 # relative residual |T(x)| / sum |t_k| |x|^k above which x is no root of T
@@ -371,20 +371,19 @@ def _integrand_stack(model: ModelSpec, params: WaveParams,
                      q: np.ndarray) -> np.ndarray:
     """Packed polynomial stack the hot kernel evaluates at the nodes.
 
-    Rows: -q, the level polynomial (mu - W) D with the orbit's turning
-    points divided out, then the model's rows (D, the kappa numerator
-    and denominator, the f numerator and denominator and, on two-field
-    models, tau) and, on two-field models, G = -(lam2 + c v / b).
+    Rows, in the order orbit_integrals and homoclinic_integrals unpack
+    them: -q, the level polynomial (mu - W) D with the orbit's turning
+    points divided out; D; the kappa and f numerators and denominators;
+    then, on two-field models, tau and G = -(lam2 + c v / b), the
+    numerator of the reduced velocity g = G / tau.
     """
-    rows = model._integrand_rows
-    k, dm = rows.shape
-    d = max(len(q), dm)
-    out = np.zeros((k + (2 if model.kind == "euler_korteweg" else 1), d))
-    out[0, d - len(q):] = -q[::-1]
-    out[1:k + 1, d - dm:] = rows
+    kappa, f = model.kappa, model.f
+    rows = [-q, model._rational[1], kappa.coeffs,
+            monomial_coeffs(kappa.shift), f.coeffs, monomial_coeffs(f.shift)]
     if model.kind == "euler_korteweg":
-        out[k + 1, d - 2:] = (-(params.c / model.b), -params.lam2)
-    return out
+        rows += [np.array(model.tau, dtype=float),
+                 np.array([-params.lam2, -(params.c / model.b)])]
+    return kernels.pack_rows(rows)
 
 
 def orbit_integrals(model: ModelSpec, params: WaveParams,
@@ -395,10 +394,11 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
     The coarse (order n) and fine (order 2n) Gauss passes run on one node
     set: each segment of the orbit lays its n and 2n nodes side by side,
     the substitution and the integrand are formed once over all of them,
-    and each (pass, segment) block is evaluated and summed on its own
-    contiguous slice.  Raises QuadratureNotConverged when the
-    doubled-order estimate exceeds ``QUAD_RTOL`` relative to the period,
-    or when an integral is not finite.
+    and each (pass, segment) block is evaluated on its own contiguous
+    slice, where one ``np.vecdot`` reduces all its integrand rows.
+    Raises QuadratureNotConverged when the doubled-order estimate
+    exceeds ``QUAD_RTOL`` relative to the period, or when an integral is
+    not finite.
     """
     xp1, wgt, s, c, s2, wq4 = _node_set(quad_order)
     n = quad_order
@@ -435,18 +435,19 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
         blocks = ((0, n), (n, 3 * n), (3 * n, 4 * n), (4 * n, 6 * n))
     vals = np.concatenate([kernels.horner_batch(packed, v[a:b])
                            for a, b in blocks], axis=1)
-    Pv, denv, knv, kdv, fnv, fdv = vals[:6]
+    Pv, denv, knv, kdv, fnv, fdv, *ek = vals
     mu_minus_w = pair * Pv / denv
     w = wq * (dxi_core * np.sqrt(knv * denv / (kdv * Pv)))
     fval = fnv / fdv
     if model.kind == "scalar":
         rows = (v, v * v / (2.0 * model.b), fval, mu_minus_w)
     else:
-        tauv, Gv = vals[6], vals[7]
+        tauv, Gv = ek
         g = Gv / tauv
         rows = (v, g, v * g / model.b, fval + 0.5 * tauv * g * g, mu_minus_w)
+    rows = np.stack(rows)
     # per block: the period, int_U, int_Q, int_E and the integral of mu - W
-    sums = [[float(w[a:b].sum())] + [float(w[a:b] @ r[a:b]) for r in rows]
+    sums = [[float(w[a:b].sum()), *np.vecdot(rows[:, a:b], w[a:b]).tolist()]
             for a, b in blocks]
     if v1 is not None:
         # pass totals, lower segment first
@@ -482,7 +483,7 @@ def homoclinic_integrals(model: ModelSpec, params: WaveParams, q: np.ndarray,
     q, _ = pdeflate(q, vS)
     v = vS - (vS - vs) * s * s
     vals = kernels.horner_batch(_integrand_stack(model, params, q), v)
-    Pv, Dv, Knv, Kdv = vals[:4]
+    Pv, Dv, Knv, Kdv, _, _, *ek = vals
     kap = Knv / Kdv
     dv = 2.0 * (vS - vs) * s * cth
     # action integrand sqrt(2 kappa (mu_s - W))
@@ -495,7 +496,8 @@ def homoclinic_integrals(model: ModelSpec, params: WaveParams, q: np.ndarray,
     else:
         t0, t1 = model.tau
         gs = -(params.c / model.b * vs + params.lam2) / (t0 + t1 * vs)
-        qb = (vals[7] / vals[6] - gs) / model.b
+        tauv, Gv = ek
+        qb = (Gv / tauv - gs) / model.b
     # M and dcM of the order-n pass on [0, n), then of order 2n on [n, 3n)
     fM, fq = wq4 * act * dv, wq4 * qb * meas * dv
     (cM, cq), (M, dcM) = [(0.5 * float(fM[a:b].sum()),

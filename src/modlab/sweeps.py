@@ -17,7 +17,7 @@ import numpy as np
 
 from .action import FDConfig
 from .eigen import eig_small
-from .errors import FitRejected, GridDegenerate
+from .errors import ConfigError, FitRejected, GridDegenerate
 from .limits import (HarmonicPoint, SolitonPoint, limiting_whitham_harmonic,
                      limiting_whitham_soliton)
 from .models import ModelSpec, WaveParams, structural_matrices
@@ -261,14 +261,15 @@ def eigen_splitting_fit(model: ModelSpec, anchor,
     of the rest of the spectrum.  Soliton side: fits the splitting
     coefficient against rho/k, the log-log convergence rate in rho, and
     the 1/|log rho| eigenvector drift.  ``table`` is the
-    evaluated sweep of ``anchor``; it is not modified.
+    evaluated sweep of ``anchor``, and ConfigError is raised unless it
+    holds that very anchor; it is not modified.
     """
+    if table.anchor is not anchor:
+        raise ConfigError("table was swept from another anchor")
     if table.regime == "harmonic":
-        lw = limiting_whitham_harmonic(model, table.anchor)
-        target = table.anchor.vg
+        lw, target = limiting_whitham_harmonic(model, anchor), anchor.vg
     else:
-        lw = limiting_whitham_soliton(model, table.anchor)
-        target = table.anchor.cs
+        lw, target = limiting_whitham_soliton(model, anchor), anchor.cs
     disp = eig_small(lw["dispersionless"])[0].real
     pairs = [_pair_near(r.eigenvalues, target) for r in table.rows]
     splits = np.array([0.5 * abs(pair[1] - pair[0]) for pair, _ in pairs])

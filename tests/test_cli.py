@@ -578,6 +578,28 @@ class TestConfigKeys:
         assert not captured.out
         assert captured.err.startswith("config error: quad_order")
 
+    @pytest.mark.parametrize("edit, equivalent", [
+        ({"kappa": {"laurent": {"-1": 0.25}}}, {"kappa": {"inv4v": True}}),
+        ({"f": {"laurent": {"-1": 0.25}}}, {"f": {"inv4v": True}}),
+        ({"tau": {"affine": [0, 1]}}, {"tau": {"identity": True}}),
+        ({"tau": {"affine": [1, 0]}}, {"tau": {"const": 1}}),
+    ], ids=["kappa-laurent", "f-laurent", "tau-affine-identity",
+            "tau-affine-const"])
+    def test_model_value_builds_its_equivalent(self, edit, equivalent):
+        def spec(change):
+            cfg = json.loads((CONFIGS / "nls_hydro.json").read_text())
+            cfg["model"].update(change)
+            m = model_from_dict(cfg["model"])
+            return (m.kind, m.b, m.f.coeffs.tolist(), m.f.shift,
+                    m.kappa.coeffs.tolist(), m.kappa.shift, m.tau, m.domain)
+
+        assert spec(edit) == spec(equivalent)
+
+    def test_open_domain_end_reads_as_infinite(self):
+        cfg = json.loads((CONFIGS / "nls_hydro.json").read_text())
+        cfg["model"]["domain"] = [0.5, None]
+        assert model_from_dict(cfg["model"]).domain == (0.5, math.inf)
+
     @pytest.mark.parametrize("change", [
         {"b": "one"}, {"domain": [0]}, {"tau": {"affine": [1, 0, 3]}},
         {"f": {"poly": "abc"}}, {"b": [1.0]}, {"domain": [2.0, 1.0]},

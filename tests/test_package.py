@@ -16,6 +16,7 @@ import pytest
 import modlab
 from modlab.action import ActionJet, FDConfig
 from modlab.cli import DEFAULT_NUMERIC, build_parser, main
+from modlab.models import ModelSpec
 from modlab.profiles import orbit_integrals
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -128,6 +129,32 @@ def test_one_derivation_of_the_wave_state():
     assert not defined & {"ModVars", "params_to_modvars"}
     assert tuple(f.name for f in dataclasses.fields(ActionJet)) == \
         ("state", "hess", "symmetry_residual", "warnings")
+
+
+def test_one_orbit_integrand_stack():
+    # profiles._integrand_stack alone lays out and packs the rows the
+    # Horner kernel evaluates: models keeps no packed rows and does not
+    # import kernels, and orbit_integrals reduces each block's rows in one
+    # np.vecdot, with no matmul per row
+    modules = parsed_modules()
+    assert "_integrand_rows" not in {f.name for f in
+                                     dataclasses.fields(ModelSpec)}
+    assert "kernels" not in {x for node in ast.walk(modules["models"])
+                             if isinstance(node, ast.ImportFrom)
+                             for x in [node.module, *(a.name for a in
+                                                      node.names)]}
+    packers = functions_with(
+        lambda n: isinstance(n, ast.Call)
+        and getattr(n.func, "attr", getattr(n.func, "id", None))
+        == "pack_rows")
+    assert packers == {"profiles._integrand_stack"}
+    orbit, = [node for node in ast.walk(modules["profiles"])
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "orbit_integrals"]
+    assert not any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
+                   for n in ast.walk(orbit))
+    assert "_normalize" not in {node.name for node in modules["eigen"].body
+                                if isinstance(node, ast.FunctionDef)}
 
 
 def test_orbit_integrals_takes_no_tolerance():

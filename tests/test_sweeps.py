@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from modlab.cli import load_config
-from modlab.errors import GridDegenerate
+from modlab.errors import ConfigError, GridDegenerate
 from modlab.limits import harmonic_point, soliton_point
 from modlab.miindex import delta_mi
 from modlab.models import WaveParams, gkdv_model, model_from_dict
@@ -279,6 +279,14 @@ class TestSplittingHarmonic:
         _, split_run = harmonic_split_run
         assert split_run.fits["dispersionless_drift_rate"] == pytest.approx(
             1.0, abs=0.1)
+
+    def test_table_of_another_anchor_is_refused(self, harmonic_split_run,
+                                                gkdv):
+        # a second anchor of the same family, its well minimum at v = 3
+        table, _ = harmonic_split_run
+        other = harmonic_point(narrowed(gkdv, (0.5, 5.0)), 1.5, [0.0])
+        with pytest.raises(ConfigError, match="another anchor"):
+            eigen_splitting_fit(gkdv, other, table=table)
 
 
 class TestSplittingSoliton:
