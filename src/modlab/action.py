@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateOrbit, MultipleWells, NoPeriodicOrbit,
+from .errors import (DegenerateOrbit, NoSaddle, OrbitNotFound,
                      StencilLeftBranch)
 from .models import ModelSpec, WaveParams
 from .polys import pder
@@ -84,8 +84,16 @@ def rebracket(model: ModelSpec, params: WaveParams,
 def _central_differences(f, x: np.ndarray, steps: np.ndarray,
                          richardson: bool) -> np.ndarray:
     """Jacobian J(h) of f at x by central differences, column j at step
-    h_j; with ``richardson``, (4 J(h/2) - J(h)) / 3, formed after J(h)."""
-    J = np.column_stack([(f(x + e) - f(x - e)) / (2.0 * h)
+    h_j; with ``richardson``, (4 J(h/2) - J(h)) / 3, formed after J(h).
+    A stencil point where f finds no orbit is a StencilLeftBranch."""
+    def at(p):
+        try:
+            return f(p)
+        except (OrbitNotFound, DegenerateOrbit, NoSaddle) as exc:
+            raise StencilLeftBranch(
+                f"stencil point {p.tolist()} left the family: {exc}") from exc
+
+    J = np.column_stack([(at(x + e) - at(x - e)) / (2.0 * h)
                          for h, e in zip(steps, np.diag(steps))])
     if richardson:
         J = (4.0 * _central_differences(f, x, 0.5 * steps, False) - J) / 3.0
@@ -132,14 +140,8 @@ def action_hessian(model: ModelSpec, params: WaveParams,
 
     def grad_at(x: np.ndarray) -> np.ndarray:
         p = WaveParams.from_vector(x)
-        try:
-            if cfg.limit is None:
-                b = rebracket(model, p, bracket)
-            else:
-                b = bracket_near_limit(model, p, vstar, side)
-        except (NoPeriodicOrbit, DegenerateOrbit, MultipleWells) as exc:
-            raise StencilLeftBranch(
-                f"stencil point {x} crossed a limit: {exc}") from exc
+        b = (rebracket(model, p, bracket) if cfg.limit is None
+             else bracket_near_limit(model, p, vstar, side))
         return orbit_integrals(model, p, b, cfg.quad_order).grad_theta
 
     H = _central_differences(grad_at, x0, steps, cfg.richardson)

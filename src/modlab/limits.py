@@ -22,11 +22,10 @@ import numpy as np
 
 from .action import _central_differences
 from .errors import (ConfigError, DegenerateWell, GroupVelocityResonance,
-                     NoSaddle, NoWellMinimum, SpeedResonance,
-                     StencilLeftBranch)
+                     NoSaddle, NoWellMinimum, SpeedResonance)
 from .models import ModelSpec, WaveParams, structural_matrices
 from .modulation import whitham_matrix
-from .polys import padd, pder, pdeflate, pmul, pscale
+from .polys import padd, pder, pmul, pscale, pshift
 from .profiles import (_real_roots_in, _window_in_domain, homoclinic_integrals,
                        level_polynomial)
 
@@ -177,9 +176,12 @@ def _lambda_at_endstate(model: ModelSpec, c: float, Us: np.ndarray):
 
 
 def _homoclinic_orbit(model: ModelSpec, c: float, lam: np.ndarray, vs: float):
-    """(params at mu_s, W''(vs), vS, (M, dcM, quad_error)) of the family
-    (c, lambda) at its saddle vs, with vS the outer root of mu_s - W; raises
-    NoSaddle unless vs lies in the search window with W''(vs) < 0."""
+    """(params at mu_s, W''(vs), wS, (M, dcM, quad_error)) of the family
+    (c, lambda) at its saddle vs, with vs + wS the outer root of mu_s - W;
+    raises NoSaddle unless vs lies in the search window with W''(vs) < 0.
+    In w = v - vs, as bracket_near_limit solves about a saddle, the level
+    polynomial drops its double root w = 0 with its two lowest
+    coefficients, and wS is found and polished on that quotient."""
     params = WaveParams(0.0, c, lam)
     lo, hi = _window_in_domain(model)
     if not lo < vs < hi:
@@ -188,16 +190,13 @@ def _homoclinic_orbit(model: ModelSpec, c: float, lam: np.ndarray, vs: float):
     if not wj[2] < 0.0:
         raise NoSaddle(f"endstate {vs} is no saddle: W'' = {wj[2]:.3e}")
     params = WaveParams(wj[0], c, lam)
+    q = pshift(level_polynomial(model, params)[0], vs)[2:]
     # outer root of mu_s - W beyond the right well
-    T, _ = level_polynomial(model, params)
-    q, _ = pdeflate(T, vs)
-    q, _ = pdeflate(q, vs)
-    cands = [x for x in _real_roots_in(T, vs, hi, q=q)
-             if x > vs + 1e-12 * max(1.0, abs(vs))]
+    cands = [w for w in _real_roots_in(q, 0.0, hi - vs) if w > 0.0]
     if not cands:
         raise NoSaddle("no outer turning level right of the saddle")
-    vS = min(cands)
-    return params, wj[2], vS, homoclinic_integrals(model, params, q, vs, vS)
+    wS = min(cands)
+    return params, wj[2], wS, homoclinic_integrals(model, params, q, vs, wS)
 
 
 def soliton_point(model: ModelSpec, c: float, endstate) -> SolitonPoint:
@@ -230,18 +229,14 @@ def _soliton_anchor(model: ModelSpec, c: float, lam: np.ndarray,
                     Us: np.ndarray, lam_res: float) -> SolitonPoint:
     """Soliton anchor of the family (c, lambda) at its endstate U_s."""
     vs = float(Us[0])
-    params, w2, vS, (Mval, dcM, qerr) = _homoclinic_orbit(model, c, lam, vs)
+    params, w2, wS, (Mval, dcM, qerr) = _homoclinic_orbit(model, c, lam, vs)
     XiS = 2.0 * math.pi * math.sqrt(model.kappa_jet(vs, 0)[0] / (-w2))
 
     # d2_c M and grad_U M from the Jacobian of (M, d_c M) over x = (c, U_s)
     # at fixed endstate: the family lambda(x[0], x[1:]) has its saddle at x[1]
     def moments(x):
         lam_ = _lambda_at_endstate(model, x[0], x[1:])
-        try:
-            return np.array(_homoclinic_orbit(model, x[0], lam_, x[1])[-1][:2])
-        except NoSaddle as exc:
-            raise StencilLeftBranch(
-                f"stencil point {x.tolist()} left the family: {exc}") from exc
+        return np.array(_homoclinic_orbit(model, x[0], lam_, x[1])[-1][:2])
 
     # the moments vary on the scale a = -W''(vs) > 0 (c - v_s on gkdv), the
     # margin to where the soliton ceases to exist; Richardson error (h/a)^4
@@ -249,9 +244,9 @@ def _soliton_anchor(model: ModelSpec, c: float, lam: np.ndarray,
     x = np.concatenate(([c], Us))
     steps = 1e-3 * np.minimum(-w2, np.maximum(1.0, np.abs(x)))
     J = _central_differences(moments, x, steps, richardson=True)
-    return SolitonPoint(vs=vs, vS=vS, mus=params.mu, cs=c, Us=Us, lambdas=lam,
-                        XiS=XiS, boussinesq=Mval, dcM=dcM, quad_error=qerr,
-                        dc2M=float(J[1, 0]), gradUM=J[0, 1:],
+    return SolitonPoint(vs=vs, vS=vs + wS, mus=params.mu, cs=c, Us=Us,
+                        lambdas=lam, XiS=XiS, boussinesq=Mval, dcM=dcM,
+                        quad_error=qerr, dc2M=float(J[1, 0]), gradUM=J[0, 1:],
                         lambda_residual=lam_res)
 
 

@@ -92,12 +92,24 @@ def pdeflate(a: np.ndarray, root: float) -> tuple[np.ndarray, float]:
     return np.array(trim(q[::-1] or [0.0])), float(acc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Laurent:
-    """p(v) / v**shift with p a plain polynomial and shift >= 0."""
+    """p(v) / v**shift with p a plain polynomial and shift >= 0.
+
+    Compares and hashes by value: 0.0 and -0.0 coefficients are equal.
+    """
 
     coeffs: np.ndarray
     shift: int = 0
+
+    def __eq__(self, other):
+        if not isinstance(other, Laurent):
+            return NotImplemented
+        return (self.shift, self.coeffs.tolist()) == (other.shift,
+                                                      other.coeffs.tolist())
+
+    def __hash__(self):
+        return hash((self.shift, *self.coeffs.tolist()))
 
     @staticmethod
     def make(coeffs, shift: int = 0) -> "Laurent":

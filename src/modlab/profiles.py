@@ -367,23 +367,28 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
 # orbit integrals
 
 
-def _integrand_stack(model: ModelSpec, params: WaveParams,
-                     q: np.ndarray) -> np.ndarray:
+def _integrand_stack(model: ModelSpec, params: WaveParams, q: np.ndarray,
+                     at: float | None = None) -> np.ndarray:
     """Packed polynomial stack the hot kernel evaluates at the nodes.
 
     Rows, in the order orbit_integrals and homoclinic_integrals unpack
     them: -q, the level polynomial (mu - W) D with the orbit's turning
-    points divided out; D; the kappa and f numerators and denominators;
-    then, on two-field models, tau and G = -(lam2 + c v / b), the
-    numerator of the reduced velocity g = G / tau.
+    points divided out; D; the kappa numerator and denominator; on a
+    periodic orbit (``at`` None) the f numerator and denominator; then,
+    on two-field models, tau and G = -(lam2 + c v / b), the numerator of
+    the reduced velocity g = G / tau.  A homoclinic orbit passes its
+    saddle as ``at``: its q is in w = v - at, and its rows shift there.
     """
     kappa, f = model.kappa, model.f
-    rows = [-q, model._rational[1], kappa.coeffs,
-            monomial_coeffs(kappa.shift), f.coeffs, monomial_coeffs(f.shift)]
+    rows = [model._rational[1], kappa.coeffs, monomial_coeffs(kappa.shift)]
+    if at is None:
+        rows += [f.coeffs, monomial_coeffs(f.shift)]
     if model.kind == "euler_korteweg":
         rows += [np.array(model.tau, dtype=float),
                  np.array([-params.lam2, -(params.c / model.b)])]
-    return kernels.pack_rows(rows)
+    if at is not None:
+        rows = [pshift(r, at) for r in rows]
+    return kernels.pack_rows([-q, *rows])
 
 
 def orbit_integrals(model: ModelSpec, params: WaveParams,
@@ -469,37 +474,36 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
 
 
 def homoclinic_integrals(model: ModelSpec, params: WaveParams, q: np.ndarray,
-                         vs: float, vS: float) -> tuple[float, float, float]:
-    """(M, dcM, error) of the solitary orbit from the saddle vs to vS.
+                         vs: float, wS: float) -> tuple[float, float, float]:
+    """(M, dcM, error) of the solitary orbit from the saddle vs to vs + wS.
 
-    ``q`` is the saddle-level polynomial T / (v - vs)^2, where mu_s - W =
-    (v - vs)^2 (vS - v) P(v) / D(v).  As in orbit_integrals, both Gauss
+    Nodes and rows are in w = v - vs: ``q`` is T(vs + w) / w^2, where
+    mu_s - W = w^2 (wS - w) P(w) / D.  As in orbit_integrals, both Gauss
     orders run on one node set and one kernel call; the error is their
-    relative gap, and QuadratureNotConverged is raised above ``QUAD_RTOL``
-    or when either integral is not finite.
+    relative gap, and QuadratureNotConverged is raised above
+    ``QUAD_RTOL`` or when either integral is not finite.
     """
     _, _, s, cth, _, wq4 = _node_set(HOMOCLINIC_ORDER)
     n = HOMOCLINIC_ORDER
-    q, _ = pdeflate(q, vS)
-    v = vS - (vS - vs) * s * s
-    vals = kernels.horner_batch(_integrand_stack(model, params, q), v)
-    Pv, Dv, Knv, Kdv, _, _, *ek = vals
+    q, _ = pdeflate(q, wS)
+    w = wS - wS * s * s
+    vals = kernels.horner_batch(_integrand_stack(model, params, q, vs), w)
+    Pv, Dv, Knv, Kdv, *ek = vals
     kap = Knv / Kdv
-    dv = 2.0 * (vS - vs) * s * cth
+    dw = 2.0 * wS * s * cth
     # action integrand sqrt(2 kappa (mu_s - W))
-    act = (v - vs) * np.sqrt(2.0 * kap * (vS - vs) * Pv / Dv) * s
+    act = w * np.sqrt(2.0 * kap * wS * Pv / Dv) * s
     # impulse-bracket integrand over the diverging arclength measure;
     # the bracket's quadratic vanishing at vs cancels the divergence
-    meas = np.sqrt(kap * Dv / (2.0 * (vS - vs) * Pv)) / s
+    meas = np.sqrt(kap * Dv / (2.0 * wS * Pv)) / s
     if model.kind == "scalar":
-        qb = (v - vs) / (2.0 * model.b)
+        qb = w / (2.0 * model.b)
     else:
-        t0, t1 = model.tau
-        gs = -(params.c / model.b * vs + params.lam2) / (t0 + t1 * vs)
+        gs = model.velocity_jet(vs, params.c, params.lam2)[0]
         tauv, Gv = ek
         qb = (Gv / tauv - gs) / model.b
     # M and dcM of the order-n pass on [0, n), then of order 2n on [n, 3n)
-    fM, fq = wq4 * act * dv, wq4 * qb * meas * dv
+    fM, fq = wq4 * act * dw, wq4 * qb * meas * dw
     (cM, cq), (M, dcM) = [(0.5 * float(fM[a:b].sum()),
                            0.5 * float(fq[a:b].sum()))
                           for a, b in ((0, n), (n, 3 * n))]

@@ -204,8 +204,7 @@ def _fit_soliton(table: SweepTable) -> FitReport:
     alpha_lim, r2_alpha = poly_extrapolate(k, al, 3)
     hs_vals = (math.pi / sp.XiS) * d2t * rho ** 2 / (1.0 + rho)
     hs, r2_hs = poly_extrapolate(rho * L, hs_vals, 1)
-    d2cM_vals = (math.pi / sp.XiS) * proj * (sp.XiS / math.pi)
-    d2cM, r2_proj = poly_extrapolate(rho * L, d2cM_vals, 1)
+    d2cM, r2_proj = poly_extrapolate(rho * L, proj, 1)
     for name, r2v in (("Xi_slope", r2_slope), ("alpha", r2_alpha),
                       ("hs", r2_hs)):
         if r2v < R2_GATE:

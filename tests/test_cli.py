@@ -586,14 +586,12 @@ class TestConfigKeys:
     ], ids=["kappa-laurent", "f-laurent", "tau-affine-identity",
             "tau-affine-const"])
     def test_model_value_builds_its_equivalent(self, edit, equivalent):
-        def spec(change):
+        def model(change):
             cfg = json.loads((CONFIGS / "nls_hydro.json").read_text())
             cfg["model"].update(change)
-            m = model_from_dict(cfg["model"])
-            return (m.kind, m.b, m.f.coeffs.tolist(), m.f.shift,
-                    m.kappa.coeffs.tolist(), m.kappa.shift, m.tau, m.domain)
+            return model_from_dict(cfg["model"])
 
-        assert spec(edit) == spec(equivalent)
+        assert model(edit) == model(equivalent)
 
     def test_open_domain_end_reads_as_infinite(self):
         cfg = json.loads((CONFIGS / "nls_hydro.json").read_text())

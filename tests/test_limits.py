@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -330,8 +331,8 @@ class TestSolitonPoint:
         ("ek_lagrangian", math.sqrt(0.999 * 1.2), [-1.2, 0.3])])
     def test_near_sonic_anchor(self, request, family, c, endstate):
         # a = -W''(v_s) = 1e-3 |v_s| (c^2 / c_s^2 = 0.999 on ek_lagrangian):
-        # the stencil keeps within the soliton family, and the level
-        # polynomial's rounding, not the step, limits the accuracy
+        # the stencil keeps within the soliton family, and the orbit,
+        # solved in w = v - v_s, loses no accuracy as |v_s| / a grows
         sp = soliton_point(request.getfixturevalue(family), c, endstate)
         if family == "gkdv":
             a = c - endstate[0]
@@ -341,9 +342,38 @@ class TestSolitonPoint:
             facts = ek_lagrangian_soliton_facts(c, endstate[0])
             scale = 24.0 * (-endstate[0] - c * c) ** 0.5 * (
                 4.0 * c * c - endstate[0])
-        assert abs(sp.dc2M - facts["dc2M"]) <= 1e-4 * scale
+        assert abs(sp.dc2M - facts["dc2M"]) <= 1e-8 * scale
         assert np.allclose(sp.gradUM, facts["gradUM"], rtol=0.0,
-                           atol=1e-4 * abs(facts["gradUM"][0]))
+                           atol=1e-8 * abs(facts["gradUM"][0]))
+
+    @pytest.mark.parametrize("a", [1e-3, 1e-4, 1e-5, 1e-6])
+    def test_gkdv_accuracy_near_the_edge_at_a_far_endstate(self, gkdv, a):
+        # endstate v_s = 1 - a at c = 1: the margin a = c - v_s = -W''(v_s)
+        # runs from 1e-3 to 1e-6 of |v_s|; the level polynomial, shifted
+        # to the saddle, rounds on the orbit's scale a and not on |v_s|
+        vs = 1.0 - a
+        a = 1.0 - vs
+        sp = soliton_point(gkdv, 1.0, [vs])
+        assert sp.boussinesq == pytest.approx(4.8 * a ** 2.5, rel=1e-11)
+        assert sp.dc2M == pytest.approx(18.0 * a ** 0.5, rel=1e-6)
+        assert sp.gradUM[0] == pytest.approx(-12.0 * a ** 1.5, rel=1e-6)
+
+    @pytest.mark.parametrize("vs", [-1.2, -20.0])
+    @pytest.mark.parametrize("r", [0.999, 1.0 - 1e-4, 1.0 - 1e-6])
+    def test_system_accuracy_near_sonic(self, ek_lagrangian, vs, r):
+        # c^2 = r c_s^2 = r |v_s|, so a = (1 - r) |v_s|; every stencil
+        # point keeps its outer turning level, and d2_c M meets its
+        # closed form to 1e-7 of its scale (5.1e-8 at v_s = -1.2,
+        # r = 1 - 1e-6)
+        c = math.sqrt(r * -vs)
+        sp = soliton_point(ek_lagrangian, c, [vs, 0.3])
+        facts = ek_lagrangian_soliton_facts(c, vs)
+        a = -vs - c * c
+        assert sp.boussinesq == pytest.approx(facts["moment"], rel=1e-9)
+        assert abs(sp.dc2M - facts["dc2M"]) <= 1e-7 * (
+            24.0 * a ** 0.5 * (4.0 * c * c - vs))
+        assert sp.gradUM[0] == pytest.approx(facts["gradUM"][0], rel=1e-6)
+        assert abs(sp.gradUM[1]) <= 1e-12 * abs(sp.gradUM[0])
 
     @pytest.mark.parametrize("c", [1e-3, 1e-2, 0.1])
     def test_gkdv_accuracy_holds_down_to_the_edge(self, gkdv, c):
@@ -353,13 +383,15 @@ class TestSolitonPoint:
         assert sp.dc2M == pytest.approx(18.0 * c ** 0.5, rel=1e-11)
         assert sp.gradUM[0] == pytest.approx(-12.0 * c ** 1.5, rel=1e-11)
 
-    def test_stencil_point_leaving_the_family_is_named(self, ek_lagrangian):
-        # at c^2 / c_s^2 = 1 - 1e-6 the anchor exists but a stencil point
-        # has no outer turning level
-        c = math.sqrt((1.0 - 1e-6) * 1.2)
-        with pytest.raises(StencilLeftBranch,
-                           match=r"stencil point \[.*\] left the family"):
-            soliton_point(ek_lagrangian, c, [-1.2, 0.3])
+    def test_stencil_point_leaving_the_family_is_named(self, gkdv):
+        # the window ends 1e-4 left of the endstate 0, inside the step
+        # 1e-3 of the U_s column: that stencil point has no saddle
+        model = dataclasses.replace(gkdv, domain=(-1e-4, 5.0))
+        with pytest.raises(
+                StencilLeftBranch,
+                match=r"stencil point \[1\.0, -0\.001\] left the family: "
+                      r".*outside the search window \(-0\.0001, 5\.0\)"):
+            soliton_point(model, 1.0, [0.0])
 
 
 class TestLimitingMatrices:

@@ -249,6 +249,18 @@ def test_one_saddle_search():
     assert not orbit.args.defaults
 
 
+def test_one_deflation_layer_and_one_stencil_rule():
+    # the homoclinic orbit drops its double root with its shift to the
+    # saddle, so roots are divided out in profiles alone; every stencil
+    # point that leaves its family is named by _central_differences
+    deflaters = functions_with(lambda n: isinstance(n, ast.Name)
+                               and n.id == "pdeflate")
+    assert {f.split(".")[0] for f in deflaters} == {"profiles"}
+    wrappers = functions_with(lambda n: isinstance(n, ast.Call) and getattr(
+        n.func, "id", None) == "StencilLeftBranch")
+    assert wrappers == {"action._central_differences", "action.at"}
+
+
 def test_one_richardson_step():
     # (4 J(h/2) - J(h)) / 3 is formed by action._central_differences
     # alone, and every caller says whether it extrapolates

@@ -11,7 +11,7 @@ from modlab.limits import (_critical_points, _homoclinic_orbit,
                            _soliton_point_at_lambda, harmonic_point,
                            soliton_point)
 from modlab.models import WaveParams, gkdv_model
-from modlab.polys import pdeflate
+from modlab.polys import pshift
 from modlab.profiles import (averaged_state, bracket_near_limit,
                              find_turning_points, orbit_integrals)
 
@@ -286,18 +286,21 @@ class TestQuadratureSetup:
                                                   family, c, endstate):
         # both Gauss orders of a homoclinic orbit run on one node set: the
         # anchor's orbit, then four per column of the Richardson Jacobian
-        # over (c, U_s), two at step h and two at h / 2
+        # over (c, U_s), two at step h and two at h / 2; each call runs
+        # -q, D and the kappa rows, with tau and G on two-field models,
+        # and no f rows
         model = request.getfixturevalue(family)
-        nodes = []
+        calls = []
         horner = profiles.kernels.horner_batch
 
         def counted(coeffs, v):
-            nodes.append(len(v))
+            calls.append((len(coeffs), len(v)))
             return horner(coeffs, v)
 
         monkeypatch.setattr(profiles.kernels, "horner_batch", counted)
         soliton_point(model, c, endstate)
-        assert nodes == [3 * profiles.HOMOCLINIC_ORDER] * (1 + 4 * (model.N + 1))
+        assert calls == [(2 + 2 * model.N, 3 * profiles.HOMOCLINIC_ORDER)] * (
+            1 + 4 * (model.N + 1))
 
     @pytest.mark.parametrize("n", [0, 2.5, profiles.MAX_QUAD_ORDER + 1])
     def test_quad_order_out_of_range_is_a_config_error(self, cnoidal,
@@ -396,15 +399,15 @@ class TestAveragedState:
             orbit_integrals(gkdv, p, br)
 
     def test_nan_homoclinic_orbit_is_not_converged(self, gkdv):
-        # vS = vs leaves an orbit of zero length: M = 0, d_c M = NaN
+        # wS = 0 leaves an orbit of zero length: M = 0, d_c M = NaN
         vs = 0.0
         params, _, _, _ = _homoclinic_orbit(narrowed(gkdv, (-3.0, 5.0)), 1.0,
                                             np.array([0.0]), vs)
         T, _ = profiles.level_polynomial(gkdv, params)
-        q = pdeflate(pdeflate(T, vs)[0], vs)[0]
+        q = pshift(T, vs)[2:]
         with np.errstate(invalid="ignore", divide="ignore"), \
                 pytest.raises(QuadratureNotConverged, match="nan"):
-            profiles.homoclinic_integrals(gkdv, params, q, vs, vs)
+            profiles.homoclinic_integrals(gkdv, params, q, vs, 0.0)
 
     def test_order_refinement_within_estimate(self, cnoidal):
         model, params, br = cnoidal
