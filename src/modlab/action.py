@@ -85,7 +85,13 @@ def _central_differences(f, x: np.ndarray, steps: np.ndarray,
                          richardson: bool) -> np.ndarray:
     """Jacobian J(h) of f at x by central differences, column j at step
     h_j; with ``richardson``, (4 J(h/2) - J(h)) / 3, formed after J(h).
-    A stencil point where f finds no orbit is a StencilLeftBranch."""
+    A stencil point where f finds no orbit, or a step (h_j / 2 with
+    ``richardson``) that rounds away at x_j, is a StencilLeftBranch."""
+    smallest = 0.5 * steps if richardson else steps
+    for j in np.flatnonzero((x + smallest == x) | (x - smallest == x)):
+        raise StencilLeftBranch(f"stencil step {smallest[j]:.3e} rounds away "
+                                f"at coordinate {j} = {float(x[j])!r}")
+
     def at(p):
         try:
             return f(p)

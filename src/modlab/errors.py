@@ -64,7 +64,8 @@ class DegenerateOrbit(LimitFailure):
 
 
 class StencilLeftBranch(LimitFailure):
-    """A finite-difference stencil point crossed a distinguished limit."""
+    """A finite-difference stencil point crossed a distinguished limit, or a
+    step capped by the distance to one rounds away."""
 
 
 class NoWellMinimum(LimitFailure):

@@ -176,7 +176,7 @@ def _lambda_at_endstate(model: ModelSpec, c: float, Us: np.ndarray):
 
 
 def _homoclinic_orbit(model: ModelSpec, c: float, lam: np.ndarray, vs: float):
-    """(params at mu_s, W''(vs), wS, (M, dcM, quad_error)) of the family
+    """(params at mu_s, W''(vs), wS, (M, dcM, m, quad_error)) of the family
     (c, lambda) at its saddle vs, with vs + wS the outer root of mu_s - W;
     raises NoSaddle unless vs lies in the search window with W''(vs) < 0.
     In w = v - vs, as bracket_near_limit solves about a saddle, the level
@@ -229,24 +229,27 @@ def _soliton_anchor(model: ModelSpec, c: float, lam: np.ndarray,
                     Us: np.ndarray, lam_res: float) -> SolitonPoint:
     """Soliton anchor of the family (c, lambda) at its endstate U_s."""
     vs = float(Us[0])
-    params, w2, wS, (Mval, dcM, qerr) = _homoclinic_orbit(model, c, lam, vs)
+    params, w2, wS, (Mval, dcM, m, qerr) = _homoclinic_orbit(model, c, lam, vs)
     XiS = 2.0 * math.pi * math.sqrt(model.kappa_jet(vs, 0)[0] / (-w2))
+    # at fixed c, W'(vs) = 0 gives d_lambda M = m = int (U - U_s) dx, and
+    # d_U lambda = -K; negated first, an entry that cancels reads 0.0
+    K = model.hamiltonian_hessian(Us) + c * structural_matrices(model).Binv
+    gradUM = (-K * m).sum(axis=1)
 
-    # d2_c M and grad_U M from the Jacobian of (M, d_c M) over x = (c, U_s)
-    # at fixed endstate: the family lambda(x[0], x[1:]) has its saddle at x[1]
-    def moments(x):
-        lam_ = _lambda_at_endstate(model, x[0], x[1:])
-        return np.array(_homoclinic_orbit(model, x[0], lam_, x[1])[-1][:2])
+    # d2_c M by Richardson differences of d_c M along c, the saddle kept at vs
+    def dcM_at(x):
+        lam_ = _lambda_at_endstate(model, x[0], Us)
+        return np.array([_homoclinic_orbit(model, x[0], lam_, vs)[-1][1]])
 
-    # the moments vary on the scale a = -W''(vs) > 0 (c - v_s on gkdv), the
+    # d_c M varies on the scale a = -W''(vs) > 0 (c - v_s on gkdv), the
     # margin to where the soliton ceases to exist; Richardson error (h/a)^4
     # against quadrature noise eps/(h/a) gives h/a = eps^(1/5), about 1e-3
-    x = np.concatenate(([c], Us))
-    steps = 1e-3 * np.minimum(-w2, np.maximum(1.0, np.abs(x)))
-    J = _central_differences(moments, x, steps, richardson=True)
+    x = np.array([c])
+    step = 1e-3 * np.minimum(-w2, np.maximum(1.0, np.abs(x)))
+    J = _central_differences(dcM_at, x, step, richardson=True)
     return SolitonPoint(vs=vs, vS=vs + wS, mus=params.mu, cs=c, Us=Us,
                         lambdas=lam, XiS=XiS, boussinesq=Mval, dcM=dcM,
-                        quad_error=qerr, dc2M=float(J[1, 0]), gradUM=J[0, 1:],
+                        quad_error=qerr, dc2M=float(J[0, 0]), gradUM=gradUM,
                         lambda_residual=lam_res)
 
 

@@ -474,14 +474,15 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
 
 
 def homoclinic_integrals(model: ModelSpec, params: WaveParams, q: np.ndarray,
-                         vs: float, wS: float) -> tuple[float, float, float]:
-    """(M, dcM, error) of the solitary orbit from the saddle vs to vs + wS.
+                         vs: float, wS: float) -> tuple:
+    """(M, dcM, m, error) of the solitary orbit from the saddle vs to vs + wS,
+    with m the mass integrals int (U - U_s) dx over the same half orbit.
 
     Nodes and rows are in w = v - vs: ``q`` is T(vs + w) / w^2, where
     mu_s - W = w^2 (wS - w) P(w) / D.  As in orbit_integrals, both Gauss
     orders run on one node set and one kernel call; the error is their
-    relative gap, and QuadratureNotConverged is raised above
-    ``QUAD_RTOL`` or when either integral is not finite.
+    largest relative gap, and QuadratureNotConverged is raised above
+    ``QUAD_RTOL`` or when an integral is not finite.
     """
     _, _, s, cth, _, wq4 = _node_set(HOMOCLINIC_ORDER)
     n = HOMOCLINIC_ORDER
@@ -496,23 +497,26 @@ def homoclinic_integrals(model: ModelSpec, params: WaveParams, q: np.ndarray,
     # impulse-bracket integrand over the diverging arclength measure;
     # the bracket's quadratic vanishing at vs cancels the divergence
     meas = np.sqrt(kap * Dv / (2.0 * wS * Pv)) / s
+    # w dx = meas dw gives the masses; on two-field models (g - g_s) / w =
+    # (G' - tau' g_s) / tau(v) exactly, tau and G being affine
     if model.kind == "scalar":
-        qb = w / (2.0 * model.b)
+        qb, mass, weight = w / (2.0 * model.b), [meas], [1.0]
     else:
         gs = model.velocity_jet(vs, params.c, params.lam2)[0]
         tauv, Gv = ek
-        qb = (Gv / tauv - gs) / model.b
-    # M and dcM of the order-n pass on [0, n), then of order 2n on [n, 3n)
-    fM, fq = wq4 * act * dw, wq4 * qb * meas * dw
-    (cM, cq), (M, dcM) = [(0.5 * float(fM[a:b].sum()),
-                           0.5 * float(fq[a:b].sum()))
-                          for a, b in ((0, n), (n, 3 * n))]
-    err = float(np.max([abs(M - cM) / max(abs(M), 1e-300),
-                        abs(dcM - cq) / max(abs(dcM), 1e-300)]))
+        qb, mass = (Gv / tauv - gs) / model.b, [meas, meas / tauv]
+        weight = [1.0, -(params.c / model.b) - model.tau[1] * gs]
+    # each integral of the order-n pass on [0, n), then of order 2n on [n, 3n)
+    rows = [wq4 * act * dw, wq4 * qb * meas * dw,
+            *(wq4 * r * dw for r in mass)]
+    coarse, fine = [[0.5 * float(r[a:b].sum()) for r in rows]
+                    for a, b in ((0, n), (n, 3 * n))]
+    err = float(np.max([abs(x - cx) / max(abs(x), 1e-300)
+                        for x, cx in zip(fine, coarse)]))
     if not err <= QUAD_RTOL:
         raise QuadratureNotConverged(
             f"homoclinic integral error {err:.2e} above rtol {QUAD_RTOL:.1e}")
-    return M, dcM, err
+    return fine[0], fine[1], np.array(weight) * fine[2:], err
 
 
 def averaged_state(model: ModelSpec, params: WaveParams,

@@ -102,6 +102,26 @@ class TestHessian:
         with pytest.raises(StencilLeftBranch):
             action_hessian(gkdv, p, br, FDConfig())
 
+    def test_stencil_step_that_rounds_away_is_refused(self, gkdv, monkeypatch):
+        # 1e-20 below the soliton level of c = 1, the c step capped by the
+        # gap is 2e-18 and c +- h == c, where a difference reads a zero
+        # H_cc: refused before any stencil orbit is solved
+        p = WaveParams(-1e-20, 1.0, [0.0])
+        br = bracket_near_limit(gkdv, p, 0.0, "soliton")
+        calls = []
+        integrals = action.orbit_integrals
+
+        def counted(*args):
+            calls.append(args)
+            return integrals(*args)
+
+        monkeypatch.setattr(action, "orbit_integrals", counted)
+        with pytest.raises(StencilLeftBranch,
+                           match=r"stencil step 1\.000e-18 rounds away at "
+                                 r"coordinate 1 = 1\.0"):
+            action_hessian(gkdv, p, br, FDConfig(limit=("soliton", 0.0, 0.0)))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("mu", [-1e-5, -2.0 / 3.0 + 2e-7])
     def test_stencil_point_that_is_no_root_leaves_the_branch(self, gkdv, mu):
         # past a limit the tracked roots leave the real line: Newton ends on

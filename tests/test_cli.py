@@ -413,6 +413,17 @@ class TestFailurePaths:
         assert b"not a root" in err and b"Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_sweep_whose_stencil_step_rounds_away_exits_4(self, tmp_path):
+        # at mu_s - 1e-300 the near-limit Hessian's c step rounds away at
+        # c = 1: one limit failure, not a zero Hessian with NaN fits
+        code, out, err = run_cli([
+            "sweep", "--config", GKDV, "--regime", "soliton", "--c", "1",
+            "--grid", "1e-3:1e-300:4", "--out", "s.csv"], cwd=tmp_path)
+        assert code == 4 and not out
+        assert err.startswith(b"limit failure: stencil step ")
+        assert b"rounds away" in err and err.count(b"\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_branch_is_read_by_mi_only(self, tmp_path):
         dst = tmp_path / "h.csv"
         code, _, err = run_cli(["sweep", "--config", GKDV, "--regime",

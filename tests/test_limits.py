@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from modlab import limits
+from modlab.action import _central_differences
 from modlab.errors import (ConfigError, NoSaddle, NoWellMinimum,
                            StencilLeftBranch)
 from modlab.limits import (HarmonicPoint, _soliton_point_at_lambda,
@@ -201,7 +202,7 @@ class TestSolitonPoint:
         assert sp.boussinesq == pytest.approx(facts["moment"], rel=1e-10)
         assert sp.dcM == pytest.approx(facts["dcM"], rel=1e-10)
         assert sp.dc2M == pytest.approx(facts["dc2M"], rel=1e-12)
-        assert sp.gradUM[0] == pytest.approx(-12.0, rel=1e-12)
+        assert sp.gradUM[0] == pytest.approx(-12.0, rel=1e-13)
         assert sp.dcM > 0.0
 
     def test_lambda_reconstruction(self, gkdv):
@@ -235,17 +236,19 @@ class TestSolitonPoint:
     def test_gkdv_closed_forms_at_fixed_endstate(self, gkdv):
         # f = -v^3/6 is Galilean: M = (24/5) (c - v_s)^(5/2), so
         # d2_c M = 18 (c - v_s)^(1/2) and grad_U M = -12 (c - v_s)^(3/2),
-        # on 15 anchors given by endstate or by lambda
-        errs = []
+        # on 15 anchors given by endstate or by lambda; grad_U M is the mass
+        # identity, d2_c M a Richardson difference
+        errs, grad_errs = [], []
         for c in (0.5, 1.0, 2.0):
             anchors = [soliton_point(gkdv, c, [e]) for e in (0.0, 0.3, -0.4)]
             anchors += [_soliton_point_at_lambda(gkdv, c, [lam])
                         for lam in (0.1, -0.05)]
             for sp in anchors:
                 d = c - sp.vs
-                errs += [abs(sp.dc2M / (18.0 * d ** 0.5) - 1.0),
-                         abs(sp.gradUM[0] / (-12.0 * d ** 1.5) - 1.0)]
+                errs.append(abs(sp.dc2M / (18.0 * d ** 0.5) - 1.0))
+                grad_errs.append(abs(sp.gradUM[0] / (-12.0 * d ** 1.5) - 1.0))
         assert max(errs) <= 1e-11
+        assert max(grad_errs) <= 1e-13
 
     def test_speed_family_scaling(self, gkdv):
         # d_c M = 12 c^{3/2} along the endstate-zero family
@@ -290,8 +293,9 @@ class TestSolitonPoint:
         # constant-tau sign law: the impulse limit carries the sign of -c
         assert np.sign(sp.dcM) == np.sign(-0.8)
         assert sp.lambda_residual == 0.0
-        # with constant tau, mu_s - W does not depend on u_s
-        assert abs(sp.gradUM[1]) <= 1e-12
+        # with constant tau, mu_s - W does not depend on u_s: the two terms
+        # of the mass identity cancel exactly, to a positive zero
+        assert repr(float(sp.gradUM[1])) == "0.0"
         # moment derivative against finite differences of the moment
         h = 1e-5
         up = soliton_point(ek_lagrangian, 0.8 + h, sp.Us).boussinesq
@@ -301,7 +305,7 @@ class TestSolitonPoint:
     def test_system_soliton_closed_forms(self, ek_lagrangian):
         # d2_c M against its scale 24 a^(1/2) (4 c^2 + |v_s|), which the
         # sign flip crosses, and grad_U M against |d_vs M|
-        errs = []
+        errs, grad_errs = [], []
         for c in (0.5, 0.8):
             for Us in ([-1.2, 0.3], [-2.0, -0.7], [-1.0, 0.0]):
                 sp = soliton_point(ek_lagrangian, c, Us)
@@ -310,11 +314,12 @@ class TestSolitonPoint:
                 assert sp.boussinesq == pytest.approx(facts["moment"],
                                                       rel=1e-12)
                 assert sp.dcM == pytest.approx(facts["dcM"], rel=1e-12)
-                errs += [abs(sp.dc2M - facts["dc2M"])
-                         / (24.0 * a ** 0.5 * (4.0 * c * c - Us[0])),
-                         *np.abs(sp.gradUM - facts["gradUM"])
-                         / abs(facts["gradUM"][0])]
+                errs.append(abs(sp.dc2M - facts["dc2M"])
+                            / (24.0 * a ** 0.5 * (4.0 * c * c - Us[0])))
+                grad_errs += list(np.abs(sp.gradUM - facts["gradUM"])
+                                  / abs(facts["gradUM"][0]))
         assert max(errs) <= 1e-11
+        assert max(grad_errs) <= 1e-13
 
     @pytest.mark.parametrize("vs", [-0.5, -1.0, -1.2, -2.0])
     def test_system_soliton_flips_at_the_threshold(self, ek_lagrangian, vs):
@@ -343,8 +348,10 @@ class TestSolitonPoint:
             scale = 24.0 * (-endstate[0] - c * c) ** 0.5 * (
                 4.0 * c * c - endstate[0])
         assert abs(sp.dc2M - facts["dc2M"]) <= 1e-8 * scale
+        # the mass identity, against |d_vs M|: 1e-9 at c^2 / c_s^2 = 0.999
+        tol = 1e-13 if family == "gkdv" else 1e-9
         assert np.allclose(sp.gradUM, facts["gradUM"], rtol=0.0,
-                           atol=1e-8 * abs(facts["gradUM"][0]))
+                           atol=tol * abs(facts["gradUM"][0]))
 
     @pytest.mark.parametrize("a", [1e-3, 1e-4, 1e-5, 1e-6])
     def test_gkdv_accuracy_near_the_edge_at_a_far_endstate(self, gkdv, a):
@@ -354,25 +361,34 @@ class TestSolitonPoint:
         vs = 1.0 - a
         a = 1.0 - vs
         sp = soliton_point(gkdv, 1.0, [vs])
-        assert sp.boussinesq == pytest.approx(4.8 * a ** 2.5, rel=1e-11)
+        assert sp.boussinesq == pytest.approx(4.8 * a ** 2.5, rel=1e-11,
+                                              abs=0.0)
         assert sp.dc2M == pytest.approx(18.0 * a ** 0.5, rel=1e-6)
-        assert sp.gradUM[0] == pytest.approx(-12.0 * a ** 1.5, rel=1e-6)
+        # the mass identity needs no step and is as good as M itself: 5.5e-13
+        # at a = 1e-4, where M is off by 2.7e-12
+        assert sp.gradUM[0] == pytest.approx(-12.0 * a ** 1.5, rel=1e-12,
+                                             abs=0.0)
 
-    @pytest.mark.parametrize("vs", [-1.2, -20.0])
-    @pytest.mark.parametrize("r", [0.999, 1.0 - 1e-4, 1.0 - 1e-6])
+    @pytest.mark.parametrize("vs", [-1.2, -20.0, -0.5, -2.0])
+    @pytest.mark.parametrize("r", [0.999, 1.0 - 1e-4, 1.0 - 1e-6, 0.81, 0.9])
     def test_system_accuracy_near_sonic(self, ek_lagrangian, vs, r):
         # c^2 = r c_s^2 = r |v_s|, so a = (1 - r) |v_s|; every stencil
         # point keeps its outer turning level, and d2_c M meets its
         # closed form to 1e-7 of its scale (5.1e-8 at v_s = -1.2,
-        # r = 1 - 1e-6)
+        # r = 1 - 1e-6); the mass identity meets d_vs M to 1e-13 up to
+        # r = 0.81 and to 1e-9 beyond, where the orbit's quadrature
+        # limits it
         c = math.sqrt(r * -vs)
         sp = soliton_point(ek_lagrangian, c, [vs, 0.3])
         facts = ek_lagrangian_soliton_facts(c, vs)
         a = -vs - c * c
-        assert sp.boussinesq == pytest.approx(facts["moment"], rel=1e-9)
+        assert sp.boussinesq == pytest.approx(facts["moment"], rel=1e-9,
+                                              abs=0.0)
         assert abs(sp.dc2M - facts["dc2M"]) <= 1e-7 * (
             24.0 * a ** 0.5 * (4.0 * c * c - vs))
-        assert sp.gradUM[0] == pytest.approx(facts["gradUM"][0], rel=1e-6)
+        tol = 1e-13 if r <= 0.81 else 1e-9
+        assert sp.gradUM[0] == pytest.approx(facts["gradUM"][0], rel=tol,
+                                             abs=0.0)
         assert abs(sp.gradUM[1]) <= 1e-12 * abs(sp.gradUM[0])
 
     @pytest.mark.parametrize("c", [1e-3, 1e-2, 0.1])
@@ -381,17 +397,71 @@ class TestSolitonPoint:
         # soliton: the relative error does not grow as a -> 0 at v_s = 0
         sp = soliton_point(gkdv, c, [0.0])
         assert sp.dc2M == pytest.approx(18.0 * c ** 0.5, rel=1e-11)
-        assert sp.gradUM[0] == pytest.approx(-12.0 * c ** 1.5, rel=1e-11)
+        assert sp.gradUM[0] == pytest.approx(-12.0 * c ** 1.5, rel=1e-13,
+                                             abs=0.0)
+
+    @pytest.mark.parametrize("family, c, endstate", [
+        ("gkdv", 1.0, [0.0]), ("gkdv", 1.0, [0.999]),
+        ("ek_lagrangian", 0.8, [-1.2, 0.3])])
+    def test_every_orbit_is_at_the_endstate(self, request, monkeypatch,
+                                            family, c, endstate):
+        # the stencil runs along c alone and never moves the saddle: every
+        # homoclinic orbit of one anchor is solved about its own v_s
+        saddles = []
+        orbit = limits._homoclinic_orbit
+
+        def recorded(model, c, lam, vs):
+            saddles.append(vs)
+            return orbit(model, c, lam, vs)
+
+        monkeypatch.setattr(limits, "_homoclinic_orbit", recorded)
+        sp = soliton_point(request.getfixturevalue(family), c, endstate)
+        assert saddles == [sp.vs] * 5
+
+    def test_affine_tau_gradient_matches_fd_of_the_moment(self):
+        # tau = 1 + 0.2 v moves mu_s - W with u_s: both entries of the mass
+        # identity against a Richardson difference of M over U_s, kept as a
+        # test oracle only
+        model = ModelSpec(kind="euler_korteweg", b=1.0,
+                          f=Laurent.make([0.0, 0.0, 0.0, -1.0 / 6.0]),
+                          kappa=Laurent.make([1.0]), tau=(1.0, 0.2),
+                          domain=(-4.0, 20.0), label="affine_tau")
+        for c, Us in ((0.8, [-1.2, 0.3]), (0.5, [-2.0, -0.7]),
+                      (0.3, [-1.0, 0.5])):
+            sp = soliton_point(model, c, Us)
+            fd = _central_differences(
+                lambda U: np.array([soliton_point(model, c, U).boussinesq]),
+                np.array(Us), 1e-3 * np.ones(2), richardson=True)[0]
+            assert abs(sp.gradUM[1]) > 1.0
+            assert np.allclose(sp.gradUM, fd, rtol=1e-10, atol=0.0)
 
     def test_stencil_point_leaving_the_family_is_named(self, gkdv):
-        # the window ends 1e-4 left of the endstate 0, inside the step
-        # 1e-3 of the U_s column: that stencil point has no saddle
-        model = dataclasses.replace(gkdv, domain=(-1e-4, 5.0))
+        # the window ends at 3.0001, past the outer turning level 3 of the
+        # anchor at c = 1 but short of 3.003 at the stencil point c + 1e-3
+        model = dataclasses.replace(gkdv, domain=(-1.0, 3.0001))
         with pytest.raises(
                 StencilLeftBranch,
-                match=r"stencil point \[1\.0, -0\.001\] left the family: "
-                      r".*outside the search window \(-0\.0001, 5\.0\)"):
+                match=r"stencil point \[1\.001\] left the family: no outer "
+                      r"turning level right of the saddle"):
             soliton_point(model, 1.0, [0.0])
+
+    def test_window_left_of_the_endstate_keeps_the_anchor(self, gkdv):
+        # a window ending 1e-4 left of the endstate holds every stencil
+        # point, which moves c alone: the anchor keeps every bit
+        sp = soliton_point(dataclasses.replace(gkdv, domain=(-1e-4, 5.0)),
+                           1.0, [0.0])
+        full = soliton_point(gkdv, 1.0, [0.0])
+        assert sp.dc2M == full.dc2M
+        assert sp.gradUM.tolist() == full.gradUM.tolist()
+
+    @pytest.mark.parametrize("a", [1e-13, 1e-14])
+    def test_anchor_whose_step_rounds_away_is_refused(self, gkdv, a):
+        # the step 1e-3 a rounds away at c = 1, where a difference would
+        # read a zero or wrong-signed d2_c M
+        with pytest.raises(StencilLeftBranch,
+                           match=r"stencil step .* rounds away at "
+                                 r"coordinate 0 = 1\.0"):
+            soliton_point(gkdv, 1.0, [1.0 - a])
 
 
 class TestLimitingMatrices:

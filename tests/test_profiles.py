@@ -285,10 +285,10 @@ class TestQuadratureSetup:
     def test_one_kernel_call_per_homoclinic_orbit(self, request, monkeypatch,
                                                   family, c, endstate):
         # both Gauss orders of a homoclinic orbit run on one node set: the
-        # anchor's orbit, then four per column of the Richardson Jacobian
-        # over (c, U_s), two at step h and two at h / 2; each call runs
-        # -q, D and the kappa rows, with tau and G on two-field models,
-        # and no f rows
+        # anchor's orbit, then the four of the Richardson difference of
+        # d_c M along c, two at step h and two at h / 2, whatever N; each
+        # call runs -q, D and the kappa rows, with tau and G on two-field
+        # models, and no f rows
         model = request.getfixturevalue(family)
         calls = []
         horner = profiles.kernels.horner_batch
@@ -299,8 +299,7 @@ class TestQuadratureSetup:
 
         monkeypatch.setattr(profiles.kernels, "horner_batch", counted)
         soliton_point(model, c, endstate)
-        assert calls == [(2 + 2 * model.N, 3 * profiles.HOMOCLINIC_ORDER)] * (
-            1 + 4 * (model.N + 1))
+        assert calls == [(2 + 2 * model.N, 3 * profiles.HOMOCLINIC_ORDER)] * 5
 
     @pytest.mark.parametrize("n", [0, 2.5, profiles.MAX_QUAD_ORDER + 1])
     def test_quad_order_out_of_range_is_a_config_error(self, cnoidal,
