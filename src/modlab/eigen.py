@@ -28,25 +28,26 @@ def eig_small(A: np.ndarray):
     n = A.shape[0]
     if n > 4:
         raise EigenFailure("eig_small supports sizes up to 4")
-    norm = max(float(np.max(np.abs(A))), 1e-300)
+    norm = max(float(np.abs(A).max()), 1e-300)
     try:
         zs, V = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"eigensolver failed: {exc}") from None
     zs = zs.astype(complex)
-    real = np.abs(zs.imag) <= 1e-11 * (1.0 + np.abs(zs))
-    zs[real] = zs[real].real
+    zs.imag[np.abs(zs.imag) <= 1e-11 * (1.0 + np.abs(zs))] = 0.0
     order = np.lexsort((zs.imag, zs.real))
     zs = zs[order]
     # one vector per row, real while LAPACK's are, normed as np.linalg.norm
     # does; np.hypot is the scalar abs bit for bit (np.abs is not)
-    rows = V[:, order].T.copy()
+    rows = V.T[order]
     re, im = rows.real, rows.imag
     rows = rows / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[:, None]
     lead = rows[np.arange(n), np.argmax(np.abs(rows) > 1e-12, axis=1)]
     rows = rows / (lead / np.hypot(lead.real, lead.imag))[:, None]
     vecs = rows.T.astype(complex, order="C")
-    resid = np.linalg.norm(A @ vecs - vecs * zs, axis=0)
+    # the column norms of A V - V Z, formed as np.linalg.norm forms them
+    d = A @ vecs - vecs * zs
+    resid = np.sqrt(np.add.reduce((d.conj() * d).real, axis=0))
     if np.any(resid > TOL * norm * 50):
         raise EigenFailure(
             f"eigen residual {resid.max():.2e} above tolerance for ||A|| = {norm:.2e}")

@@ -28,6 +28,16 @@ def horner_batch(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     if coeffs.shape[1] == 1:
         return np.repeat(coeffs, v.shape[0], axis=1)
+    if coeffs.shape[0] == 1:
+        # one row: the same recurrence on float coefficients, which numpy
+        # applies without broadcasting a column
+        c0, c1, *cs = coeffs[0].tolist()
+        acc = c0 * v
+        acc += c1
+        for cj in cs:
+            acc *= v
+            acc += cj
+        return acc[None]
     acc = coeffs[:, :1] * v
     acc += coeffs[:, 1:2]
     for j in range(2, coeffs.shape[1]):
@@ -36,9 +46,10 @@ def horner_batch(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
     return acc
 
 
-def pack_rows(rows) -> np.ndarray:
-    """Stack ascending-coefficient arrays into a descending padded batch."""
-    d = max(len(r) for r in rows)
+def pack_rows(rows, width: int | None = None) -> np.ndarray:
+    """Stack ascending-coefficient arrays into a descending batch, zero
+    padded on the left to ``width`` (default: the longest row)."""
+    d = max(len(r) for r in rows) if width is None else width
     out = np.zeros((len(rows), d))
     for i, r in enumerate(rows):
         out[i, d - len(r):] = r[::-1]

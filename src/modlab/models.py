@@ -16,6 +16,7 @@ derivatives exact; nothing here is differentiated numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -55,7 +56,8 @@ class WaveParams:
 
     @staticmethod
     def from_vector(x: np.ndarray) -> "WaveParams":
-        return WaveParams(float(x[0]), float(x[1]), np.asarray(x[2:], dtype=float))
+        mu, c, *lam = x.tolist()
+        return WaveParams(mu, c, np.array(lam))
 
 
 @dataclass(frozen=True)
@@ -213,9 +215,10 @@ class ModelSpec:
             raise ConfigError("potential_jet supports order <= 4")
         self.check_domain(v)
         c, lam = params.c, params.lam
-        fj = self.f_jet(v, order)
+        # on floats: the IEEE operations of the array form, in its order
+        fj = [fn(v) for fn in self._f_chain[:order + 1]]
         if self.kind == "scalar":
-            out = -fj.copy()
+            out = [-x for x in fj]
             cb = c / (2.0 * self.b)
             lam1 = float(lam[0])
             out[0] -= cb * v * v + lam1 * v
@@ -223,16 +226,14 @@ class ModelSpec:
                 out[1] -= 2.0 * cb * v + lam1
             if order >= 2:
                 out[2] -= 2.0 * cb
-            return out
+            return np.array(out)
         lam1, lam2 = float(lam[0]), float(lam[1])
         t = self.tau_jet(v, 3)
         g, gv = self.velocity_jet(v, c, lam2)[:2]
-        out = np.empty(order + 1)
-        out[0] = -fj[0] + 0.5 * t[0] * g * g - lam1 * v
+        out = [-fj[0] + 0.5 * t[0] * g * g - lam1 * v]
         if order >= 1:
-            out[1] = -fj[1] - 0.5 * t[1] * g * g - (c / self.b) * g - lam1
-        out[2:] = reduced_jet(t, g, gv, fj)[2]
-        return out
+            out.append(-fj[1] - 0.5 * t[1] * g * g - (c / self.b) * g - lam1)
+        return np.array(out + reduced_jet(t, g, gv, fj)[2])
 
     def potential_rational(self, params: WaveParams) -> tuple[np.ndarray, np.ndarray]:
         """W = N(v)/D(v) as an exact polynomial ratio.
@@ -255,7 +256,7 @@ class ModelSpec:
             g0, g1 = -float(lam[1]), -(c / self.b)
             gg = [g0 * g0, g0 * g1 + g1 * g0, g1 * g1]
             part = padd([x * 0.5 for x in gg],
-                        [0.0 * t0, 0.0 * t1 + -lam1 * t0, -lam1 * t1]).tolist()
+                        [0.0 * t0, 0.0 * t1 + -lam1 * t0, -lam1 * t1])
         return padd(fixed, [0.0] * self.f.shift + part), den
 
     # -- state-space Hessians ------------------------------------------------
@@ -299,14 +300,13 @@ def _derivative_chain(fn: Laurent) -> tuple:
 
 
 def _jet(chain: tuple, v: float, order: int) -> np.ndarray:
-    out = np.empty(order + 1)
-    for j in range(order + 1):
-        out[j] = chain[j](v)
-    return out
+    return np.array([fn(v) for fn in chain[:order + 1]])
 
 
+@functools.cache
 def structural_matrices(model: ModelSpec) -> StructuralMatrices:
-    """B, S and the (N+2) modulation weight with their exact inverses."""
+    """B, S and the (N+2) modulation weight with their exact inverses,
+    built once per model; the arrays are read-only."""
     b = model.b
     if model.N == 1:
         B = np.array([[b]])
@@ -327,6 +327,8 @@ def structural_matrices(model: ModelSpec) -> StructuralMatrices:
     BBinv = np.zeros((n, n))
     BBinv[0, 1] = BBinv[1, 0] = 1.0
     BBinv[2:, 2:] = Binv
+    for a in (B, Binv, S, BB, BBinv, Sinv):
+        a.flags.writeable = False
     return StructuralMatrices(B=B, Binv=Binv, S=S, BB=BB, BBinv=BBinv, Sinv=Sinv)
 
 

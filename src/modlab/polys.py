@@ -8,9 +8,11 @@ polynomials are ascending float64 coefficient arrays ``c[0] + c[1] v +
 
 The deflation helpers factor known roots out of a polynomial exactly
 (synthetic division), which is what keeps the orbit quadrature free of
-endpoint cancellation.  The shift, deflation, derivative and evaluation
-loops run on Python floats: the IEEE operations of the float64 array
-form, in the same order, without its per-element array overhead.
+endpoint cancellation.  The sum, shift, deflation, derivative and
+evaluation loops run on Python floats: the IEEE operations of the
+float64 array form, in the same order, without its per-element array
+overhead.  Each takes its coefficients as an array or a list and returns
+the same kind, so a caller that runs several of them converts once.
 Evaluation takes floats only; the array Horner is kernels.horner_batch.
 """
 
@@ -37,12 +39,24 @@ def trim(c):
     return c[:n]
 
 
-def padd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = max(len(a), len(b))
-    out = np.zeros(n)
-    out[: len(a)] += a
-    out[: len(b)] += b
-    return trim(out)
+def _floats(a) -> list:
+    """The coefficients of an array or a list, as a list of floats."""
+    return a.tolist() if isinstance(a, np.ndarray) else a
+
+
+def _like(a, c: list):
+    """``c`` as the kind of ``a``: an array for an array, else a list."""
+    return np.array(c) if isinstance(a, np.ndarray) else c
+
+
+def padd(a, b):
+    """a + b, formed as (0 + a_k) + b_k on a zeroed array would be."""
+    out = [0.0] * max(len(a), len(b))
+    for k, x in enumerate(_floats(a)):
+        out[k] += x
+    for k, x in enumerate(_floats(b)):
+        out[k] += x
+    return _like(a, trim(out))
 
 
 def pscale(a: np.ndarray, s: float) -> np.ndarray:
@@ -53,43 +67,43 @@ def pmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return trim(np.convolve(a, b))
 
 
-def pder(a: np.ndarray) -> np.ndarray:
-    c = a.tolist()
+def pder(a):
+    c = _floats(a)
     if len(c) == 1:
-        return np.zeros(1)
-    return np.array(trim([c[k] * k for k in range(1, len(c))]))
+        return _like(a, [0.0])
+    return _like(a, trim([c[k] * k for k in range(1, len(c))]))
 
 
-def peval(a: np.ndarray, v: float) -> float:
+def peval(a, v: float) -> float:
     """Horner evaluation on floats only: ``v`` is one float (np.float64
     included), and the recurrence runs on Python floats."""
-    c = a.tolist()
+    c = _floats(a)
     acc = c[-1]
     for k in range(len(c) - 2, -1, -1):
         acc = acc * v + c[k]
     return float(acc)
 
 
-def pshift(a: np.ndarray, x0: float) -> np.ndarray:
+def pshift(a, x0: float):
     """Coefficients of p(x0 + w) as a polynomial in w (Taylor shift)."""
-    out = np.asarray(a, dtype=float).tolist()
+    out = list(_floats(a))
     n = len(out)
     # repeated synthetic division by (v - x0); classic exact shift
     for j in range(n - 1):
         for k in range(n - 2, j - 1, -1):
             out[k] += x0 * out[k + 1]
-    return np.array(out)
+    return _like(a, out)
 
 
-def pdeflate(a: np.ndarray, root: float) -> tuple[np.ndarray, float]:
+def pdeflate(a, root: float) -> tuple:
     """Divide by (v - root); returns (quotient, remainder)."""
-    c = a.tolist()
-    acc = c.pop()
+    c = _floats(a)
+    acc = c[-1]
     q = []
-    for ck in reversed(c):
+    for k in range(len(c) - 2, -1, -1):
         q.append(acc)
-        acc = ck + root * acc
-    return np.array(trim(q[::-1] or [0.0])), float(acc)
+        acc = c[k] + root * acc
+    return _like(a, trim(q[::-1] or [0.0])), float(acc)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,7 +28,8 @@ from . import kernels
 from .errors import (ConfigError, DegenerateOrbit, MultipleWells,
                      NoPeriodicOrbit, QuadratureNotConverged)
 from .models import ModelSpec, WaveParams
-from .polys import monomial_coeffs, pdeflate, peval, pder, pshift, trim
+from .polys import (_floats, monomial_coeffs, pdeflate, peval, pder, pshift,
+                    trim)
 
 DEGENERACY_FRACTION = 1e-6
 # relative residual |T(x)| / sum |t_k| |x|^k above which x is no root of T
@@ -103,12 +104,13 @@ class OrbitBracket:
     def root_residuals(self) -> tuple:
         """|T(x)| / sum |t_k| |x|^k, Horner's error scale, at v2, v3, v1."""
         t = self.T.tolist()[::-1]
+        at = [abs(tk) for tk in t]
         out = []
         for x in (self.v2, self.v3, self.v1):
             if x is not None:
-                p = s = 0.0
-                for tk in t:
-                    p, s = p * x + tk, s * abs(x) + abs(tk)
+                ax, p, s = abs(x), 0.0, 0.0
+                for tk, ak in zip(t, at):
+                    p, s = p * x + tk, s * ax + ak
                 out.append(abs(p) / s if s else 0.0)
         return tuple(out)
 
@@ -159,11 +161,11 @@ def level_polynomial(model: ModelSpec,
     return np.array(trim(T)), den
 
 
-def _newton_refine(T: np.ndarray, Td: np.ndarray, x: float, lo: float,
-                   hi: float, tol: float) -> float:
-    # descending coefficients as floats; Horner runs inline on them
-    t0, *t = T[::-1].tolist()
-    d0, *d = Td[::-1].tolist()
+def _newton_refine(T: list, Td: list, x: float, lo: float, hi: float,
+                   tol: float) -> float:
+    # descending coefficients; Horner runs inline on the floats
+    t0, *t = T[::-1]
+    d0, *d = Td[::-1]
     for _ in range(80):
         fx, dx = t0, d0
         for ck in t:
@@ -193,18 +195,18 @@ def _window_in_domain(model: ModelSpec) -> tuple[float, float]:
             hi if math.isfinite(hi) else 1e6)
 
 
-def _real_roots_in(T: np.ndarray, lo: float, hi: float, q=None,
-                   at: float = 0.0) -> list:
+def _real_roots_in(T, lo: float, hi: float, q=None, at: float = 0.0) -> list:
     """Real roots of T in the window [lo, hi], sorted.
 
     Seeds are the roots z of ``q`` (default T; or T with known roots
     divided out) in the coordinate v - ``at``; a linear q is solved as
     np.roots would, bit for bit.  A seed with |Im z| <= 1e-5 max(1, |Re z|)
     is polished by Newton on T in the window widened by 1 %, and kept if
-    it stays that close: off a complex pair Newton walks away.
+    it stays that close: off a complex pair Newton walks away.  T and q
+    are arrays or lists.
     """
-    Tt = trim(T)
-    qt = Tt if q is None else trim(q)
+    Tt = trim(_floats(T))
+    qt = Tt if q is None else trim(_floats(q))
     if len(qt) < 2:
         return []
     seeds = [-qt[0] / qt[1]] if len(qt) == 2 else np.roots(qt[::-1])
@@ -296,7 +298,8 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
     bracket that breaks it raises ``NoPeriodicOrbit``.
     """
     T, _ = level_polynomial(model, params)
-    Tc = trim(pshift(T, center))
+    t = T.tolist()
+    Tc = trim(pshift(t, center))
     Td = pder(Tc)
     wj = model.potential_jet(center, params, order=2)
     h = params.mu - wj[0]
@@ -309,7 +312,7 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
     # far roots in the domain from the quotient deflated in w, polished on T
     q, _ = pdeflate(Tc, wm)
     q, _ = pdeflate(q, wp)
-    far = _real_roots_in(T, *_window_in_domain(model), q=q, at=center)
+    far = _real_roots_in(t, *_window_in_domain(model), q=q, at=center)
     if side == "harmonic":
         v2, v3 = center + wm, center + wp
         v1 = max([r for r in far if r < v2], default=None)
@@ -367,28 +370,74 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
 # orbit integrals
 
 
+# model -> (rows, packed): its fixed integrand rows on a periodic orbit (D,
+# the kappa and f numerators and denominators, and tau on two-field
+# models), each a float where it is a nonzero constant and None where it
+# goes through the kernel; the ascending coefficients of those; and
+# their read-only pack, at the width of the full stack
+_row_cache: dict = {}
+
+
+def _constant(row) -> float | None:
+    """The value of a row of degree 0 that is not zero, else None.
+
+    Horner gives such a row's value bit for bit at any node, so it enters
+    the integrand as a scalar; a zero row keeps the signs of zero that
+    Horner at the stack's width gives it, so it goes through the kernel.
+    """
+    c = trim(row)
+    return float(c[0]) if len(c) == 1 and c[0] != 0.0 else None
+
+
 def _integrand_stack(model: ModelSpec, params: WaveParams, q: np.ndarray,
-                     at: float | None = None) -> np.ndarray:
-    """Packed polynomial stack the hot kernel evaluates at the nodes.
+                     at: float | None = None) -> tuple:
+    """(packed, rows): the polynomial stack the hot kernel evaluates at the
+    nodes, and the integrand rows with a float for each constant one and
+    None for each one the kernel gives, in the stack's order.
 
     Rows, in the order orbit_integrals and homoclinic_integrals unpack
     them: -q, the level polynomial (mu - W) D with the orbit's turning
     points divided out; D; the kappa numerator and denominator; on a
     periodic orbit (``at`` None) the f numerator and denominator; then,
     on two-field models, tau and G = -(lam2 + c v / b), the numerator of
-    the reduced velocity g = G / tau.  A homoclinic orbit passes its
-    saddle as ``at``: its q is in w = v - at, and its rows shift there.
+    the reduced velocity g = G / tau.  On a periodic orbit only -q and G
+    are formed per call; the model's own rows are packed once, in
+    ``_row_cache``.  Every row is padded to the width of the longest, so
+    the kernel gives each the bits it gives it in the full stack.  A
+    homoclinic orbit passes its saddle as ``at``: its q is in w = v - at,
+    its rows shift there, and the kernel evaluates all of them.
     """
     kappa, f = model.kappa, model.f
-    rows = [model._rational[1], kappa.coeffs, monomial_coeffs(kappa.shift)]
-    if at is None:
-        rows += [f.coeffs, monomial_coeffs(f.shift)]
-    if model.kind == "euler_korteweg":
-        rows += [np.array(model.tau, dtype=float),
-                 np.array([-params.lam2, -(params.c / model.b)])]
+    G = [-params.lam2, -(params.c / model.b)] if model.N == 2 else None
     if at is not None:
-        rows = [pshift(r, at) for r in rows]
-    return kernels.pack_rows([-q, *rows])
+        rows = [model._rational[1], kappa.coeffs, monomial_coeffs(kappa.shift)]
+        if G is not None:
+            rows += [np.array(model.tau, dtype=float), np.array(G)]
+        packed = kernels.pack_rows([-q, *(pshift(r, at) for r in rows)])
+        return packed, [None] * len(packed)
+    entry = _row_cache.get(model)
+    if entry is None:
+        fixed = [model._rational[1], kappa.coeffs,
+                 monomial_coeffs(kappa.shift), f.coeffs,
+                 monomial_coeffs(f.shift)]
+        if G is not None:
+            fixed.append(np.array(model.tau, dtype=float))
+        consts = [_constant(r) for r in fixed]
+        varying = [r for r, x in zip(fixed, consts) if x is None]
+        packed = kernels.pack_rows(varying, max(map(len, fixed)))
+        packed.flags.writeable = False
+        entry = _row_cache[model] = (consts, varying, packed)
+    consts, varying, packed = entry
+    lead = _constant(-q)
+    front = [] if lead is not None else [-q]
+    rows, back = [lead, *consts], []
+    if G is not None:
+        rows.append(_constant(G))
+        back = [] if rows[-1] is not None else [np.array(G)]
+    if front or back:
+        packed = kernels.pack_rows(front + varying + back,
+                                   max(len(q), packed.shape[1]))
+    return packed, rows
 
 
 def orbit_integrals(model: ModelSpec, params: WaveParams,
@@ -398,12 +447,14 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
 
     The coarse (order n) and fine (order 2n) Gauss passes run on one node
     set: each segment of the orbit lays its n and 2n nodes side by side,
-    the substitution and the integrand are formed once over all of them,
-    and each (pass, segment) block is evaluated on its own contiguous
-    slice, where one ``np.vecdot`` reduces all its integrand rows.
-    Raises QuadratureNotConverged when the doubled-order estimate
-    exceeds ``QUAD_RTOL`` relative to the period, or when an integral is
-    not finite.
+    the substitution and the integrand are formed in place over all of
+    them, and each (pass, segment) block is evaluated on its own
+    contiguous slice, where one ``np.vecdot`` reduces all its integrand
+    rows.  Only the rows that vary with v go through the kernel; constant
+    ones enter as scalars, which gives the same bits.  Raises
+    QuadratureNotConverged when the doubled-order estimate exceeds
+    ``QUAD_RTOL`` relative to the period, or when an integral is not
+    finite.
     """
     xp1, wgt, s, c, s2, wq4 = _node_set(quad_order)
     n = quad_order
@@ -412,65 +463,93 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
     q, _ = pdeflate(q, v3)
     if v1 is not None:
         q, _ = pdeflate(q, v1)
-    packed = _integrand_stack(model, params, q)
+    packed, rows = _integrand_stack(model, params, q)
+    # the rows each block reduces, on one node layout: v first, the
+    # (mu - W) pair factor last
+    R = np.empty((3 + model.N, (3 if v1 is None else 6) * n))
+    v, pair = R[0], R[-1]
     if v1 is None:
         # single trigonometric substitution over the whole well
-        v = v2 + (v3 - v2) * s2
-        pair = (v3 - v2) ** 2 * s2 * (1.0 - s2)
+        np.multiply(s2, v3 - v2, out=v)
+        v += v2
+        np.multiply(s2, (v3 - v2) ** 2, out=pair)
+        pair *= 1.0 - s2
         dxi_core = math.sqrt(0.5)
         wq = wq4
         blocks = ((0, n), (n, 3 * n))
     else:
         vm = 0.5 * (v2 + v3)
+        lo, up = slice(0, 3 * n), slice(3 * n, 6 * n)
         # lower segment: hyperbolic substitution absorbing the (v1, v2) pair
         psim = math.acosh(math.sqrt((vm - v1) / (v2 - v1)))
         ps = xp1 * (psim / 2.0)
         ch, sh = np.cosh(ps), np.sinh(ps)
-        vlo = v1 + (v2 - v1) * ch * ch
+        np.multiply(ch, v2 - v1, out=v[lo])
+        v[lo] *= ch
+        v[lo] += v1
         # upper segment: trigonometric substitution at the outer root v3
-        vup = v3 - (v3 - vm) * s * s
-        v = np.concatenate((vlo, vup))
-        pair = np.concatenate(((v2 - v1) ** 2 * (ch * sh) ** 2 * (v3 - vlo),
-                               (v3 - vm) * s * s * (vup - v1) * (vup - v2)))
-        dxi_core = np.concatenate((
-            np.sqrt(0.5 / (v3 - vlo)),
-            c * np.sqrt(0.5 * (v3 - vm) / ((vup - v1) * (vup - v2)))))
+        top = s * (v3 - vm)
+        top *= s
+        np.subtract(v3, top, out=v[up])
+        gap, a1, a2 = v3 - v[lo], v[up] - v1, v[up] - v2
+        ch *= sh
+        ch *= ch
+        ch *= (v2 - v1) ** 2
+        np.multiply(ch, gap, out=pair[lo])
+        np.multiply(top, a1, out=pair[up])
+        pair[up] *= a2
+        dxi_core = np.empty_like(v)
+        np.divide(0.5, gap, out=dxi_core[lo])
+        np.multiply(a1, a2, out=dxi_core[up])
+        np.divide(0.5 * (v3 - vm), dxi_core[up], out=dxi_core[up])
+        np.sqrt(dxi_core, out=dxi_core)
+        dxi_core[up] *= c
         # wq carries the full-period weight (2 x the half-period sweep)
-        wq = np.concatenate((4.0 * (wgt * (psim / 2.0)), wq4))
+        wq = np.empty_like(v)
+        np.multiply(wgt, psim / 2.0, out=wq[lo])
+        wq[lo] *= 4.0
+        wq[up] = wq4
         blocks = ((0, n), (n, 3 * n), (3 * n, 4 * n), (4 * n, 6 * n))
-    vals = np.concatenate([kernels.horner_batch(packed, v[a:b])
-                           for a, b in blocks], axis=1)
-    Pv, denv, knv, kdv, fnv, fdv, *ek = vals
-    mu_minus_w = pair * Pv / denv
+    vals = iter(np.concatenate([kernels.horner_batch(packed, v[a:b])
+                                for a, b in blocks], axis=1))
+    Pv, denv, knv, kdv, fnv, fdv, *ek = [next(vals) if x is None else x
+                                         for x in rows]
+    # mu - W
+    pair *= Pv
+    pair /= denv
     w = wq * (dxi_core * np.sqrt(knv * denv / (kdv * Pv)))
-    fval = fnv / fdv
-    if model.kind == "scalar":
-        rows = (v, v * v / (2.0 * model.b), fval, mu_minus_w)
+    if model.N == 1:
+        np.multiply(v, v, out=R[1])
+        R[1] /= 2.0 * model.b
+        np.divide(fnv, fdv, out=R[2])
     else:
         tauv, Gv = ek
-        g = Gv / tauv
-        rows = (v, g, v * g / model.b, fval + 0.5 * tauv * g * g, mu_minus_w)
-    rows = np.stack(rows)
+        g = np.divide(Gv, tauv, out=R[1])
+        np.multiply(v, g, out=R[2])
+        R[2] /= model.b
+        np.multiply(0.5 * tauv, g, out=R[3])
+        R[3] *= g
+        R[3] += fnv / fdv
     # per block: the period, int_U, int_Q, int_E and the integral of mu - W
-    sums = [[float(w[a:b].sum()), *np.vecdot(rows[:, a:b], w[a:b]).tolist()]
-            for a, b in blocks]
+    sums = [[float(np.add.reduce(w[a:b])),
+             *np.vecdot(R[:, a:b], w[a:b]).tolist()] for a, b in blocks]
     if v1 is not None:
         # pass totals, lower segment first
         sums = [[lo + up for lo, up in zip(sums[i], sums[i + 2])]
                 for i in (0, 1)]
     (cXi, *cU, cQ, cE, cW), (Xi, *U, Q, E, Iw) = sums
-    int_U, theta = np.array(U), 2.0 * Iw
-    num = [abs(Xi - cXi), abs(Q - cQ), abs(theta - 2.0 * cW), abs(E - cE)]
-    num += list(np.abs(int_U - np.array(cU)))
+    theta = 2.0 * Iw
+    gaps = [abs(Xi - cXi), abs(Q - cQ), abs(theta - 2.0 * cW), abs(E - cE),
+            *(abs(u - cu) for u, cu in zip(U, cU))]
     scale = max(abs(Xi), abs(theta), 1e-300)
-    # np.max keeps a NaN, which the negated test below refuses
-    err = float(np.max(num)) / scale
+    # a NaN gap is the largest, which the negated test below refuses
+    err = (max(gaps) if all(x == x for x in gaps) else math.nan) / scale
     if not err <= QUAD_RTOL:
         raise QuadratureNotConverged(
             f"quadrature error {err:.3e} above rtol {QUAD_RTOL:.1e} "
             f"(order {quad_order})")
-    return OrbitIntegrals(Xi=Xi, int_U=int_U, int_Q=Q, theta=theta, int_E=E,
-                          quad_error=err)
+    return OrbitIntegrals(Xi=Xi, int_U=np.array(U), int_Q=Q, theta=theta,
+                          int_E=E, quad_error=err)
 
 
 def homoclinic_integrals(model: ModelSpec, params: WaveParams, q: np.ndarray,
@@ -488,8 +567,8 @@ def homoclinic_integrals(model: ModelSpec, params: WaveParams, q: np.ndarray,
     n = HOMOCLINIC_ORDER
     q, _ = pdeflate(q, wS)
     w = wS - wS * s * s
-    vals = kernels.horner_batch(_integrand_stack(model, params, q, vs), w)
-    Pv, Dv, Knv, Kdv, *ek = vals
+    packed, _ = _integrand_stack(model, params, q, vs)
+    Pv, Dv, Knv, Kdv, *ek = kernels.horner_batch(packed, w)
     kap = Knv / Kdv
     dw = 2.0 * wS * s * cth
     # action integrand sqrt(2 kappa (mu_s - W))

@@ -3,8 +3,10 @@ compared with stored copies.
 
 Each case brackets one orbit of a shipped family (a generic wave, a
 near-harmonic wave down to half-width 1e-4 or a gKdV near-soliton wave
-down to root ratio 1e-6) and runs ``orbit_integrals`` at two quadrature
-orders.  Its digest is the SHA-256 of the IEEE bytes of the bracket
+down to root ratio 1e-6), or one of three waves given by their (mu, c,
+lambda): two-field waves at c = 0, where G is constant (and zero at
+lambda2 = 0), and a gKdV wave with kappa = 1 + v^2 / 2, and runs
+``orbit_integrals`` at two quadrature orders.  Its digest is the SHA-256 of the IEEE bytes of the bracket
 roots and of every ``OrbitIntegrals`` field, so a change that moves any
 bit of the two-field, no-v1 or near-limit paths fails here even where
 the README reports do not reach.  The soliton-anchor cases hash every
@@ -59,6 +61,10 @@ FAMILIES = (("gkdv", 1.0, (0.0,), 0.3), ("quartic", -0.5, (0.0,), 0.01),
 HARMONIC = ("gkdv", "quartic", "ek_lagrangian", "nls_hydro")
 DELTAS = (1e-2, 1e-3, 1e-4)
 RHOS = (1e-2, 1e-4, 1e-6)
+# name -> (family, mu, c, lambda); gkdv_kappa is gkdv with kappa = 1 + v^2 / 2
+WAVES = {"ek_eulerian_c0": ("ek_eulerian", 1.0, 0.0, (-2.0, 0.45)),
+         "ek_lagrangian_c0": ("ek_lagrangian", -0.2, 0.0, (0.5, 0.0)),
+         "gkdv_kappa": ("gkdv", -2.0 / 3.0 + 0.3, 1.0, (0.0,))}
 
 
 def load_model(name: str):
@@ -69,6 +75,13 @@ def load_model(name: str):
 def orbit(case: str):
     """(model, params, bracket) of one case id."""
     kind, name, size = case.split("/")
+    if kind == "wave":
+        family, mu, c, lam = WAVES[name]
+        model = load_model(family)
+        if name == "gkdv_kappa":
+            model = gkdv_model(kappa=(1.0, 0.0, 0.5), label=name)
+        p = WaveParams(mu, c, lam)
+        return model, p, find_turning_points(model, p)
     model = load_model(name)
     if kind == "soliton":
         sp = soliton_point(model, 1.0, [0.0])
@@ -87,7 +100,8 @@ def orbit(case: str):
 
 CASES = ([f"generic/{f[0]}/-" for f in FAMILIES]
          + [f"harmonic/{n}/{d:g}" for n in HARMONIC for d in DELTAS]
-         + [f"soliton/gkdv/{r:g}" for r in RHOS])
+         + [f"soliton/gkdv/{r:g}" for r in RHOS]
+         + [f"wave/{n}/-" for n in WAVES])
 
 
 def digest(case: str, quad_order: int) -> str:
