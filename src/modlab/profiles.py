@@ -28,8 +28,8 @@ from . import kernels
 from .errors import (ConfigError, DegenerateOrbit, MultipleWells,
                      NoPeriodicOrbit, QuadratureNotConverged)
 from .models import ModelSpec, WaveParams
-from .polys import (_floats, monomial_coeffs, pdeflate, peval, pder, pshift,
-                    trim)
+from .polys import (_floats, monomial_coeffs, padd, pdeflate, peval, pder,
+                    pmul, pscale, pshift, trim)
 
 DEGENERACY_FRACTION = 1e-6
 # relative residual |T(x)| / sum |t_k| |x|^k above which x is no root of T
@@ -297,7 +297,7 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
     saddle hump (``DegenerateOrbit`` if there is none), and a soliton
     bracket that breaks it raises ``NoPeriodicOrbit``.
     """
-    T, _ = level_polynomial(model, params)
+    T, den = level_polynomial(model, params)
     t = T.tolist()
     Tc = trim(pshift(t, center))
     Td = pder(Tc)
@@ -321,7 +321,8 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
         v1, v2 = center + wm, center + wp
         above = [r for r in far if r > v2]
         if not above:
-            raise NoPeriodicOrbit("no outer turning point beyond the saddle")
+            raise NoPeriodicOrbit(_below_the_well(model, params, T, den,
+                                                  center, wj[0]))
         v3 = min(above)
         hint = "near_soliton"
     else:
@@ -364,6 +365,25 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
     # a Newton end point left of a re-picked v2 is a root, so it may be v1
     v1 = max([r for r in far + [center + wm] if r < v2], default=None)
     return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=hint, T=T)
+
+
+def _below_the_well(model: ModelSpec, params: WaveParams, T: np.ndarray,
+                    den: np.ndarray, vs: float, mus: float) -> str:
+    """Why a level has no turning point beyond the saddle vs at level mus:
+    it lies below the bottom of the well there, by more than its depth."""
+    # W' vanishes where (T / D)' = (mu - W)' does: at the roots of T' D - T D'
+    crit = padd(pmul(pder(T), den), pscale(pmul(T, pder(den)), -1.0))
+    hi = _window_in_domain(model)[1]
+    for v in _real_roots_in(crit, vs, hi):
+        if not vs < v < hi:
+            continue
+        wj = model.potential_jet(v, params, 2)
+        if wj[2] > 0.0:
+            return (f"level mu = {params.mu} lies below the bottom of the "
+                    f"well beyond the saddle, W = {wj[0]} at v = {v}: its "
+                    f"offset {mus - params.mu:.6g} from the saddle level "
+                    f"exceeds the well depth {mus - wj[0]:.6g}")
+    return "no outer turning point beyond the saddle"
 
 
 # ----------------------------------------------------------------------------

@@ -7,7 +7,10 @@ integration engine, so agreement between the two is a genuine
 cross-check.  The averaged-identity checker uses the engine's averages
 but tests them against exact relations that the engine does not impose.
 The limit frames and the harmonic third derivative are the paper's
-closed forms, which the package does not carry.
+closed forms, which the package does not carry.  The full-stack orbit
+integrals are the engine as it was before constant integrand rows
+entered as scalars: every row through the array Horner recurrence,
+every array built apart and stacked, the error estimate on arrays.
 """
 
 import importlib.util
@@ -21,12 +24,109 @@ from scipy.linalg import eigvals
 from scipy.special import beta
 
 from modlab.action import FDConfig, action_hessian, rebracket
-from modlab.errors import DegenerateOrbit, UncoveredClass
+from modlab.errors import (DegenerateOrbit, QuadratureNotConverged,
+                           UncoveredClass)
 from modlab.models import WaveParams, structural_matrices
 from modlab.modulation import coupling_matrix_A
-from modlab.profiles import (DEFAULT_QUAD_ORDER, OrbitIntegrals,
-                             _state_from_integrals, find_turning_points,
-                             orbit_integrals)
+from modlab.polys import monomial_coeffs, pdeflate
+from modlab.profiles import (DEFAULT_QUAD_ORDER, QUAD_RTOL, OrbitIntegrals,
+                             _node_set, _state_from_integrals,
+                             find_turning_points, orbit_integrals)
+
+
+def _full_stack(model, params, q):
+    """Every integrand row of a periodic orbit, ascending, in the order of
+    profiles._integrand_stack: -q, D, the kappa and f numerators and
+    denominators, then tau and G on two-field models."""
+    rows = [-q, model._rational[1], model.kappa.coeffs,
+            monomial_coeffs(model.kappa.shift), model.f.coeffs,
+            monomial_coeffs(model.f.shift)]
+    if model.kind == "euler_korteweg":
+        rows += [np.array(model.tau, dtype=float),
+                 np.array([-params.lam2, -(params.c / model.b)])]
+    d = max(len(r) for r in rows)
+    packed = np.zeros((len(rows), d))
+    for i, r in enumerate(rows):
+        packed[i, d - len(r):] = r[::-1]
+    return packed
+
+
+def _array_horner(packed, v):
+    """The Horner recurrence on every row at once, columns broadcast."""
+    if packed.shape[1] == 1:
+        return np.repeat(packed, v.shape[0], axis=1)
+    acc = packed[:, :1] * v
+    acc += packed[:, 1:2]
+    for j in range(2, packed.shape[1]):
+        acc *= v
+        acc += packed[:, j:j + 1]
+    return acc
+
+
+def full_stack_orbit_integrals(model, params, bracket,
+                               quad_order=DEFAULT_QUAD_ORDER):
+    """orbit_integrals with the full integrand stack through Horner; it
+    returns the same OrbitIntegrals, or raises the same error, bit for
+    bit."""
+    xp1, wgt, s, c, s2, wq4 = _node_set(quad_order)
+    n = quad_order
+    v2, v3, v1 = bracket.v2, bracket.v3, bracket.v1
+    q, _ = pdeflate(bracket.T, v2)
+    q, _ = pdeflate(q, v3)
+    if v1 is not None:
+        q, _ = pdeflate(q, v1)
+    packed = _full_stack(model, params, q)
+    if v1 is None:
+        v = v2 + (v3 - v2) * s2
+        pair = (v3 - v2) ** 2 * s2 * (1.0 - s2)
+        dxi_core = math.sqrt(0.5)
+        wq = wq4
+        blocks = ((0, n), (n, 3 * n))
+    else:
+        vm = 0.5 * (v2 + v3)
+        psim = math.acosh(math.sqrt((vm - v1) / (v2 - v1)))
+        ps = xp1 * (psim / 2.0)
+        ch, sh = np.cosh(ps), np.sinh(ps)
+        vlo = v1 + (v2 - v1) * ch * ch
+        vup = v3 - (v3 - vm) * s * s
+        v = np.concatenate((vlo, vup))
+        pair = np.concatenate(((v2 - v1) ** 2 * (ch * sh) ** 2 * (v3 - vlo),
+                               (v3 - vm) * s * s * (vup - v1) * (vup - v2)))
+        dxi_core = np.concatenate((
+            np.sqrt(0.5 / (v3 - vlo)),
+            c * np.sqrt(0.5 * (v3 - vm) / ((vup - v1) * (vup - v2)))))
+        wq = np.concatenate((4.0 * (wgt * (psim / 2.0)), wq4))
+        blocks = ((0, n), (n, 3 * n), (3 * n, 4 * n), (4 * n, 6 * n))
+    vals = np.concatenate([_array_horner(packed, v[a:b]) for a, b in blocks],
+                          axis=1)
+    Pv, denv, knv, kdv, fnv, fdv, *ek = vals
+    mu_minus_w = pair * Pv / denv
+    w = wq * (dxi_core * np.sqrt(knv * denv / (kdv * Pv)))
+    fval = fnv / fdv
+    if model.kind == "scalar":
+        rows = (v, v * v / (2.0 * model.b), fval, mu_minus_w)
+    else:
+        tauv, Gv = ek
+        g = Gv / tauv
+        rows = (v, g, v * g / model.b, fval + 0.5 * tauv * g * g, mu_minus_w)
+    rows = np.stack(rows)
+    sums = [[float(w[a:b].sum()), *np.vecdot(rows[:, a:b], w[a:b]).tolist()]
+            for a, b in blocks]
+    if v1 is not None:
+        sums = [[lo + up for lo, up in zip(sums[i], sums[i + 2])]
+                for i in (0, 1)]
+    (cXi, *cU, cQ, cE, cW), (Xi, *U, Q, E, Iw) = sums
+    int_U, theta = np.array(U), 2.0 * Iw
+    num = [abs(Xi - cXi), abs(Q - cQ), abs(theta - 2.0 * cW), abs(E - cE)]
+    num += list(np.abs(int_U - np.array(cU)))
+    scale = max(abs(Xi), abs(theta), 1e-300)
+    err = float(np.max(num)) / scale
+    if not err <= QUAD_RTOL:
+        raise QuadratureNotConverged(
+            f"quadrature error {err:.3e} above rtol {QUAD_RTOL:.1e} "
+            f"(order {quad_order})")
+    return OrbitIntegrals(Xi=Xi, int_U=int_U, int_Q=Q, theta=theta, int_E=E,
+                          quad_error=err)
 
 
 def _load_reference():

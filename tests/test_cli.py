@@ -424,6 +424,24 @@ class TestFailurePaths:
         assert b"rounds away" in err and err.count(b"\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("endstate, grid, depth", [
+        ("0", "1:1e-6:5", b"0.666667"), ("0.9", "1e-3:1e-6:5", b"0.000666667")])
+    def test_soliton_sweep_below_the_well_names_its_depth(self, tmp_path,
+                                                          endstate, grid,
+                                                          depth):
+        # a first offset past the well depth (2/3 (1 - endstate)^3 at c = 1)
+        # puts the level below the well bottom, where no orbit exists
+        code, out, err = run_cli([
+            "sweep", "--config", GKDV, "--regime", "soliton", "--c", "1",
+            f"--endstate={endstate}", "--grid", grid, "--out", "s.csv"],
+            cwd=tmp_path)
+        assert code == 3 and not out
+        assert err.startswith(b"no periodic orbit: level mu = ")
+        assert b"below the bottom of the well" in err
+        assert b"exceeds the well depth " + depth + b"\n" in err
+        assert err.count(b"\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_branch_is_read_by_mi_only(self, tmp_path):
         dst = tmp_path / "h.csv"
         code, _, err = run_cli(["sweep", "--config", GKDV, "--regime",
