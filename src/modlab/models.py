@@ -179,11 +179,17 @@ class ModelSpec:
         if self.kind != "euler_korteweg":
             raise ConfigError("velocity_jet is defined for system models only")
         self.check_domain(v)
-        t = self.tau_jet(v, 3)
-        g = -((c / self.b) * v + lam2) / t[0]
-        gv = (-(c / self.b) - t[1] * g) / t[0]
+        t, g, gv = self._reduced_velocity(v, c, lam2)
         gvv, gvvv, _ = reduced_jet(t, g, gv)
         return np.array([g, gv, gvv, gvvv])
+
+    def _reduced_velocity(self, v: float, c: float, lam2: float) -> tuple:
+        """(t, g, g') on floats: the tau jet to order 3, g and its slope."""
+        t0, t1 = self.tau
+        t = [t0 + t1 * v, t1, 0.0, 0.0]
+        g = -((c / self.b) * v + lam2) / t[0]
+        gv = (-(c / self.b) - t[1] * g) / t[0]
+        return t, g, gv
 
     def impulse_jet(self, v: float, c: float = 0.0, lam2: float = 0.0) -> np.ndarray:
         """(q, q', q'') of the reduced impulse q(v) = Q(U) along the profile."""
@@ -228,8 +234,7 @@ class ModelSpec:
                 out[2] -= 2.0 * cb
             return np.array(out)
         lam1, lam2 = float(lam[0]), float(lam[1])
-        t = self.tau_jet(v, 3)
-        g, gv = self.velocity_jet(v, c, lam2)[:2]
+        t, g, gv = self._reduced_velocity(v, c, lam2)
         out = [-fj[0] + 0.5 * t[0] * g * g - lam1 * v]
         if order >= 1:
             out.append(-fj[1] - 0.5 * t[1] * g * g - (c / self.b) * g - lam1)

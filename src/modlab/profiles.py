@@ -409,7 +409,7 @@ def _constant(row) -> float | None:
     return float(c[0]) if len(c) == 1 and c[0] != 0.0 else None
 
 
-def _integrand_stack(model: ModelSpec, params: WaveParams, q: np.ndarray,
+def _integrand_stack(model: ModelSpec, params: WaveParams, q,
                      at: float | None = None) -> tuple:
     """(packed, rows): the polynomial stack the hot kernel evaluates at the
     nodes, and the integrand rows with a float for each constant one and
@@ -428,12 +428,13 @@ def _integrand_stack(model: ModelSpec, params: WaveParams, q: np.ndarray,
     its rows shift there, and the kernel evaluates all of them.
     """
     kappa, f = model.kappa, model.f
+    nq = [-x for x in _floats(q)]
     G = [-params.lam2, -(params.c / model.b)] if model.N == 2 else None
     if at is not None:
         rows = [model._rational[1], kappa.coeffs, monomial_coeffs(kappa.shift)]
         if G is not None:
             rows += [np.array(model.tau, dtype=float), np.array(G)]
-        packed = kernels.pack_rows([-q, *(pshift(r, at) for r in rows)])
+        packed = kernels.pack_rows([nq, *(pshift(r, at) for r in rows)])
         return packed, [None] * len(packed)
     entry = _row_cache.get(model)
     if entry is None:
@@ -448,8 +449,8 @@ def _integrand_stack(model: ModelSpec, params: WaveParams, q: np.ndarray,
         packed.flags.writeable = False
         entry = _row_cache[model] = (consts, varying, packed)
     consts, varying, packed = entry
-    lead = _constant(-q)
-    front = [] if lead is not None else [-q]
+    lead = _constant(nq)
+    front = [] if lead is not None else [nq]
     rows, back = [lead, *consts], []
     if G is not None:
         rows.append(_constant(G))
@@ -479,7 +480,7 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
     xp1, wgt, s, c, s2, wq4 = _node_set(quad_order)
     n = quad_order
     v2, v3, v1 = bracket.v2, bracket.v3, bracket.v1
-    q, _ = pdeflate(bracket.T, v2)
+    q, _ = pdeflate(bracket.T.tolist(), v2)
     q, _ = pdeflate(q, v3)
     if v1 is not None:
         q, _ = pdeflate(q, v1)
@@ -499,36 +500,38 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
         blocks = ((0, n), (n, 3 * n))
     else:
         vm = 0.5 * (v2 + v3)
-        lo, up = slice(0, 3 * n), slice(3 * n, 6 * n)
+        # the lower segment on [0, 3n), the upper one on [3n, 6n)
+        vlo, vup = v[:3 * n], v[3 * n:]
+        plo, pup = pair[:3 * n], pair[3 * n:]
+        dxi_core, wq = np.empty_like(v), np.empty_like(v)
+        dlo, dup = dxi_core[:3 * n], dxi_core[3 * n:]
         # lower segment: hyperbolic substitution absorbing the (v1, v2) pair
         psim = math.acosh(math.sqrt((vm - v1) / (v2 - v1)))
         ps = xp1 * (psim / 2.0)
         ch, sh = np.cosh(ps), np.sinh(ps)
-        np.multiply(ch, v2 - v1, out=v[lo])
-        v[lo] *= ch
-        v[lo] += v1
+        np.multiply(ch, v2 - v1, out=vlo)
+        vlo *= ch
+        vlo += v1
         # upper segment: trigonometric substitution at the outer root v3
         top = s * (v3 - vm)
         top *= s
-        np.subtract(v3, top, out=v[up])
-        gap, a1, a2 = v3 - v[lo], v[up] - v1, v[up] - v2
+        np.subtract(v3, top, out=vup)
+        gap, a1, a2 = v3 - vlo, vup - v1, vup - v2
         ch *= sh
         ch *= ch
         ch *= (v2 - v1) ** 2
-        np.multiply(ch, gap, out=pair[lo])
-        np.multiply(top, a1, out=pair[up])
-        pair[up] *= a2
-        dxi_core = np.empty_like(v)
-        np.divide(0.5, gap, out=dxi_core[lo])
-        np.multiply(a1, a2, out=dxi_core[up])
-        np.divide(0.5 * (v3 - vm), dxi_core[up], out=dxi_core[up])
+        np.multiply(ch, gap, out=plo)
+        np.multiply(top, a1, out=pup)
+        pup *= a2
+        np.divide(0.5, gap, out=dlo)
+        np.multiply(a1, a2, out=dup)
+        np.divide(0.5 * (v3 - vm), dup, out=dup)
         np.sqrt(dxi_core, out=dxi_core)
-        dxi_core[up] *= c
+        dup *= c
         # wq carries the full-period weight (2 x the half-period sweep)
-        wq = np.empty_like(v)
-        np.multiply(wgt, psim / 2.0, out=wq[lo])
-        wq[lo] *= 4.0
-        wq[up] = wq4
+        np.multiply(wgt, psim / 2.0, out=wq[:3 * n])
+        wq[:3 * n] *= 4.0
+        wq[3 * n:] = wq4
         blocks = ((0, n), (n, 3 * n), (3 * n, 4 * n), (4 * n, 6 * n))
     vals = iter(np.concatenate([kernels.horner_batch(packed, v[a:b])
                                 for a, b in blocks], axis=1))
@@ -550,13 +553,15 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
         np.multiply(0.5 * tauv, g, out=R[3])
         R[3] *= g
         R[3] += fnv / fdv
-    # per block: the period, int_U, int_Q, int_E and the integral of mu - W
-    sums = [[float(np.add.reduce(w[a:b])),
-             *np.vecdot(R[:, a:b], w[a:b]).tolist()] for a, b in blocks]
-    if v1 is not None:
-        # pass totals, lower segment first
-        sums = [[lo + up for lo, up in zip(sums[i], sums[i + 2])]
-                for i in (0, 1)]
+    # per pass: the period, int_U, int_Q, int_E and the integral of mu - W;
+    # each (pass, segment) block is reduced on its own slice, and the
+    # segments add up lower first
+    R3, w3 = R.reshape(len(R), -1, 3 * n), w.reshape(-1, 3 * n)
+    sums = []
+    for a, b in ((0, n), (n, 3 * n)):
+        per = np.vecdot(R3[:, :, a:b], w3[:, a:b]).tolist()
+        per.insert(0, np.add.reduce(w3[:, a:b], axis=1).tolist())
+        sums.append([x[0] if v1 is None else x[0] + x[1] for x in per])
     (cXi, *cU, cQ, cE, cW), (Xi, *U, Q, E, Iw) = sums
     theta = 2.0 * Iw
     gaps = [abs(Xi - cXi), abs(Q - cQ), abs(theta - 2.0 * cW), abs(E - cE),
