@@ -85,7 +85,8 @@ def rebracket(model: ModelSpec, params: WaveParams,
 def _central_differences(f, x: np.ndarray, steps: np.ndarray,
                          richardson: bool) -> np.ndarray:
     """Jacobian J(h) of f at x by central differences, column j at step
-    h_j; with ``richardson``, (4 J(h/2) - J(h)) / 3, formed after J(h).
+    h_j, for an f that maps x to a vector of its length; with
+    ``richardson``, (4 J(h/2) - J(h)) / 3, formed after J(h).
     A stencil point where f finds no orbit, or a step (h_j / 2 with
     ``richardson``) that rounds away at x_j, is a StencilLeftBranch."""
     smallest = 0.5 * steps if richardson else steps
@@ -100,8 +101,13 @@ def _central_differences(f, x: np.ndarray, steps: np.ndarray,
             raise StencilLeftBranch(
                 f"stencil point {p.tolist()} left the family: {exc}") from exc
 
-    J = np.column_stack([(at(x + e) - at(x - e)) / (2.0 * h)
-                         for h, e in zip(steps, np.diag(steps))])
+    # column j at x +- h_j e_j, into a C-ordered J as np.column_stack lays it
+    J = np.empty((len(x), len(x)))
+    e = np.zeros_like(x)
+    for j, h in enumerate(steps.tolist()):
+        e[j] = h
+        J[:, j] = (at(x + e) - at(x - e)) / (2.0 * h)
+        e[j] = 0.0
     if richardson:
         J = (4.0 * _central_differences(f, x, 0.5 * steps, False) - J) / 3.0
     return J

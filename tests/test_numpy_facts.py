@@ -1,4 +1,4 @@
-"""The two numpy facts that the stacked reductions rely on to keep every
+"""The numpy facts that the stacked reductions rely on to keep every
 sum's bits, pinned here so that a numpy release that breaks one fails
 in this file and not in a digest:
 
@@ -6,6 +6,10 @@ in this file and not in a digest:
   ``w @ r``, and on the strided ``.real`` / ``.imag`` views of a complex
   array the same one as ``np.linalg.norm`` (profiles.orbit_integrals
   and eigen.eig_small);
+* on the rows viewed as (rows, segments, 3n), one ``np.vecdot`` and one
+  ``np.add.reduce`` over a pass's column slice give each (pass,
+  segment) block the dot product and the sum of its own contiguous
+  slice (profiles.orbit_integrals);
 * ``np.hypot(z.real, z.imag)`` is the scalar ``abs(z)`` of a numpy
   complex scalar (eigen.eig_small).
 """
@@ -41,6 +45,24 @@ def test_vecdot_is_the_per_row_dot(shape):
         a, b = shape[1] // 3, shape[1]
         assert bits(np.vecdot(R[:, a:b], w[a:b])) == \
             bits([w[a:b] @ r[a:b] for r in R])
+
+
+@pytest.mark.parametrize("segments", [1, 2])
+@pytest.mark.parametrize("rows, n", [(4, 96), (5, 96), (4, 1024), (5, 1024),
+                                     (4, 1), (5, 7)])
+def test_one_reduction_per_pass_is_the_per_block_one(rows, n, segments):
+    rng = np.random.default_rng(rows * 10_000 + n * 10 + segments)
+    for _ in range(10):
+        R = scaled(rng, (rows, 3 * n * segments))
+        w = rng.standard_normal(3 * n * segments)
+        R3, w3 = R.reshape(rows, segments, 3 * n), w.reshape(segments, 3 * n)
+        for a, b in ((0, n), (n, 3 * n)):
+            blocks = [slice(k * 3 * n + a, k * 3 * n + b)
+                      for k in range(segments)]
+            assert bits(np.vecdot(R3[:, :, a:b], w3[:, a:b])) == \
+                bits([[w[j] @ r[j] for j in blocks] for r in R])
+            assert bits(np.add.reduce(w3[:, a:b], axis=1)) == \
+                bits([w[j].sum() for j in blocks])
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
