@@ -40,7 +40,7 @@ def trim(c):
 
 
 def _floats(a) -> list:
-    """The coefficients of an array or a list, as a list of floats."""
+    """The coefficients of an array or a list, as a list."""
     return a.tolist() if isinstance(a, np.ndarray) else a
 
 
@@ -50,7 +50,8 @@ def _like(a, c: list):
 
 
 def padd(a, b):
-    """a + b, formed as (0 + a_k) + b_k on a zeroed array would be."""
+    """a + b, each coefficient formed as (0.0 + a_k) + b_k, as on a zeroed
+    array."""
     out = [0.0] * max(len(a), len(b))
     for k, x in enumerate(_floats(a)):
         out[k] += x

@@ -14,6 +14,14 @@ turning points v2 < v3 of mu - W.  The engine below:
   orbit of a soliton anchor; a hyperbolic/trig split when an inner root
   v1 sits close on the soliton side),
 * estimates quadrature error by order doubling.
+
+One stencil point of a near-limit Hessian is one ``bracket_near_limit``
+and one ``orbit_integrals``.  Their polynomial work (level polynomial,
+shift, derivative, deflation, Newton, root residuals) runs on float
+lists.  The kernel evaluates only the integrand rows that vary with v;
+constant rows enter as scalars and each model's own rows are packed
+once.  What remains of a pass is numpy's per-call overhead on the
+substitution, the weights and the reductions.
 """
 
 from __future__ import annotations
@@ -390,11 +398,11 @@ def _below_the_well(model: ModelSpec, params: WaveParams, T: np.ndarray,
 # orbit integrals
 
 
-# model -> (rows, packed): its fixed integrand rows on a periodic orbit (D,
-# the kappa and f numerators and denominators, and tau on two-field
-# models), each a float where it is a nonzero constant and None where it
-# goes through the kernel; the ascending coefficients of those; and
-# their read-only pack, at the width of the full stack
+# model -> (consts, varying, packed) of its own integrand rows on a
+# periodic orbit (D, the kappa and f numerators and denominators, and tau
+# on two-field models): each row as a float where it is a nonzero constant
+# and None where it goes through the kernel; the ascending coefficients of
+# the latter; and their read-only pack, at the width of the longest row
 _row_cache: dict = {}
 
 
@@ -449,15 +457,15 @@ def _integrand_stack(model: ModelSpec, params: WaveParams, q,
         packed.flags.writeable = False
         entry = _row_cache[model] = (consts, varying, packed)
     consts, varying, packed = entry
-    lead = _constant(nq)
-    front = [] if lead is not None else [nq]
-    rows, back = [lead, *consts], []
+    rows, stack = [_constant(nq), *consts], varying
+    if rows[0] is None:
+        stack = [nq, *stack]
     if G is not None:
         rows.append(_constant(G))
-        back = [] if rows[-1] is not None else [np.array(G)]
-    if front or back:
-        packed = kernels.pack_rows(front + varying + back,
-                                   max(len(q), packed.shape[1]))
+        if rows[-1] is None:
+            stack = [*stack, G]
+    if stack is not varying:
+        packed = kernels.pack_rows(stack, max(len(nq), packed.shape[1]))
     return packed, rows
 
 
@@ -470,9 +478,10 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
     set: each segment of the orbit lays its n and 2n nodes side by side,
     the substitution and the integrand are formed in place over all of
     them, and each (pass, segment) block is evaluated on its own
-    contiguous slice, where one ``np.vecdot`` reduces all its integrand
-    rows.  Only the rows that vary with v go through the kernel; constant
-    ones enter as scalars, which gives the same bits.  Raises
+    contiguous slice.  One ``np.vecdot`` per pass reduces all integrand
+    rows of each of its blocks on that slice.  Only the rows that vary
+    with v go through the kernel; constant ones enter as scalars, which
+    gives the same bits.  Raises
     QuadratureNotConverged when the doubled-order estimate exceeds
     ``QUAD_RTOL`` relative to the period, or when an integral is not
     finite.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -131,6 +132,10 @@ def test_structural_matrices_properties(model_name, request):
     assert np.array_equal(sm.BB, sm.BB.T)
     assert abs(np.linalg.det(sm.BB)) > 1e-12
     assert abs(np.linalg.det(sm.B)) > 1e-12
+    # built once per model, and shared read-only
+    assert structural_matrices(dataclasses.replace(m, label="twin")) is sm
+    for a in (sm.B, sm.Binv, sm.S, sm.BB, sm.BBinv, sm.Sinv):
+        assert not a.flags.writeable
 
 
 def test_domain_violation(nls_hydro):
