@@ -1,6 +1,6 @@
 """The float-list coefficient helpers against their numpy-array forms.
 
-``pshift``, ``pdeflate``, ``pder``, ``potential_rational`` and
+``padd``, ``pshift``, ``pdeflate``, ``pder``, ``potential_rational`` and
 ``level_polynomial`` run their loops on Python floats.  The array forms
 they replaced are kept below as references; every result must match
 them bit for bit, the sign of every zero included.
@@ -35,6 +35,13 @@ def ref_pdeflate(a, root):
         q[k] = acc
         acc = a[k] + root * acc
     return trim(q), float(acc)
+
+
+def ref_padd(a, b):
+    out = np.zeros(max(len(a), len(b)))
+    out[: len(a)] += a
+    out[: len(b)] += b
+    return trim(out)
 
 
 def ref_pder(a):
@@ -92,15 +99,21 @@ def test_pshift_pdeflate_pder_bit_identical_to_array_loops():
     rng = np.random.default_rng(29)
     for _ in range(CASES):
         a, x = coeffs(rng), value(rng)
-        assert same(pshift(a, x), ref_pshift(a, x))
-        q, r = pdeflate(a, x)
-        q_ref, r_ref = ref_pdeflate(a, x)
-        assert same(q, q_ref) and same(r, r_ref)
-        # the first and the second derivative, one step at a time
-        d, d_ref = a, a
-        for _ in range(2):
-            d, d_ref = pder(d), ref_pder(d_ref)
-            assert same(d, d_ref)
+        # an array gives an array, a list a list, with the same floats
+        for form, kind in ((a, np.ndarray), (a.tolist(), list)):
+            got = pshift(form, x)
+            assert type(got) is kind and same(got, ref_pshift(a, x))
+            q, r = pdeflate(form, x)
+            q_ref, r_ref = ref_pdeflate(a, x)
+            assert type(q) is kind and same(q, q_ref) and same(r, r_ref)
+            # the first and the second derivative, one step at a time
+            d, d_ref = form, a
+            for _ in range(2):
+                d, d_ref = pder(d), ref_pder(d_ref)
+                assert type(d) is kind and same(d, d_ref)
+            b = coeffs(rng)
+            s = padd(form, b.tolist())
+            assert type(s) is kind and same(s, ref_padd(a, b))
 
 
 def random_model(rng) -> ModelSpec:
