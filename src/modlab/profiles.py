@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -56,6 +57,23 @@ _node_cache: dict = {}
 MAX_QUAD_ORDER = 1024
 # Gauss order of the coarse homoclinic pass (the fine pass doubles it)
 HOMOCLINIC_ORDER = 160
+# numpy's leggauss rules of the default periodic and homoclinic orders,
+# stored: nodes then weights of each order in turn, little-endian float64.
+# Computing them runs LAPACK on OpenBLAS's threads, which on a shared
+# 2-core machine stalled a process's first orbit pass by up to a second
+# (leggauss(320): 10-15 ms, stalls of 690-950 ms in about 1 of 10 runs)
+_RULE_FILE = Path(__file__).with_name("legendre_rules.f8")
+_STORED_ORDERS = (DEFAULT_QUAD_ORDER, 2 * DEFAULT_QUAD_ORDER,
+                  HOMOCLINIC_ORDER, 2 * HOMOCLINIC_ORDER)
+
+
+def _gauss_rule(m: int) -> tuple:
+    """leggauss(m): read from the stored rules for their orders."""
+    if m not in _STORED_ORDERS:
+        return leggauss(m)
+    start = 2 * sum(_STORED_ORDERS[:_STORED_ORDERS.index(m)])
+    xw = np.fromfile(_RULE_FILE, dtype="<f8", count=2 * m, offset=8 * start)
+    return xw[:m], xw[m:]
 
 
 def _node_set(n: int) -> tuple:
@@ -68,7 +86,8 @@ def _node_set(n: int) -> tuple:
         if type(n) is not int or not 1 <= n <= MAX_QUAD_ORDER:
             raise ConfigError(f"quad_order must be an integer in "
                               f"[1, {MAX_QUAD_ORDER}], got {n!r}")
-        x, w = (np.concatenate(a) for a in zip(leggauss(n), leggauss(2 * n)))
+        x, w = (np.concatenate(a)
+                for a in zip(_gauss_rule(n), _gauss_rule(2 * n)))
         th = (x + 1.0) * (math.pi / 4.0)
         s = np.sin(th)
         entry = (x + 1.0, w, s, np.cos(th), s ** 2,

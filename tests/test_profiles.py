@@ -259,6 +259,22 @@ class TestQuadratureSetup:
             assert np.array_equal(wq4[part], 4.0 * (fw * (math.pi / 4.0)))
         assert all(not a.flags.writeable for a in entry)
 
+    def test_stored_rules_are_numpys_and_computed_for_no_default_pass(
+            self, monkeypatch):
+        orders = profiles._STORED_ORDERS
+        assert profiles._RULE_FILE.stat().st_size == 16 * sum(orders)
+        for m in orders:
+            for got, want in zip(profiles._gauss_rule(m), leggauss(m)):
+                assert got.tobytes() == want.tobytes()
+
+        def nodes(m):
+            raise AssertionError(f"Gauss rule of order {m} computed")
+
+        monkeypatch.setattr(profiles, "leggauss", nodes)
+        monkeypatch.setattr(profiles, "_node_cache", {})
+        profiles._node_set(profiles.DEFAULT_QUAD_ORDER)
+        profiles._node_set(profiles.HOMOCLINIC_ORDER)
+
     @pytest.mark.parametrize("n", [24, 96])
     @pytest.mark.parametrize("inner_root", [False, True])
     def test_one_kernel_call_per_pass_and_segment(self, cnoidal, monkeypatch,
