@@ -62,12 +62,11 @@ def rebracket(model: ModelSpec, params: WaveParams,
               reference: OrbitBracket) -> OrbitBracket:
     """Track the turning points to nearby parameters (warm-start Newton)."""
     T, _ = level_polynomial(model, params)
-    t = T.tolist()
-    Td = pder(t)
+    Td = pder(T)
 
     def polish(x0):
         width = max(1e-3 * (reference.v3 - reference.v2), 1e-12 * abs(x0) + 1e-300)
-        return _newton_refine(t, Td, x0, x0 - 1e6 * width, x0 + 1e6 * width, 1e-15)
+        return _newton_refine(T, Td, x0, x0 - 1e6 * width, x0 + 1e6 * width, 1e-15)
 
     v2 = polish(reference.v2)
     v3 = polish(reference.v3)

@@ -55,8 +55,9 @@ def horner_batch(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def pack_rows(rows, width: int | None = None) -> np.ndarray:
-    """Stack ascending-coefficient arrays into a descending batch, zero
-    padded on the left to ``width`` (default: the longest row)."""
+    """Stack ascending float coefficient sequences (tuples or lists) into
+    a descending float64 batch, zero padded on the left to ``width``
+    (default: the longest row)."""
     d = max(len(r) for r in rows) if width is None else width
     out = np.zeros((len(rows), d))
     for i, r in enumerate(rows):

@@ -125,11 +125,8 @@ class ModelSpec:
         object.__setattr__(self, "_kappa_chain", _derivative_chain(self.kappa))
         fixed, den = pscale(self.f.coeffs, -1.0), monomial_coeffs(self.f.shift)
         if self.kind == "euler_korteweg":
-            t = np.array(self.tau, dtype=float)
-            fixed, den = pmul(fixed, t), pmul(t, den)
-        for a in (fixed, den):
-            a.flags.writeable = False
-        object.__setattr__(self, "_rational", (fixed, den))
+            fixed, den = pmul(fixed, self.tau), pmul(self.tau, den)
+        object.__setattr__(self, "_rational", (tuple(fixed), tuple(den)))
 
     def _check_positive(self, fn: Laurent, name: str):
         lo, hi = self.domain
@@ -240,7 +237,7 @@ class ModelSpec:
             out.append(-fj[1] - 0.5 * t[1] * g * g - (c / self.b) * g - lam1)
         return np.array(out + reduced_jet(t, g, gv, fj)[2])
 
-    def potential_rational(self, params: WaveParams) -> tuple[np.ndarray, np.ndarray]:
+    def potential_rational(self, params: WaveParams) -> tuple[tuple, tuple]:
         """W = N(v)/D(v) as an exact polynomial ratio.
 
         The quadrature engine deflates known turning points out of
@@ -249,7 +246,7 @@ class ModelSpec:
         formed on floats, to the model's fixed part.  Raises ConfigError
         unless lambda has N components.
         """
-        c, lam = params.c, params.lam
+        c, lam = float(params.c), params.lam
         if len(lam) != self.N:
             raise ConfigError(f"lambda must have {self.N} component(s), "
                               f"got {lam.tolist()}")
@@ -262,7 +259,7 @@ class ModelSpec:
             gg = [g0 * g0, g0 * g1 + g1 * g0, g1 * g1]
             part = padd([x * 0.5 for x in gg],
                         [0.0 * t0, 0.0 * t1 + -lam1 * t0, -lam1 * t1])
-        return padd(fixed, [0.0] * self.f.shift + part), den
+        return tuple(padd(fixed, [0.0] * self.f.shift + part)), den
 
     # -- state-space Hessians ------------------------------------------------
 
@@ -398,12 +395,12 @@ def _number(val, name: str) -> float:
     return float(val)
 
 
-def _coeffs(val, name: str) -> np.ndarray:
+def _coeffs(val, name: str) -> list:
     if not isinstance(val, list) or not val \
             or not all(_is_number(x) for x in val):
         raise ConfigError(f"{name} coefficients must be a non-empty list of "
                           f"finite numbers, got {val!r}")
-    return np.array(val, dtype=float)
+    return val
 
 
 def _parse_function(spec, name: str) -> Laurent:

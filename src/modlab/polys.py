@@ -2,18 +2,18 @@
 
 All model functions are closed-form polynomial or Laurent-polynomial
 expressions, so every derivative the asymptotics need is evaluated from
-coefficient arrays, never by numerical differentiation.  Plain
-polynomials are ascending float64 coefficient arrays ``c[0] + c[1] v +
-...``; a Laurent polynomial is a plain polynomial divided by ``v**shift``.
+coefficients, never by numerical differentiation.  Plain polynomials are
+ascending Python-float coefficients ``c[0] + c[1] v + ...``, stored as
+tuples (``Laurent.coeffs``, the model's rational parts, the level
+polynomial); a Laurent polynomial is a plain polynomial divided by
+``v**shift``.
 
 The deflation helpers factor known roots out of a polynomial exactly
 (synthetic division), which is what keeps the orbit quadrature free of
-endpoint cancellation.  The sum, shift, deflation, derivative and
-evaluation loops run on Python floats: the IEEE operations of the
-float64 array form, in the same order, without its per-element array
-overhead.  Each takes its coefficients as an array or a list and returns
-the same kind, so a caller that runs several of them converts once.
-Evaluation takes floats only; the array Horner is kernels.horner_batch.
+endpoint cancellation.  Every helper takes a float sequence and returns
+a list; its loop runs the IEEE operations of the float64 array form, in
+the same order, without the per-element array overhead.  Evaluation at
+one point is ``peval``; at a node vector it is kernels.horner_batch.
 """
 
 from __future__ import annotations
@@ -23,112 +23,82 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def as_coeffs(c) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(c, dtype=float))
-    return trim(a)
-
-
-def trim(c):
-    """Drop trailing (high-order) zero coefficients, keeping degree >= 0.
-
-    Works on an array or a list and returns the same kind.
-    """
+def trim(c) -> list:
+    """Drop trailing (high-order) zero coefficients, keeping degree >= 0."""
     n = len(c)
     while n > 1 and c[n - 1] == 0.0:
         n -= 1
-    return c[:n]
+    return list(c[:n])
 
 
-def _floats(a) -> list:
-    """The coefficients of an array or a list, as a list."""
-    return a.tolist() if isinstance(a, np.ndarray) else a
-
-
-def _like(a, c: list):
-    """``c`` as the kind of ``a``: an array for an array, else a list."""
-    return np.array(c) if isinstance(a, np.ndarray) else c
-
-
-def padd(a, b):
+def padd(a, b) -> list:
     """a + b, each coefficient formed as (0.0 + a_k) + b_k, as on a zeroed
     array."""
     out = [0.0] * max(len(a), len(b))
-    for k, x in enumerate(_floats(a)):
+    for k, x in enumerate(a):
         out[k] += x
-    for k, x in enumerate(_floats(b)):
+    for k, x in enumerate(b):
         out[k] += x
-    return _like(a, trim(out))
+    return trim(out)
 
 
-def pscale(a: np.ndarray, s: float) -> np.ndarray:
-    return trim(a * s)
+def pscale(a, s: float) -> list:
+    return trim([x * s for x in a])
 
 
-def pmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return trim(np.convolve(a, b))
+def pmul(a, b) -> list:
+    return trim(np.convolve(a, b).tolist())
 
 
-def pder(a):
-    c = _floats(a)
-    if len(c) == 1:
-        return _like(a, [0.0])
-    return _like(a, trim([c[k] * k for k in range(1, len(c))]))
+def pder(a) -> list:
+    if len(a) == 1:
+        return [0.0]
+    return trim([a[k] * k for k in range(1, len(a))])
 
 
 def peval(a, v: float) -> float:
-    """Horner evaluation on floats only: ``v`` is one float (np.float64
-    included), and the recurrence runs on Python floats."""
-    c = _floats(a)
-    acc = c[-1]
-    for k in range(len(c) - 2, -1, -1):
-        acc = acc * v + c[k]
+    """Horner evaluation at one float ``v`` (np.float64 included)."""
+    acc = a[-1]
+    for k in range(len(a) - 2, -1, -1):
+        acc = acc * v + a[k]
     return float(acc)
 
 
-def pshift(a, x0: float):
+def pshift(a, x0: float) -> list:
     """Coefficients of p(x0 + w) as a polynomial in w (Taylor shift)."""
-    out = list(_floats(a))
+    out = list(a)
     n = len(out)
     # repeated synthetic division by (v - x0); classic exact shift
     for j in range(n - 1):
         for k in range(n - 2, j - 1, -1):
             out[k] += x0 * out[k + 1]
-    return _like(a, out)
+    return out
 
 
-def pdeflate(a, root: float) -> tuple:
+def pdeflate(a, root: float) -> tuple[list, float]:
     """Divide by (v - root); returns (quotient, remainder)."""
-    c = _floats(a)
-    acc = c[-1]
+    acc = a[-1]
     q = []
-    for k in range(len(c) - 2, -1, -1):
+    for k in range(len(a) - 2, -1, -1):
         q.append(acc)
-        acc = c[k] + root * acc
-    return _like(a, trim(q[::-1] or [0.0])), float(acc)
+        acc = a[k] + root * acc
+    return trim(q[::-1] or [0.0]), float(acc)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Laurent:
     """p(v) / v**shift with p a plain polynomial and shift >= 0.
 
-    Compares and hashes by value: 0.0 and -0.0 coefficients are equal.
+    ``coeffs`` is a tuple of floats, so a Laurent compares and hashes by
+    value: 0.0 and -0.0 coefficients are equal.
     """
 
-    coeffs: np.ndarray
+    coeffs: tuple
     shift: int = 0
-
-    def __eq__(self, other):
-        if not isinstance(other, Laurent):
-            return NotImplemented
-        return (self.shift, self.coeffs.tolist()) == (other.shift,
-                                                      other.coeffs.tolist())
-
-    def __hash__(self):
-        return hash((self.shift, *self.coeffs.tolist()))
 
     @staticmethod
     def make(coeffs, shift: int = 0) -> "Laurent":
-        c = as_coeffs(coeffs)
+        c = trim([float(x) for x in coeffs])
         s = int(shift)
         # normalize: cancel common v factors
         while s > 0 and len(c) > 1 and c[0] == 0.0:
@@ -136,7 +106,7 @@ class Laurent:
             s -= 1
         if s > 0 and len(c) == 1 and c[0] == 0.0:
             s = 0
-        return Laurent(c, s)
+        return Laurent(tuple(c), s)
 
     @staticmethod
     def from_terms(terms: dict) -> "Laurent":
@@ -144,7 +114,7 @@ class Laurent:
         exps = [int(e) for e in terms]
         lo = min(min(exps), 0)
         hi = max(max(exps), 0)
-        c = np.zeros(hi - lo + 1)
+        c = [0.0] * (hi - lo + 1)
         for e, val in terms.items():
             c[int(e) - lo] = float(val)
         return Laurent.make(c, -lo)
@@ -155,9 +125,9 @@ class Laurent:
 
     def derivative(self) -> "Laurent":
         if self.shift == 0:
-            return Laurent(pder(self.coeffs), 0)
+            return Laurent(tuple(pder(self.coeffs)), 0)
         # d/dv [p/v^s] = (p' v - s p) / v^(s+1)
-        num = padd(pmul(pder(self.coeffs), np.array([0.0, 1.0])),
+        num = padd(pmul(pder(self.coeffs), [0.0, 1.0]),
                    pscale(self.coeffs, -self.shift))
         return Laurent.make(num, self.shift + 1)
 
@@ -179,7 +149,5 @@ class Laurent:
         return Laurent.from_terms(terms)
 
 
-def monomial_coeffs(power: int) -> np.ndarray:
-    c = np.zeros(power + 1)
-    c[power] = 1.0
-    return c
+def monomial_coeffs(power: int) -> list:
+    return [0.0] * power + [1.0]

@@ -17,11 +17,13 @@ turning points v2 < v3 of mu - W.  The engine below:
 
 One stencil point of a near-limit Hessian is one ``bracket_near_limit``
 and one ``orbit_integrals``.  Their polynomial work (level polynomial,
-shift, derivative, deflation, Newton, root residuals) runs on float
-lists.  The kernel evaluates only the integrand rows that vary with v;
-constant rows enter as scalars and each model's own rows are packed
-once.  What remains of a pass is numpy's per-call overhead on the
-substitution, the weights and the reductions.
+shift, derivative, deflation, Newton, root residuals) runs on Python
+floats: T and D are float tuples, as every coefficient set of the
+model is, and arrays start at the node vectors.  The kernel evaluates
+only the integrand rows that vary with v; constant rows enter as
+scalars and each model's own rows are packed once.  What remains of a
+pass is numpy's per-call overhead on the substitution, the weights and
+the reductions.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from . import kernels
 from .errors import (ConfigError, DegenerateOrbit, MultipleWells,
                      NoPeriodicOrbit, QuadratureNotConverged)
 from .models import ModelSpec, WaveParams
-from .polys import (_floats, monomial_coeffs, padd, pdeflate, peval, pder,
-                    pmul, pscale, pshift, trim)
+from .polys import (monomial_coeffs, padd, pdeflate, peval, pder, pmul,
+                    pscale, pshift, trim)
 
 DEGENERACY_FRACTION = 1e-6
 # relative residual |T(x)| / sum |t_k| |x|^k above which x is no root of T
@@ -107,7 +109,7 @@ class OrbitBracket:
     v1: float | None = None
     regime_hint: str = "generic"
     # the level polynomial T = mu D - N the roots were found on
-    T: np.ndarray = field(kw_only=True, compare=False, repr=False)
+    T: tuple = field(kw_only=True, compare=False, repr=False)
 
     @property
     def delta(self) -> float:
@@ -130,7 +132,7 @@ class OrbitBracket:
     @property
     def root_residuals(self) -> tuple:
         """|T(x)| / sum |t_k| |x|^k, Horner's error scale, at v2, v3, v1."""
-        t = self.T.tolist()[::-1]
+        t = self.T[::-1]
         at = [abs(tk) for tk in t]
         out = []
         for x in (self.v2, self.v3, self.v1):
@@ -177,18 +179,18 @@ class OrbitIntegrals:
 
 
 def level_polynomial(model: ModelSpec,
-                     params: WaveParams) -> tuple[np.ndarray, np.ndarray]:
+                     params: WaveParams) -> tuple[tuple, tuple]:
     """(T, D): the level polynomial T = mu D - N of (mu - W) D, and D."""
     num, den = model.potential_rational(params)
-    mu = params.mu
-    T = [mu * d for d in den.tolist()]
+    mu = float(params.mu)
+    T = [mu * d for d in den]
     T += [0.0] * (len(num) - len(T))
-    for k, nk in enumerate(num.tolist()):
+    for k, nk in enumerate(num):
         T[k] -= nk
-    return np.array(trim(T)), den
+    return tuple(trim(T)), den
 
 
-def _newton_refine(T: list, Td: list, x: float, lo: float, hi: float,
+def _newton_refine(T, Td, x: float, lo: float, hi: float,
                    tol: float) -> float:
     # descending coefficients; Horner runs inline on the floats
     t0, *t = T[::-1]
@@ -229,11 +231,10 @@ def _real_roots_in(T, lo: float, hi: float, q=None, at: float = 0.0) -> list:
     divided out) in the coordinate v - ``at``; a linear q is solved as
     np.roots would, bit for bit.  A seed with |Im z| <= 1e-5 max(1, |Re z|)
     is polished by Newton on T in the window widened by 1 %, and kept if
-    it stays that close: off a complex pair Newton walks away.  T and q
-    are arrays or lists.
+    it stays that close: off a complex pair Newton walks away.
     """
-    Tt = trim(_floats(T))
-    qt = Tt if q is None else trim(_floats(q))
+    Tt = trim(T)
+    qt = Tt if q is None else trim(q)
     if len(qt) < 2:
         return []
     seeds = [-qt[0] / qt[1]] if len(qt) == 2 else np.roots(qt[::-1])
@@ -325,8 +326,7 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
     bracket that breaks it raises ``NoPeriodicOrbit``.
     """
     T, den = level_polynomial(model, params)
-    t = T.tolist()
-    Tc = trim(pshift(t, center))
+    Tc = trim(pshift(T, center))
     Td = pder(Tc)
     wj = model.potential_jet(center, params, order=2)
     h = params.mu - wj[0]
@@ -339,7 +339,7 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
     # far roots in the domain from the quotient deflated in w, polished on T
     q, _ = pdeflate(Tc, wm)
     q, _ = pdeflate(q, wp)
-    far = _real_roots_in(t, *_window_in_domain(model), q=q, at=center)
+    far = _real_roots_in(T, *_window_in_domain(model), q=q, at=center)
     if side == "harmonic":
         v2, v3 = center + wm, center + wp
         v1 = max([r for r in far if r < v2], default=None)
@@ -394,8 +394,8 @@ def bracket_near_limit(model: ModelSpec, params: WaveParams, center: float,
     return OrbitBracket(v2=v2, v3=v3, v1=v1, regime_hint=hint, T=T)
 
 
-def _below_the_well(model: ModelSpec, params: WaveParams, T: np.ndarray,
-                    den: np.ndarray, vs: float, mus: float) -> str:
+def _below_the_well(model: ModelSpec, params: WaveParams, T: tuple,
+                    den: tuple, vs: float, mus: float) -> str:
     """Why a level has no turning point beyond the saddle vs at level mus:
     it lies below the bottom of the well there, by more than its depth."""
     # W' vanishes where (T / D)' = (mu - W)' does: at the roots of T' D - T D'
@@ -455,12 +455,12 @@ def _integrand_stack(model: ModelSpec, params: WaveParams, q,
     its rows shift there, and the kernel evaluates all of them.
     """
     kappa, f = model.kappa, model.f
-    nq = [-x for x in _floats(q)]
+    nq = [-x for x in q]
     G = [-params.lam2, -(params.c / model.b)] if model.N == 2 else None
     if at is not None:
         rows = [model._rational[1], kappa.coeffs, monomial_coeffs(kappa.shift)]
         if G is not None:
-            rows += [np.array(model.tau, dtype=float), np.array(G)]
+            rows += [model.tau, G]
         packed = kernels.pack_rows([nq, *(pshift(r, at) for r in rows)])
         return packed, [None] * len(packed)
     entry = _row_cache.get(model)
@@ -469,7 +469,7 @@ def _integrand_stack(model: ModelSpec, params: WaveParams, q,
                  monomial_coeffs(kappa.shift), f.coeffs,
                  monomial_coeffs(f.shift)]
         if G is not None:
-            fixed.append(np.array(model.tau, dtype=float))
+            fixed.append(model.tau)
         consts = [_constant(r) for r in fixed]
         varying = [r for r, x in zip(fixed, consts) if x is None]
         packed = kernels.pack_rows(varying, max(map(len, fixed)))
@@ -508,7 +508,7 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
     xp1, wgt, s, c, s2, wq4 = _node_set(quad_order)
     n = quad_order
     v2, v3, v1 = bracket.v2, bracket.v3, bracket.v1
-    q, _ = pdeflate(bracket.T.tolist(), v2)
+    q, _ = pdeflate(bracket.T, v2)
     q, _ = pdeflate(q, v3)
     if v1 is not None:
         q, _ = pdeflate(q, v1)
@@ -605,7 +605,7 @@ def orbit_integrals(model: ModelSpec, params: WaveParams,
                           int_E=E, quad_error=err)
 
 
-def homoclinic_integrals(model: ModelSpec, params: WaveParams, q: np.ndarray,
+def homoclinic_integrals(model: ModelSpec, params: WaveParams, q: list,
                          vs: float, wS: float) -> tuple:
     """(M, dcM, m, error) of the solitary orbit from the saddle vs to vs + wS,
     with m the mass integrals int (U - U_s) dx over the same half orbit.

@@ -38,7 +38,7 @@ def _full_stack(model, params, q):
     """Every integrand row of a periodic orbit, ascending, in the order of
     profiles._integrand_stack: -q, D, the kappa and f numerators and
     denominators, then tau and G on two-field models."""
-    rows = [-q, model._rational[1], model.kappa.coeffs,
+    rows = [[-x for x in q], model._rational[1], model.kappa.coeffs,
             monomial_coeffs(model.kappa.shift), model.f.coeffs,
             monomial_coeffs(model.f.shift)]
     if model.kind == "euler_korteweg":

@@ -19,8 +19,6 @@ quoted form and the measurement that refutes it:
 
 import json
 import math
-import subprocess
-import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -46,6 +44,7 @@ from oracles import (averaged_identities, chart_hamiltonian,
                      cubic_well_elliptic, fd_hessian, frame_vectors,
                      kdv_soliton_facts, modvars_from_vector, modvars_of,
                      modvars_vector, predicted_alpha_sign, shooting_oracle)
+from test_cli import run_cli
 
 TWO_PI = 2.0 * math.pi
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "modlab" / "configs"
@@ -607,10 +606,9 @@ def test_criterion_11_determinism(tmp_path):
         gkdv_cfg = str(CONFIGS / "gkdv.json")
 
         def run(args):
-            proc = subprocess.run([sys.executable, "-m", "modlab.cli"]
-                                  + args, capture_output=True)
-            assert proc.returncode == 0, proc.stderr
-            return proc.stdout
+            code, out, err = run_cli(args)
+            assert code == 0, err
+            return out
 
         wave_args = ["wave", "--config", gkdv_cfg, "--mu", "-0.5",
                      "--c", "1"]

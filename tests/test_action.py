@@ -145,6 +145,36 @@ class TestHessian:
                              FDConfig(limit=("soliton", 0.0, 0.0)))
         assert jet.warnings and "rho" in jet.warnings[0]
 
+    @pytest.mark.parametrize("gap", [
+        1e-8,
+        # the c step capped by the gap rounds partly at c = 1, and the
+        # difference quotient reads off the step actually taken
+        pytest.param(1e-14, marks=pytest.mark.xfail(
+            strict=True, reason="H_mu_c reads -16.634 against -15.950")),
+        pytest.param(1e-16, marks=pytest.mark.xfail(
+            strict=True, reason="H_mu_c reads -320.16 against -18.252")),
+    ])
+    def test_near_soliton_h_mu_c_against_elliptic_period(self, gkdv, gap):
+        # H_mu_c = d Xi / d c, with the cnoidal period
+        # Xi = 4 sqrt(3) K(m) / sqrt(v3 - v1), m = (v3 - v2) / (v3 - v1),
+        # at 50 digits, differentiated in c by mpmath
+        mp = pytest.importorskip("mpmath")
+        p = WaveParams(-gap, 1.0, [0.0])
+
+        def period(c):
+            # mu - W = (v - v1)(v - v2)(v3 - v) / 6 on gkdv at lambda = 0
+            v1, v2, v3 = sorted(r.real for r in mp.polyroots(
+                [-mp.mpf(1) / 6, c / 2, 0, p.mu], maxsteps=400,
+                extraprec=400))
+            m = (v3 - v2) / (v3 - v1)
+            return 4 * mp.sqrt(3) * mp.ellipk(m) / mp.sqrt(v3 - v1)
+
+        with mp.workdps(50):
+            want = float(mp.diff(period, mp.mpf(1)))
+        br = bracket_near_limit(gkdv, p, 0.0, "soliton")
+        jet = action_hessian(gkdv, p, br, FDConfig(limit=("soliton", 0.0, 0.0)))
+        assert abs(jet.hess[0, 1] - want) <= 1e-5 * abs(want)
+
     def test_system_hessian_symmetry(self, ek_lagrangian):
         p = WaveParams(0.2, 0.8, [0.4, -0.2])
         br = find_turning_points(narrowed(ek_lagrangian, (-6.0, 6.0)), p)

@@ -392,6 +392,23 @@ class TestFailurePaths:
         assert not out and err and b"Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_report_to_a_missing_directory_exits_2(self, tmp_path):
+        # the report cannot be written: an io failure, not a traceback
+        code, out, err = run_cli(["validate", "--config", GKDV, "--out",
+                                  str(tmp_path / "missing" / "x.json")])
+        assert code == 2 and not out
+        assert err.startswith(b"io failure: ") and err.count(b"\n") == 1
+        assert b"Traceback" not in err and list(tmp_path.iterdir()) == []
+
+    def test_family_without_a_saddle_exits_4(self):
+        # gkdv at c = 0.5, lambda = -1: W' = v^2 / 2 - v / 2 + 1 has no
+        # real root, so W has no saddle to anchor a soliton at
+        code, out, err = run_cli(["limit_soliton", "--config", GKDV, "--c",
+                                  "0.5", "--lambda=-1"])
+        assert code == 4 and not out
+        assert err.startswith(b"limit failure: 0 saddles of W in the window")
+        assert err.count(b"\n") == 1
+
     @pytest.mark.parametrize("c", ["0", "1e-300"])
     def test_infinite_group_velocity_exits_4(self, c):
         # g' = 0 at c = 0 on ek_lagrangian makes the group velocity

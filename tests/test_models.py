@@ -193,9 +193,9 @@ def test_models_compare_and_hash_by_value():
     assert gkdv_model() == gkdv_model()
     assert model_from_dict({**NLS_BLOCK, "f": {"poly": [0.0, 0.0, 0.25]}}) != a
     # a -0.0 coefficient is the 0.0 one, in equality and in hash
-    p, m = Laurent(np.array([0.0, 1.0])), Laurent(np.array([-0.0, 1.0]))
+    p, m = Laurent((0.0, 1.0)), Laurent((-0.0, 1.0))
     assert p == m and hash(p) == hash(m)
-    assert Laurent(np.array([1.0]), 1) != Laurent(np.array([1.0]))
+    assert Laurent((1.0,), 1) != Laurent((1.0,))
 
 
 def test_model_from_dict_rejects_tau_on_scalar():

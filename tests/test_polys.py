@@ -1,21 +1,28 @@
-"""The float-list coefficient helpers against their numpy-array forms.
+"""The float coefficient helpers against their numpy-array forms.
 
-``padd``, ``pshift``, ``pdeflate``, ``pder``, ``potential_rational`` and
-``level_polynomial`` run their loops on Python floats.  The array forms
-they replaced are kept below as references; every result must match
-them bit for bit, the sign of every zero included.
+Coefficients are tuples or lists of Python floats, and ``padd``,
+``pshift``, ``pdeflate``, ``pder``, ``potential_rational`` and
+``level_polynomial`` run their loops on those floats.  The array forms
+they replaced are kept below, on plain numpy, as references; every
+result must match them bit for bit, the sign of every zero included.
 """
 
 import math
 
 import numpy as np
 
-from modlab.models import ModelSpec, WaveParams
-from modlab.polys import (Laurent, monomial_coeffs, padd, pder, pdeflate,
-                          pmul, pscale, pshift, trim)
-from modlab.profiles import level_polynomial
+from modlab.models import ModelSpec, WaveParams, gkdv_model
+from modlab.polys import Laurent, padd, pder, pdeflate, pshift
+from modlab.profiles import find_turning_points, level_polynomial
 
 CASES = 2000
+
+
+def ref_trim(a):
+    n = len(a)
+    while n > 1 and a[n - 1] == 0.0:
+        n -= 1
+    return a[:n]
 
 
 def ref_pshift(a, x0):
@@ -34,37 +41,53 @@ def ref_pdeflate(a, root):
     for k in range(n - 2, -1, -1):
         q[k] = acc
         acc = a[k] + root * acc
-    return trim(q), float(acc)
+    return ref_trim(q), float(acc)
 
 
 def ref_padd(a, b):
     out = np.zeros(max(len(a), len(b)))
     out[: len(a)] += a
     out[: len(b)] += b
-    return trim(out)
+    return ref_trim(out)
 
 
 def ref_pder(a):
     if len(a) == 1:
         return np.zeros(1)
-    return trim(a[1:] * np.arange(1, len(a)))
+    return ref_trim(a[1:] * np.arange(1, len(a)))
+
+
+def ref_pscale(a, s):
+    return ref_trim(a * s)
+
+
+def ref_pmul(a, b):
+    return ref_trim(np.convolve(a, b))
+
+
+def ref_monomial(power):
+    c = np.zeros(power + 1)
+    c[power] = 1.0
+    return c
 
 
 def ref_potential_rational(model, params):
     c, lam = params.c, params.lam
-    vmf = monomial_coeffs(model.f.shift)
+    vmf = ref_monomial(model.f.shift)
+    f = np.array(model.f.coeffs)
     if model.kind == "scalar":
         rest = np.array([0.0, float(lam[0]), c / (2.0 * model.b)])
-        num = padd(pscale(model.f.coeffs, -1.0),
-                   pmul(pscale(rest, -1.0), vmf))
+        num = ref_padd(ref_pscale(f, -1.0),
+                       ref_pmul(ref_pscale(rest, -1.0), vmf))
         return num, vmf
     lam1, lam2 = float(lam[0]), float(lam[1])
     t = np.array([model.tau[0], model.tau[1]])
     G = np.array([-lam2, -(c / model.b)])
-    num = padd(pmul(pscale(model.f.coeffs, -1.0), t),
-               pmul(padd(pscale(pmul(G, G), 0.5),
-                         pmul(np.array([0.0, -lam1]), t)), vmf))
-    return num, pmul(t, vmf)
+    num = ref_padd(ref_pmul(ref_pscale(f, -1.0), t),
+                   ref_pmul(ref_padd(ref_pscale(ref_pmul(G, G), 0.5),
+                                     ref_pmul(np.array([0.0, -lam1]), t)),
+                            vmf))
+    return num, ref_pmul(t, vmf)
 
 
 def ref_level_polynomial(model, params):
@@ -72,7 +95,7 @@ def ref_level_polynomial(model, params):
     T = np.zeros(max(len(den), len(num)))
     T[: len(den)] = params.mu * den
     T[: len(num)] -= num
-    return trim(T), den
+    return ref_trim(T), den
 
 
 def same(a, b) -> bool:
@@ -99,21 +122,21 @@ def test_pshift_pdeflate_pder_bit_identical_to_array_loops():
     rng = np.random.default_rng(29)
     for _ in range(CASES):
         a, x = coeffs(rng), value(rng)
-        # an array gives an array, a list a list, with the same floats
-        for form, kind in ((a, np.ndarray), (a.tolist(), list)):
+        # a tuple or a list of floats in, a list out
+        for form in (tuple(a.tolist()), a.tolist()):
             got = pshift(form, x)
-            assert type(got) is kind and same(got, ref_pshift(a, x))
+            assert type(got) is list and same(got, ref_pshift(a, x))
             q, r = pdeflate(form, x)
             q_ref, r_ref = ref_pdeflate(a, x)
-            assert type(q) is kind and same(q, q_ref) and same(r, r_ref)
+            assert type(q) is list and same(q, q_ref) and same(r, r_ref)
             # the first and the second derivative, one step at a time
             d, d_ref = form, a
             for _ in range(2):
                 d, d_ref = pder(d), ref_pder(d_ref)
-                assert type(d) is kind and same(d, d_ref)
+                assert type(d) is list and same(d, d_ref)
             b = coeffs(rng)
             s = padd(form, b.tolist())
-            assert type(s) is kind and same(s, ref_padd(a, b))
+            assert type(s) is list and same(s, ref_padd(a, b))
 
 
 def random_model(rng) -> ModelSpec:
@@ -143,3 +166,22 @@ def test_level_polynomial_bit_identical_to_array_form():
         T, D = level_polynomial(model, params)
         T_ref, D_ref = ref_level_polynomial(model, params)
         assert same(T, T_ref) and same(D, D_ref)
+
+
+def float_tuple(c) -> bool:
+    return type(c) is tuple and all(type(x) is float for x in c)
+
+
+def test_coefficients_are_float_tuples_from_config_to_bracket():
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        model = random_model(rng)
+        assert float_tuple(model.f.coeffs) and float_tuple(model.kappa.coeffs)
+        assert all(map(float_tuple, model._rational))
+        # numpy scalars in, Python floats out
+        params = WaveParams(np.float64(value(rng)), np.float64(value(rng)),
+                            [value(rng), value(rng)][:model.N])
+        assert all(map(float_tuple, model.potential_rational(params)))
+        assert all(map(float_tuple, level_polynomial(model, params)))
+    br = find_turning_points(gkdv_model(), WaveParams(-0.5, 1.0, [0.0]))
+    assert float_tuple(br.T)

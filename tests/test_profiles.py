@@ -8,8 +8,8 @@ from modlab import profiles
 from modlab.errors import (ConfigError, DegenerateOrbit, MultipleWells,
                            NoPeriodicOrbit, QuadratureNotConverged)
 from modlab.limits import (_critical_points, _homoclinic_orbit,
-                           _soliton_point_at_lambda, harmonic_point,
-                           soliton_point)
+                           _lambda_at_endstate, _soliton_point_at_lambda,
+                           harmonic_point, soliton_point)
 from modlab.models import WaveParams, gkdv_model
 from modlab.polys import pshift
 from modlab.profiles import (averaged_state, bracket_near_limit,
@@ -203,6 +203,31 @@ class TestTurningPoints:
             bracket_near_limit(gkdv, p, 2.0, "harmonic")
         br = bracket_near_limit(gkdv, p, 0.0, "soliton")
         assert max(br.root_residuals) <= profiles.ROOT_RESIDUAL
+
+    @pytest.mark.parametrize("a", [
+        1e-2,
+        # v3 is polished on the unshifted T, whose rounding grows like
+        # (|vs| / a)^3 against the well width
+        pytest.param(1e-3, marks=pytest.mark.xfail(
+            strict=True, reason="v3 off by 6.3e-9 of v3 - v2")),
+        pytest.param(1e-4, marks=pytest.mark.xfail(
+            strict=True, reason="v3 off by 2.5e-6 of v3 - v2")),
+    ])
+    def test_far_endstate_outer_root_against_50_digits(self, gkdv, a):
+        # gkdv c = 1 with its saddle at the endstate 1 - a, a margin a from
+        # the edge of the family, at the level mu_s - 1e-4 a^3
+        mp = pytest.importorskip("mpmath")
+        vs = 1.0 - a
+        lam = _lambda_at_endstate(gkdv, 1.0, np.array([vs]))
+        mus = gkdv.potential_jet(vs, WaveParams(0.0, 1.0, lam), 0)[0]
+        br = bracket_near_limit(gkdv, WaveParams(mus - 1e-4 * a ** 3, 1.0, lam),
+                                vs, "soliton")
+        with mp.workdps(50):
+            roots = mp.polyroots([mp.mpf(t) for t in br.T[::-1]],
+                                 maxsteps=400, extraprec=400)
+            v3 = min((r.real for r in roots), key=lambda r: abs(r - br.v3))
+            miss = float(abs(br.v3 - v3))
+        assert miss <= 1e-10 * (br.v3 - br.v2)
 
     @pytest.mark.parametrize("offset", [1e-2, 1e-4])
     def test_far_roots_stay_in_the_domain(self, ek_eulerian, offset):
